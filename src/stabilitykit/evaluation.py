@@ -115,7 +115,9 @@ def logistic_fit(pred, mos) -> tuple[np.ndarray, np.ndarray]:
 
     Deterministic init: b1=max(mos), b2=min(mos), b3=median(pred),
     b4=std(pred)/4 (floored at 1e-6).  The simplex runs to diameter 1e-8 or
-    2000 iterations; a second warm-started pass polishes stalled fits.
+    2000 iterations; a second warm-started pass polishes stalled fits.  If
+    the fitted mapping is constant, the fit is rerun once from the mirrored
+    init (b1=min(mos), b2=max(mos)) and kept when its mapping is not.
     """
     pred, mos = _pair(pred, mos, 5)
     if float(np.ptp(pred)) <= 0:
@@ -125,18 +127,26 @@ def logistic_fit(pred, mos) -> tuple[np.ndarray, np.ndarray]:
         d = logistic_4pl(pred, beta) - mos
         return float(d @ d)
 
-    beta = np.array(
-        [mos.max(), mos.min(), float(np.median(pred)), max(pred.std() / 4.0, 1e-6)]
-    )
-    for _ in range(2):
-        res = minimize(
-            sse,
-            beta,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-        beta = res.x
-    return beta, logistic_4pl(pred, beta)
+    def fit(b1, b2):
+        beta = np.array([b1, b2, float(np.median(pred)), max(pred.std() / 4.0, 1e-6)])
+        for _ in range(2):
+            res = minimize(
+                sse,
+                beta,
+                method="Nelder-Mead",
+                options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
+            )
+            beta = res.x
+        return beta, logistic_4pl(pred, beta)
+
+    beta, mapped = fit(mos.max(), mos.min())
+    if np.ptp(mapped) == 0:
+        # Predictions anti-correlated with MOS can walk the increasing init
+        # onto a saturated plateau; the decreasing init reaches the slope.
+        mirrored, remapped = fit(mos.min(), mos.max())
+        if np.ptp(remapped) > 0:
+            beta, mapped = mirrored, remapped
+    return beta, mapped
 
 
 def evaluate(pred, mos) -> MetricReport:

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     ParseError,
     TrackingFailure,
+    TruncatedError,
     UnderDetermined,
 )
 from .media import to_luma
@@ -309,7 +310,7 @@ def _grid_field(pts, new_pts, ok, grid) -> FlowField:
 
 
 def _as_luma(frame: np.ndarray) -> np.ndarray:
-    return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64)
+    return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64, copy=False)
 
 
 def grid_flow(prev_frame: np.ndarray, next_frame: np.ndarray, grid: int = 8) -> FlowField:
@@ -415,36 +416,61 @@ def _refine_similarity(
     return a2 * a, a2 * t + t2, ratio
 
 
-def _homography_dlt(p0: np.ndarray, p1: np.ndarray) -> np.ndarray | None:
-    """Normalized DLT; p0, p1 are (m, 2) with m >= 4."""
+def _homography_dlt(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized DLT over a stack of k point sets; p0, p1 are (k, m, 2) with
+    m >= 4.  Returns (k, 3, 3) homographies scaled to h22 = 1 and a (k,) mask
+    of valid fits; invalid entries hold finite junk."""
 
     def normalize(p):
-        c = p.mean(axis=0)
-        d = np.sqrt(((p - c) ** 2).sum(axis=1)).mean()
-        if d < 1e-9:
-            return None, None
-        s = np.sqrt(2.0) / d
-        t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
-        return (p - c) * s, t
+        c = p.mean(axis=1, keepdims=True)
+        d = np.sqrt(((p - c) ** 2).sum(axis=2)).mean(axis=1)
+        ok = d >= 1e-9  # coincident points have no spread
+        s = np.sqrt(2.0) / np.where(ok, d, 1.0)
+        t = np.zeros((len(p), 3, 3))
+        t[:, 0, 0] = t[:, 1, 1] = s
+        t[:, :2, 2] = -s[:, None] * c[:, 0]
+        t[:, 2, 2] = 1.0
+        return (p - c) * s[:, None, None], t, ok
 
-    n0, t0 = normalize(p0)
-    n1, t1 = normalize(p1)
-    if n0 is None or n1 is None:
-        return None
-    m = len(p0)
-    a = np.zeros((2 * m, 9))
-    x, y = n0[:, 0], n0[:, 1]
-    u, v = n1[:, 0], n1[:, 1]
-    a[0::2] = np.c_[x, y, np.ones(m), np.zeros((m, 3)), -u * x, -u * y, -u]
-    a[1::2] = np.c_[np.zeros((m, 3)), x, y, np.ones(m), -v * x, -v * y, -v]
+    n0, t0, ok0 = normalize(p0)
+    n1, t1, ok1 = normalize(p1)
+    k, m = p0.shape[:2]
+    x, y = n0[..., 0], n0[..., 1]
+    u, v = n1[..., 0], n1[..., 1]
+    one, zero = np.ones((k, m)), np.zeros((k, m))
+    a = np.empty((k, 2 * m, 9))
+    a[:, 0::2] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=2)
+    a[:, 1::2] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=2)
     _, s, vt = np.linalg.svd(a)
-    if s[-2] < 1e-12:  # rank-deficient configuration
-        return None
-    hn = vt[-1].reshape(3, 3)
+    hn = vt[:, -1].reshape(k, 3, 3)
     h = np.linalg.inv(t1) @ hn @ t0
-    if abs(h[2, 2]) < 1e-12:
-        return None
-    return h / h[2, 2]
+    h22 = h[:, 2, 2]
+    # a rank-deficient (e.g. collinear) sample has no unique null vector
+    valid = ok0 & ok1 & (s[:, -2] >= 1e-12) & (np.abs(h22) >= 1e-12)
+    return h / np.where(valid, h22, 1.0)[:, None, None], valid
+
+
+def _ransac_homography(
+    p0: np.ndarray, p1: np.ndarray, samples: np.ndarray, inlier_px: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Score every 4-point sample (row of ``samples``) as one batch, then refit
+    on the winner's inliers; returns (winning row, inlier mask, H).
+
+    One batched DLT covers all hypotheses and one matmul projects every match
+    through every candidate.  Invalid fits count -1, so they never win.
+    """
+    h_cand, valid = _homography_dlt(p0[samples], p1[samples])
+    q = np.c_[p0, np.ones(len(p0))] @ h_cand.transpose(0, 2, 1)
+    err = np.linalg.norm(q[..., :2] / q[..., 2:3] - p1, axis=2)
+    inl = err <= inlier_px
+    counts = np.where(valid, inl.sum(axis=1), -1)
+    best = _ransac_pick(counts)
+    if counts[best] < 4:
+        raise UnderDetermined("fewer than 4 inlier matches for homography")
+    h_fit, ok = _homography_dlt(p0[None, inl[best]], p1[None, inl[best]])
+    if not ok[0]:
+        raise UnderDetermined("degenerate inlier configuration")
+    return best, inl[best], h_fit[0]
 
 
 def _apply_h(h: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -458,14 +484,20 @@ def estimate_motion(
     model_kind: str = "similarity",
     ransac: RansacParams | None = None,
 ) -> MotionParams:
-    """Corner matching + seeded RANSAC fit of the requested motion model."""
+    """Corner matching + seeded RANSAC fit of the requested motion model.
+
+    Frames are RGB (H, W, 3) or luma planes (H, W).  Every model draws all
+    ``ransac.iters`` hypotheses up front and scores them in one vectorized
+    pass; ties go to the earliest.  The homography model solves all 4-point
+    normalized DLTs as one stacked SVD and refits on the winner's inliers.
+    """
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
     if model_kind not in ("translation", "similarity", "homography"):
         raise ConfigError(f"unknown motion model {model_kind!r}")
     ransac = ransac or RansacParams()
-    prev = to_luma(prev_frame) if prev_frame.ndim == 3 else prev_frame.astype(np.float64)
-    nxt = to_luma(next_frame) if next_frame.ndim == 3 else next_frame.astype(np.float64)
+    prev = _as_luma(prev_frame)
+    nxt = _as_luma(next_frame)
 
     try:
         corners = detect_corners(prev, border=_LK_WIN + 1)
@@ -514,28 +546,13 @@ def estimate_motion(
             inlier_ratio=ratio,
         )
 
-    # homography
+    # homography: ransac.iters distinct 4-point samples (the 4 smallest of
+    # one uniform key row each), scored together in _ransac_homography
     if m < 4:
         raise UnderDetermined(f"homography needs 4 matches, have {m}")
-    best_count = -1
-    best_inl = None
     keys = rng.random((ransac.iters, m))
     samples = np.argpartition(keys, 3, axis=1)[:, :4]
-    for row in samples:
-        h_cand = _homography_dlt(p0[row], p1[row])
-        if h_cand is None:
-            continue
-        err = np.linalg.norm(_apply_h(h_cand, p0) - p1, axis=1)
-        inl = err <= ransac.inlier_px
-        count = int(inl.sum())
-        if count > best_count:
-            best_count = count
-            best_inl = inl
-    if best_inl is None or best_count < 4:
-        raise UnderDetermined("fewer than 4 inlier matches for homography")
-    h_final = _homography_dlt(p0[best_inl], p1[best_inl])
-    if h_final is None:
-        raise UnderDetermined("degenerate inlier configuration")
+    _, best_inl, h_final = _ransac_homography(p0, p1, samples, ransac.inlier_px)
     cxy = _apply_h(h_final, center[None, :])[0]
     # affine Jacobian at the frame center
     x, y = center
@@ -589,11 +606,17 @@ def video_trajectory(
     model_kind: str = "similarity",
     ransac: RansacParams | None = None,
 ) -> tuple[Trajectory, list[MotionParams]]:
-    """Per-pair motion over a FrameSequence, accumulated into a Trajectory."""
-    params = [
-        estimate_motion(seq.frames[i], seq.frames[i + 1], model_kind, ransac)
-        for i in range(len(seq) - 1)
-    ]
+    """Per-pair motion over a FrameSequence, accumulated into a Trajectory.
+
+    Each frame is converted to luma once; only the two planes of the current
+    pair are held, never the whole (T, H, W) stack."""
+    params = []
+    prev = None
+    for frame in seq.frames:
+        nxt = _as_luma(frame)
+        if prev is not None:
+            params.append(estimate_motion(prev, nxt, model_kind, ransac))
+        prev = nxt
     return accumulate_trajectory(params), params
 
 
@@ -612,10 +635,21 @@ def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def load_trajectory_csv(path: str | Path) -> Trajectory:
-    rows = Path(path).read_text(encoding="ascii").strip().splitlines()
+    try:
+        rows = Path(path).read_text(encoding="ascii").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"trajectory CSV is not ASCII: {exc}") from exc
     if not rows or rows[0] != "frame,x,y,theta":
         raise ParseError("bad trajectory CSV header")
-    vals = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    cells = [r.split(",") for r in rows[1:]]
+    if not cells:
+        raise ParseError("trajectory CSV has no rows")
+    if any(len(c) != 4 for c in cells):
+        raise ParseError("trajectory CSV rows need 4 fields")
+    try:
+        vals = np.array([[float(v) for v in c] for c in cells])
+    except ValueError as exc:
+        raise ParseError(f"non-numeric trajectory CSV cell: {exc}") from exc
     return Trajectory(x=vals[:, 1], y=vals[:, 2], theta=vals[:, 3])
 
 
@@ -633,8 +667,14 @@ def load_flow(path: str | Path) -> FlowField:
     data = Path(path).read_bytes()
     if data[:8] != _FLOW_MAGIC:
         raise ParseError("not a stabilitykit flow file")
+    if len(data) < 16:
+        raise TruncatedError(f"flow header truncated: {len(data)} of 16 bytes")
     width, height = struct.unpack("<II", data[8:16])
     n = width * height
+    if len(data) < 16 + 8 * n:
+        raise TruncatedError(
+            f"flow payload truncated: expected {8 * n} bytes, got {len(data) - 16}"
+        )
     grid = np.frombuffer(data, "<f4", 2 * n, 16)
     u = grid[:n].reshape(height, width).astype(np.float64)
     v = grid[n:].reshape(height, width).astype(np.float64)

@@ -145,6 +145,25 @@ class TestLogisticFit:
         with pytest.raises(DegenerateInput):
             ev.logistic_fit(np.ones(6), np.arange(6.0))
 
+    def test_flat_fit_is_refit_from_mirrored_init(self):
+        # validation predictions anti-correlated with MOS: the increasing
+        # init saturates the sigmoid and maps every point to one value
+        pred = np.array([-8.7571, -8.8092, 0.0332, -8.3723, -5.2507])
+        mos = np.array([65.181, 50.626, 24.072, 65.662, 63.13])
+        beta, mapped = ev.logistic_fit(pred, mos)
+        assert np.ptp(mapped) > 0
+        assert beta[0] < beta[1]  # decreasing mapping
+        assert float(np.sum((mapped - mos) ** 2)) < 200.0
+        assert ev.evaluate(pred, mos).plcc > 0.9
+
+    def test_non_flat_fit_runs_no_refit(self, rng, monkeypatch):
+        calls = []
+        minimize = ev.minimize
+        monkeypatch.setattr(ev, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+        mos = rng.uniform(0, 100, size=10)
+        ev.logistic_fit(mos + rng.normal(size=10), mos)
+        assert len(calls) == 2
+
 
 class TestEvaluate:
     def test_perfect_prediction(self, rng):

@@ -9,6 +9,7 @@ from stabilitykit.errors import (
     ConfigError,
     DegenerateScene,
     DimensionMismatch,
+    ParseError,
     TrackingFailure,
     UnderDetermined,
 )
@@ -22,6 +23,7 @@ from stabilitykit.motion import (
     estimate_motion,
     grid_flow,
     track_lk,
+    video_trajectory,
 )
 from stabilitykit.synth import render_shaky
 
@@ -65,6 +67,79 @@ def shift_pair(seed=0, shift=(3, 0), size=(128, 96)):
 
 def to_rgb(plane):
     return np.repeat(plane.astype(np.uint8)[..., None], 3, axis=2)
+
+
+def loop_homography_dlt(p0, p1):
+    """Reference single-fit normalized DLT: the per-hypothesis solve that the
+    batched _homography_dlt replaced; None marks an invalid fit."""
+
+    def normalize(p):
+        c = p.mean(axis=0)
+        d = np.sqrt(((p - c) ** 2).sum(axis=1)).mean()
+        if d < 1e-9:
+            return None, None
+        s = np.sqrt(2.0) / d
+        t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
+        return (p - c) * s, t
+
+    n0, t0 = normalize(p0)
+    n1, t1 = normalize(p1)
+    if n0 is None or n1 is None:
+        return None
+    m = len(p0)
+    a = np.zeros((2 * m, 9))
+    x, y = n0[:, 0], n0[:, 1]
+    u, v = n1[:, 0], n1[:, 1]
+    a[0::2] = np.c_[x, y, np.ones(m), np.zeros((m, 3)), -u * x, -u * y, -u]
+    a[1::2] = np.c_[np.zeros((m, 3)), x, y, np.ones(m), -v * x, -v * y, -v]
+    _, s, vt = np.linalg.svd(a)
+    if s[-2] < 1e-12:
+        return None
+    h = np.linalg.inv(t1) @ vt[-1].reshape(3, 3) @ t0
+    if abs(h[2, 2]) < 1e-12:
+        return None
+    return h / h[2, 2]
+
+
+def loop_ransac_homography(p0, p1, samples, inlier_px):
+    """Reference RANSAC: one DLT and one projection per hypothesis in a
+    Python loop; strict '>' keeps the earliest of tied counts."""
+    best_count, best_row, best_inl = -1, None, None
+    for i, row in enumerate(samples):
+        h = loop_homography_dlt(p0[row], p1[row])
+        if h is None:
+            continue
+        inl = np.linalg.norm(apply_h(h, p0) - p1, axis=1) <= inlier_px
+        if int(inl.sum()) > best_count:
+            best_count, best_row, best_inl = int(inl.sum()), i, inl
+    if best_inl is None or best_count < 4:
+        raise UnderDetermined("fewer than 4 inlier matches for homography")
+    h = loop_homography_dlt(p0[best_inl], p1[best_inl])
+    if h is None:
+        raise UnderDetermined("degenerate inlier configuration")
+    return best_row, best_inl, h
+
+
+H_TRUE = np.array([[1.02, 0.03, 5.0], [-0.02, 0.98, -3.0], [1e-4, -2e-4, 1.0]])
+
+
+def apply_h(h, p):
+    q = np.c_[p, np.ones(len(p))] @ h.T
+    return q[:, :2] / q[:, 2:3]
+
+
+def planted_matches(seed, m=120, outlier_frac=0.3, duplicates=4):
+    """Corners in a 128x96 frame mapped through H_TRUE with 0.3 px noise,
+    a share of gross outliers, and a few exactly duplicated corners so that
+    some 4-point samples are degenerate."""
+    rng = np.random.default_rng(seed)
+    p0 = rng.uniform([8, 8], [120, 88], size=(m, 2))
+    p1 = apply_h(H_TRUE, p0) + rng.normal(0, 0.3, size=(m, 2))
+    bad = rng.random(m) < outlier_frac
+    p1[bad] += rng.uniform(-20, 20, size=(int(bad.sum()), 2))
+    p0[m - duplicates :], p1[m - duplicates :] = p0[:duplicates], p1[:duplicates]
+    samples = np.argpartition(rng.random((500, m)), 3, axis=1)[:, :4]
+    return p0, p1, samples
 
 
 class TestDetectCorners:
@@ -197,6 +272,61 @@ class TestEstimateMotion:
         assert abs(float(np.mean(flow.v)) - mp.dy) <= 0.5
 
 
+class TestBatchedHomography:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_hypothesis_loop(self, seed):
+        p0, p1, samples = planted_matches(seed)
+        want = loop_ransac_homography(p0, p1, samples, 2.0)
+        got = motion._ransac_homography(p0, p1, samples, 2.0)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    def test_batched_dlt_matches_single_fits(self):
+        p0, p1, samples = planted_matches(3)
+        hs, valid = motion._homography_dlt(p0[samples], p1[samples])
+        for h, ok, row in zip(hs, valid, samples):
+            ref = loop_homography_dlt(p0[row], p1[row])
+            assert ok == (ref is not None)
+            if ok:
+                assert np.array_equal(h, ref)
+        assert not valid.all()  # the duplicated corners made some invalid
+
+    def test_exact_recovery_from_four_points(self):
+        p0 = np.array([[10.0, 12.0], [110.0, 8.0], [100.0, 85.0], [15.0, 80.0]])
+        hs, valid = motion._homography_dlt(p0[None], apply_h(H_TRUE, p0)[None])
+        assert valid.tolist() == [True]
+        assert np.allclose(hs[0], H_TRUE, rtol=0, atol=1e-9)
+
+    def test_coincident_and_collinear_samples_invalid(self):
+        square = np.array([[10.0, 12.0], [110.0, 8.0], [100.0, 85.0], [15.0, 80.0]])
+        coincident = np.full((4, 2), 40.0)
+        collinear = np.array([[10.0, 10.0], [30.0, 20.0], [50.0, 30.0], [90.0, 50.0]])
+        p0 = np.stack([square, coincident, collinear])
+        p1 = np.stack([apply_h(H_TRUE, q) for q in p0])
+        _, valid = motion._homography_dlt(p0, p1)
+        assert valid.tolist() == [True, False, False]
+
+    def test_all_samples_invalid_is_underdetermined(self, monkeypatch):
+        frame = textured_frame(14)
+        line = np.stack([np.linspace(20.0, 70.0, 12), np.linspace(25.0, 60.0, 12)], axis=1)
+        monkeypatch.setattr(motion, "detect_corners", lambda *a, **k: line)
+        with pytest.raises(UnderDetermined, match="fewer than 4"):
+            estimate_motion(frame, frame, "homography")
+
+    def test_ties_go_to_earliest_valid_hypothesis(self):
+        p0 = np.array(
+            [[10.0, 12.0], [110.0, 8.0], [100.0, 85.0], [15.0, 80.0],
+             [40.0, 30.0], [80.0, 35.0], [75.0, 70.0], [35.0, 60.0], [10.0, 12.0]]
+        )
+        p1 = apply_h(H_TRUE, p0)
+        # row 0 reuses corner 0 (degenerate); rows 1 and 2 both fit all 9
+        samples = np.array([[0, 8, 1, 2], [0, 1, 2, 3], [4, 5, 6, 7], [1, 3, 5, 7]])
+        best, inl, _ = motion._ransac_homography(p0, p1, samples, 2.0)
+        assert best == 1
+        assert inl.all()
+
+
 class TestGridFlow:
     def test_identical_frames_zero_field(self):
         plane = textured_plane(3)
@@ -242,6 +372,26 @@ class TestGridFlow:
             grid_flow(plane, plane, grid=3)
         with pytest.raises(ConfigError):
             grid_flow(plane, plane, grid=33)
+
+
+class TestVideoTrajectory:
+    def test_each_frame_converted_to_luma_once(self, monkeypatch):
+        base = textured_frame(5, 160, 128)
+        traj = Trajectory(x=np.array([0.0, 1.5, 2.0, 1.0]), y=np.array([0.0, -1.0, 0.5, 1.5]),
+                          theta=np.zeros(4))
+        seq = render_shaky(base, traj, (112, 96))
+        want = [
+            estimate_motion(seq.frames[i], seq.frames[i + 1], "homography")
+            for i in range(len(seq) - 1)
+        ]
+        converted = []
+        to_luma = motion.to_luma
+        monkeypatch.setattr(motion, "to_luma", lambda f: converted.append(f) or to_luma(f))
+        _, got = video_trajectory(seq, "homography")
+        assert len(converted) == len(seq)
+        for a, b in zip(got, want):
+            assert (a.dx, a.dy, a.theta, a.scale, a.inlier_ratio) == (
+                b.dx, b.dy, b.theta, b.scale, b.inlier_ratio)
 
 
 class TestTrajectory:
@@ -302,3 +452,29 @@ class TestExports:
         assert np.allclose(back.u, flow.u, atol=1e-6)
         assert np.allclose(back.v, flow.v, atol=1e-6)
         assert path.stat().st_size == 16 + 2 * 8 * 8 * 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "frame,x,y,theta\n0,0,0,0\n1,0.5\n",  # short row
+            "frame,x,y,theta\n",  # header with no rows
+            "frame,x,y,theta\n0,0,0,0\n1,0.5,abc,0\n",  # non-numeric cell
+            "frame,x,y,theta\n0,0,0,0\n1,0.5,\xb5,0\n",  # non-ASCII byte
+        ],
+        ids=["short-row", "no-rows", "non-numeric", "non-ascii"],
+    )
+    def test_malformed_trajectory_csv(self, tmp_path, text):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError):
+            motion.load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("keep", [12, 16 + 2 * 8 * 8 * 4 - 1], ids=["header", "payload"])
+    def test_truncated_flow(self, tmp_path, keep):
+        path = tmp_path / "field.flow"
+        g = np.zeros((8, 8))
+        motion.save_flow(FlowField(8, 8, g, g), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ParseError):
+            motion.load_flow(path)
+
