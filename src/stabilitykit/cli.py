@@ -161,6 +161,12 @@ _SCORE_KEYS = {"seed", "n", "tau", "grid", "tau_b", "n_clips", "model"}
 def cmd_score(args) -> int:
     cfg = _load_config(args.config, _SCORE_KEYS)
     seed = _resolve_seed(args.seed, cfg)
+    model_path = args.model or cfg.get("model")
+    n_clips = cfg.get("n_clips", args.n_clips)
+    # checked before decoding: a bad value would otherwise surface only
+    # after the whole trajectory has been estimated
+    if model_path and (not isinstance(n_clips, int) or n_clips < 1):
+        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
     seq = _load_video(args.video)
     itf_res = itf(seq)
     traj, _ = video_trajectory(seq, "similarity", RansacParams(seed=seed))
@@ -174,14 +180,13 @@ def cmd_score(args) -> int:
             "theta": stab.component_scores["theta"],
         },
     }
-    model_path = args.model or cfg.get("model")
     if model_path:
         if not Path(model_path).is_file():
             raise _MissingModel(f"model checkpoint not found: {model_path}")
         params = model_mod.load_checkpoint(model_path)
         opts = _clip_opts(cfg, args)
         report["prediction"] = model_mod.predict_video(
-            params, seq, n_clips=cfg.get("n_clips", args.n_clips), seed=seed, **opts
+            params, seq, n_clips=n_clips, seed=seed, **opts
         )
     _emit(report, args.out)
     return EXIT_OK

@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateBatch,
     DimensionMismatch,
     InsufficientData,
     ParseError,
+    TruncatedError,
 )
 from .media import FrameSequence, sample_clip
 from . import features as feat
@@ -352,6 +354,8 @@ def predict_video(
     tau_b: int = feat.DEFAULT_TAU_B,
 ) -> float:
     """Mean prediction over ``n_clips`` independently sampled clips."""
+    if n_clips < 1:
+        raise ConfigError(f"n_clips must be at least 1, got {n_clips}")
     rng = np.random.default_rng(seed)
     clip_seeds = rng.integers(0, 2**31, size=n_clips)
     scores = []
@@ -409,9 +413,19 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         hid = int(header["hidden"])
         norm_mean = np.array(header["norm_mean"], dtype=np.float64)
         norm_std = np.array(header["norm_std"], dtype=np.float64)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad checkpoint header: {exc}") from exc
+    if d < 1 or hid < 1:
+        raise ParseError(f"bad checkpoint dims: input_dim {d}, hidden {hid}")
+    if norm_mean.shape != (d,) or norm_std.shape != (d,):
+        raise ParseError(
+            f"checkpoint norm stats have shapes {norm_mean.shape} and "
+            f"{norm_std.shape}, input_dim is {d}"
+        )
     need = hid * d + hid + hid + 1
+    have = (len(data) - nl - 1) // 4
+    if have < need:
+        raise TruncatedError(f"checkpoint weights truncated: {have} of {need} values")
     blob = np.frombuffer(data, "<f4", need, nl + 1).astype(np.float64)
     w1 = blob[: hid * d].reshape(hid, d)
     b1 = blob[hid * d : hid * d + hid]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import MarginError
+from .errors import MarginError, ParseError
 from .media import FrameSequence, save_y4m, _round_half_up
 from .motion import Trajectory
 
@@ -404,8 +404,20 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path, float]]:
     rows = []
     with open(p, encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0] == "video_id":
-                continue
-            rows.append((row[0], (p.parent / row[1]).resolve(), float(row[2])))
+        try:
+            for row in reader:
+                if not row or row[0] == "video_id":
+                    continue
+                where = f"{p}:{reader.line_num}"
+                if len(row) < 3:
+                    raise ParseError(f"{where}: need 3 fields, have {len(row)}")
+                try:
+                    score = float(row[2])
+                except ValueError:
+                    raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
+                if not np.isfinite(score):
+                    raise ParseError(f"{where}: non-finite score {row[2]!r}")
+                rows.append((row[0], (p.parent / row[1]).resolve(), score))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{p}:{reader.line_num}: {exc}") from exc
     return rows

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabilitykit import cli
+from stabilitykit import model as model_mod
 from stabilitykit.media import FrameSequence, save_y4m
 from stabilitykit.synth import gen_dataset, write_dataset
 
@@ -12,6 +13,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +64,42 @@ class TestScore:
     def test_textureless_exits_4(self, capsys, workspace):
         code, _, _ = run(capsys, "score", str(workspace["flat"]))
         assert code == 4
+
+    @pytest.mark.parametrize("n_clips", ["0", "-2"])
+    def test_no_clips_exits_2_before_decoding(self, capsys, workspace, tmp_path,
+                                              monkeypatch, n_clips):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+
+        def no_decode(path):
+            raise AssertionError("video decoded before the options were checked")
+
+        monkeypatch.setattr(cli, "_load_video", no_decode)
+        code, out, err = run(
+            capsys, "score", str(workspace["static"]), "--model", str(ckpt),
+            "--n-clips", n_clips,
+        )
+        assert code == 2 and "n_clips" in err
+        assert out == ""
+
+    def test_truncated_checkpoint_exits_2(self, capsys, workspace, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt))
+        assert code == 2 and "truncated" in err
+        assert out == ""
+
+    def test_checkpoint_norm_mismatch_exits_2(self, capsys, workspace, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        meta["norm_std"] = meta["norm_std"][:100]
+        ckpt.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt))
+        assert code == 2 and "norm stats" in err
+        assert out == ""
 
     def test_missing_model_exits_3(self, capsys, workspace):
         code, _, _ = run(
@@ -110,6 +156,22 @@ class TestTrain:
         )
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("synth_0001,synth_0001.y4m", "need 3 fields"),
+         ("synth_0001,synth_0001.y4m,high", "non-numeric score"),
+         ("synth_0001,synth_0001.y4m,nan", "non-finite score")],
+    )
+    def test_bad_manifest_row_exits_2(self, capsys, workspace, tmp_path, bad_row, message):
+        bad = workspace["manifest"].parent / "bad.csv"
+        rows = workspace["manifest"].read_text().splitlines()
+        rows[3] = bad_row
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "train", str(bad), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert f"bad.csv:4: {message}" in err
+        assert out == ""
+
     def test_unknown_config_key_exits_2(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"learning_rate": 5}))
@@ -141,6 +203,22 @@ class TestEval:
         code, out, _ = run(capsys, "eval", str(a), str(b))
         assert code == 0
         assert json.loads(out)["srocc"] == 1.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_exits_4(self, capsys, tmp_path, bad):
+        rng = np.random.default_rng(1)
+        mos = rng.uniform(0, 100, 12)
+        rows = [f"{q + rng.normal()},{q}" for q in mos]
+        path = tmp_path / "pairs.csv"
+        path.write_text("pred,mos\n" + "\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "eval", str(path))
+        assert code == 0
+        assert set(strict_json(out)) >= {"srocc", "plcc", "krcc", "rmse"}
+        rows[5] = f"{bad},{mos[5]}"
+        path.write_text("pred,mos\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == 4 and "non-finite" in err
+        assert out == ""
 
     def test_length_mismatch_exits_2(self, capsys, tmp_path):
         a = tmp_path / "pred.csv"

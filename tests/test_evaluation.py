@@ -1,7 +1,13 @@
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from stabilitykit import evaluation as ev
 from stabilitykit.errors import DegenerateInput, DimensionMismatch
@@ -45,6 +51,52 @@ def brute_krcc(a, b):
                 disc += 1
     n0 = n * (n - 1) // 2
     return (conc - disc) / np.sqrt(float(n0 - ties_a) * float(n0 - ties_b))
+
+
+def dense_krcc(a, b):
+    """The former O(n^2)-memory tau-b, kept verbatim as a bit-exact oracle."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sa = np.sign(a[:, None] - a[None, :])
+    sb = np.sign(b[:, None] - b[None, :])
+    iu = np.triu_indices(len(a), k=1)
+    prod = sa[iu] * sb[iu]
+    concordant = int(np.sum(prod > 0))
+    discordant = int(np.sum(prod < 0))
+    n0 = len(a) * (len(a) - 1) // 2
+    ties_a = int(np.sum(sa[iu] == 0))
+    ties_b = int(np.sum(sb[iu] == 0))
+    denom = np.sqrt(float(n0 - ties_a) * float(n0 - ties_b))
+    return (concordant - discordant) / denom
+
+
+def loop_ranks(x):
+    """The former while-loop average ranks, kept as a bit-exact oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def tie_heavy(rng, n):
+    """Integer-valued vectors with few levels, zeros of both signs, and a
+    real-valued companion half of the time."""
+    a = rng.integers(-3, 4, size=n).astype(float)
+    b = rng.integers(-2, int(rng.integers(0, 7)), size=n).astype(float)
+    if rng.random() < 0.5:
+        b += np.round(rng.normal(size=n), 1)
+    for v in (a, b):
+        zero = v == 0
+        v[zero] = np.where(rng.random(int(np.sum(zero))) < 0.5, 0.0, -0.0)
+    return a, b
 
 
 class TestSrocc:
@@ -99,6 +151,89 @@ class TestRankOracles:
             return
         assert ev.srocc(a, b) == pytest.approx(brute_srocc(a, b), abs=1e-12)
         assert ev.krcc(a, b) == pytest.approx(brute_krcc(a, b), abs=1e-12)
+
+
+class TestFastRankKernels:
+    def test_krcc_bit_identical_to_dense(self):
+        rng = np.random.default_rng(20231)
+        for n in list(range(3, 40)) + [64, 127, 128, 129, 255, 333, 500]:
+            for _ in range(4):
+                a, b = tie_heavy(rng, n)
+                if np.ptp(a) == 0 or np.ptp(b) == 0:
+                    continue
+                assert ev.krcc(a, b) == dense_krcc(a, b)
+                assert ev.krcc(b, a) == dense_krcc(b, a)
+
+    def test_signed_zeros_tie(self):
+        a = np.array([0.0, -0.0, 1.0, -0.0, 2.0])
+        b = np.array([-0.0, 0.0, 0.0, 3.0, 1.0])
+        assert ev.krcc(a, b) == dense_krcc(a, b)
+        assert ev.average_ranks(a).tolist() == [2.0, 2.0, 4.0, 2.0, 5.0]
+
+    def test_ranks_identical_to_loop(self):
+        rng = np.random.default_rng(7)
+        for n in (0, 1, 2, 5, 17, 500):
+            a, b = tie_heavy(rng, n)
+            assert np.array_equal(ev.average_ranks(a), loop_ranks(a))
+            assert np.array_equal(ev.average_ranks(b), loop_ranks(b))
+
+    def test_strict_inversions_brute_force(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 8, 9, 31, 100):
+            r = rng.integers(0, 5, size=n)
+            brute = sum(int(r[i] > r[j]) for i in range(n) for j in range(i + 1, n))
+            assert ev._strict_inversions(r, 5) == brute
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 10, 200, 3000):
+            a = np.round(rng.normal(size=n), 1)
+            b = np.round(a + rng.normal(size=n), 1)
+            assert ev.krcc(a, b) == pytest.approx(stats.kendalltau(a, b)[0], abs=1e-12)
+            assert ev.srocc(a, b) == pytest.approx(stats.spearmanr(a, b)[0], abs=1e-12)
+            assert np.array_equal(ev.average_ranks(a), stats.rankdata(a))
+
+    def test_evaluate_20k_memory_is_linear(self):
+        # dense sign matrices would need 2 x 3.2 GB at this size
+        rng = np.random.default_rng(2)
+        mos = np.round(rng.uniform(1, 99, 20000), 2)
+        pred = np.round(mos / 100 + rng.normal(0, 0.05, 20000), 6)
+        tracemalloc.start()
+        try:
+            report = ev.evaluate(pred, mos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert report.krcc == pytest.approx(stats.kendalltau(pred, mos)[0], abs=1e-12)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 0.5 s of import time on every CLI call
+        src = str(Path(ev.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import stabilitykit.cli; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code, src], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "stat", [ev.pearson, ev.srocc, ev.krcc, ev.rmse, ev.logistic_fit, ev.evaluate]
+    )
+    def test_rejected(self, stat, bad):
+        a = np.arange(8.0)
+        b = a**2
+        a[3] = bad
+        with pytest.raises(DegenerateInput):
+            stat(a, b)
+        with pytest.raises(DegenerateInput):
+            stat(b, a)
 
 
 class TestRmse:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from stabilitykit import model as m
 from stabilitykit.errors import (
+    ConfigError,
     DegenerateBatch,
     DimensionMismatch,
     InsufficientData,
     InsufficientFrames,
+    ParseError,
+    TruncatedError,
 )
 from stabilitykit.synth import gen_dataset
 
@@ -329,6 +334,13 @@ class TestPredictVideo:
         with pytest.raises(InsufficientFrames):
             m.predict_video(params, video.seq, n_clips=1, seed=0, n=32, tau=2)
 
+    @pytest.mark.parametrize("n_clips", [0, -1])
+    def test_no_clips_rejected(self, video, n_clips):
+        params = m.init_params(16 + 8 * 8 + 2 * 4, seed=0)
+        with pytest.raises(ConfigError):
+            m.predict_video(params, video.seq, n_clips=n_clips, n=8, tau=2, grid=6,
+                            tau_b=4)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
@@ -343,6 +355,39 @@ class TestCheckpoint:
         assert np.allclose(q.w2, p.w2, atol=1e-6)
         assert np.allclose(q.norm_mean, p.norm_mean, atol=1e-12)
         assert q.b2 == pytest.approx(p.b2, abs=1e-6)
+
+    def test_truncated_weights(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(toy_params(d=7, hidden=5), path)
+        data = path.read_bytes()
+        for cut in (1, 4, 10):
+            path.write_bytes(data[:-cut])
+            with pytest.raises(TruncatedError):
+                m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["norm_mean", "norm_std"])
+    def test_norm_stats_length_mismatch(self, tmp_path, field):
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(toy_params(d=7, hidden=5), path)
+        header, blob = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        meta[field] = meta[field][:-1]
+        path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
+        with pytest.raises(ParseError, match="norm stats"):
+            m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: [meta],
+        lambda meta: dict(meta, input_dim=-1, norm_mean=[], norm_std=[]),
+        lambda meta: dict(meta, hidden="five"),
+    ])
+    def test_malformed_header(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(toy_params(d=7, hidden=5), path)
+        header, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
+        with pytest.raises(ParseError):
+            m.load_checkpoint(path)
 
     def test_log_csv(self, tmp_path):
         logs = [m.EpochLog(1, 0.5, None), m.EpochLog(2, 0.25, 0.9)]
