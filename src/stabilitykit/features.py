@@ -277,16 +277,18 @@ def load_feature_cache(path: str | Path) -> tuple[np.ndarray, FeatureDims]:
         raise ParseError("feature cache has no header line")
     try:
         header = json.loads(data[:nl])
-        dims = FeatureDims(
-            c_o=header["c_o"], c_s=header["c_s"], c_b=header["c_b"],
-            n=header["n"], n_b=header["n_b"], tau_b=header["tau_b"],
-        )
-        count = header["count"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        fields = {k: header[k] for k in ("c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count")}
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
         raise ParseError(f"bad feature cache header: {exc}") from exc
+    if any(type(v) is not int or v < 0 for v in fields.values()):
+        raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
+    count = fields.pop("count")
+    dims = FeatureDims(**fields)
     expect = count * dims.dim * 4
     blob = data[nl + 1 :]
     if len(blob) < expect:
         raise ParseError(f"feature cache truncated: {len(blob)} < {expect} bytes")
     matrix = np.frombuffer(blob, "<f4", count * dims.dim).reshape(count, dims.dim)
+    if not np.isfinite(matrix).all():
+        raise ParseError("feature cache holds non-finite values")
     return matrix.astype(np.float64), dims

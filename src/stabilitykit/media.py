@@ -189,10 +189,10 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, float, str]:
         if not tok:
             continue
         tag, rest = tok[:1], tok[1:].decode("ascii", "replace")
-        if tag == b"W":
-            width = int(rest)
-        elif tag == b"H":
-            height = int(rest)
+        if tag in (b"W", b"H"):
+            if not re.fullmatch(r"\d+", rest):
+                raise ParseError(f"bad frame size field {tag.decode()}{rest}")
+            width, height = (int(rest), height) if tag == b"W" else (width, int(rest))
         elif tag == b"F":
             m = re.fullmatch(r"(\d+):(\d+)", rest)
             if not m or int(m.group(2)) == 0:

@@ -142,131 +142,140 @@ def detect_corners(
 # ---------------------------------------------------------------------------
 
 _LK_WIN = 7  # window radius -> 15x15
+_LK_LEVELS = 3
 _LK_MAX_ITER = 30
 _LK_EPS = 0.01
 _LK_MAX_RESIDUAL = 25.0  # RMS gray levels over the window
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+_TAPS = np.arange(-_LK_WIN, _LK_WIN + 2)  # 16 integer taps span a 15-wide lerp
 
 
-def _pyramid(img: np.ndarray, levels: int) -> list[np.ndarray]:
-    out = [img.astype(np.float64)]
-    for _ in range(levels - 1):
+def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
+    """Per-level (T, h, w) float64 stacks of a (T, H, W) luma stack."""
+    out = [np.ascontiguousarray(stack, dtype=np.float64)]
+    for _ in range(_LK_LEVELS - 1):
         prev = out[-1]
-        if min(prev.shape) // 2 < 2 * _LK_WIN + 3:
+        if min(prev.shape[1:]) // 2 < 2 * _LK_WIN + 3:
             break
-        blurred = ndimage.correlate1d(prev, _BINOMIAL5, axis=0, mode="nearest")
-        blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=1, mode="nearest")
-        out.append(blurred[::2, ::2])
+        # the row blur acts on each row alone, so it skips the dropped rows
+        blurred = ndimage.correlate1d(prev, _BINOMIAL5, axis=1, mode="nearest")[:, ::2]
+        blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=2, mode="nearest")
+        out.append(np.ascontiguousarray(blurred[:, :, ::2]))
     return out
 
 
-def _sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear gather with edge clamping (hand-rolled: called in the LK inner
-    loop where scipy's per-call overhead dominates)."""
-    h, w = img.shape
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = xs.astype(np.intp)
-    y0 = ys.astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    flat = img.ravel()
-    i00 = flat[y0 * w + x0]
-    i01 = flat[y0 * w + x1]
-    i10 = flat[y1 * w + x0]
-    i11 = flat[y1 * w + x1]
-    top = i00 + (i01 - i00) * fx
-    bot = i10 + (i11 - i10) * fx
-    return top + (bot - top) * fy
+def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Edge-clamped bilinear 15x15 windows centred on xy (n, 2) in the planes
+    ``stack[frame]``, as (n, 225).  All taps of a window share one fractional
+    offset, so one 16x16 gather per point is lerped along x, then y."""
+    _, h, w = stack.shape
+    base = np.floor(xy)
+    fx, fy = (xy - base).T
+    # clipped only where every tap already clamps to the same edge pixel
+    base = np.clip(base, -_LK_WIN - 2, max(h, w) + _LK_WIN).astype(np.intp)
+    ix = np.clip(base[:, 0:1] + _TAPS, 0, w - 1)
+    iy = np.clip(base[:, 1:2] + _TAPS, 0, h - 1)
+    flat = (frame[:, None, None] * h + iy[:, :, None]) * w + ix[:, None, :]
+    p = stack.ravel().take(flat)
+    # a + (b - a) * f, in place to hold fewer temporaries
+    rows = p[:, :, 1:] - p[:, :, :-1]
+    rows *= fx[:, None, None]
+    rows += p[:, :, :-1]
+    win = rows[:, 1:] - rows[:, :-1]
+    win *= fy[:, None, None]
+    win += rows[:, :-1]
+    return win.reshape(len(xy), (2 * _LK_WIN + 1) ** 2)
 
 
-def _track_points(
-    prev: np.ndarray,
-    nxt: np.ndarray,
+def _win_inside(p: np.ndarray, w: int, h: int) -> np.ndarray:
+    return (
+        (p[:, 0] - _LK_WIN >= 0)
+        & (p[:, 0] + _LK_WIN <= w - 1)
+        & (p[:, 1] - _LK_WIN >= 0)
+        & (p[:, 1] + _LK_WIN <= h - 1)
+    )
+
+
+def _track(
+    pyr_src: list[np.ndarray],
+    pyr_dst: list[np.ndarray],
     pts: np.ndarray,
-    levels: int = 3,
-    max_iter: int = _LK_MAX_ITER,
-    eps: float = _LK_EPS,
-    max_residual: float = _LK_MAX_RESIDUAL,
-    pyramids: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Track pts (n, 2) from prev to nxt; returns (new_pts, ok, residual_rms)."""
+    src: np.ndarray | None = None,
+    dst: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pyramidal LK of pts (n, 2) from frame src[i] of the pyr_src stacks to
+    frame dst[i] of pyr_dst (both default to frame 0); returns (new_pts, ok).
+
+    All points of all frame pairs share one set of arrays, and a point leaves
+    them once it converges.  Rows never mix, so a point's result does not
+    depend on what else is in the batch."""
     n = len(pts)
-    h, w = prev.shape
-    if pyramids is None:
-        pyr_p = _pyramid(prev, levels)
-        pyr_n = _pyramid(nxt, levels)
-    else:
-        pyr_p, pyr_n = pyramids
-    off = np.arange(-_LK_WIN, _LK_WIN + 1, dtype=np.float64)
-    off_x = np.tile(off, 2 * _LK_WIN + 1)
-    off_y = np.repeat(off, 2 * _LK_WIN + 1)
-
-    def win_inside(p):
-        return (
-            (p[:, 0] - _LK_WIN >= 0)
-            & (p[:, 0] + _LK_WIN <= w - 1)
-            & (p[:, 1] - _LK_WIN >= 0)
-            & (p[:, 1] + _LK_WIN <= h - 1)
-        )
-
+    src = np.zeros(n, dtype=np.intp) if src is None else src
+    dst = np.zeros(n, dtype=np.intp) if dst is None else dst
+    h, w = pyr_src[0].shape[1:]
     d = np.zeros((n, 2))
     # template windows that leave the image are dropped at the end anyway;
     # excluding them up front keeps them out of the iteration loop
-    ok = win_inside(pts)
+    ok = _win_inside(pts, w, h)
     converged = np.zeros(n, dtype=bool)
 
-    for lev in range(len(pyr_p) - 1, -1, -1):
+    for lev in range(len(pyr_src) - 1, -1, -1):
         scale = 2.0**lev
-        p_img, n_img = pyr_p[lev], pyr_n[lev]
-        gy, gx = np.gradient(p_img)
         p_lev = pts / scale
         d_lev = d / scale
-
-        tx = p_lev[:, 0:1] + off_x[None, :]
-        ty = p_lev[:, 1:2] + off_y[None, :]
-        tmpl = _sample(p_img, tx, ty)
-        gxs = _sample(gx, tx, ty)
-        gys = _sample(gy, tx, ty)
+        rows = np.nonzero(ok)[0]
+        tmpl = _windows(pyr_src[lev], src[rows], p_lev[rows])
+        gxs = np.empty_like(tmpl)
+        gys = np.empty_like(tmpl)
+        # gradients one source frame at a time: a (T, h, w) stack of them
+        # would double the pyramid's memory
+        for s in np.unique(src[rows]):
+            sel = src[rows] == s
+            gy, gx = np.gradient(pyr_src[lev][s])
+            at = np.zeros(int(sel.sum()), dtype=np.intp)
+            gxs[sel] = _windows(gx[None], at, p_lev[rows[sel]])
+            gys[sel] = _windows(gy[None], at, p_lev[rows[sel]])
         gxx = np.sum(gxs * gxs, axis=1)
         gxy = np.sum(gxs * gys, axis=1)
         gyy = np.sum(gys * gys, axis=1)
         det = gxx * gyy - gxy * gxy
-        trackable = det > 1e-9
-        ok &= trackable
-        det = np.where(trackable, det, 1.0)
+        keep = det > 1e-9
+        ok[rows[~keep]] = False
 
         converged[:] = False
-        rows = np.nonzero(ok)[0]
-        for _ in range(max_iter):
+        for _ in range(_LK_MAX_ITER):
+            rows, tmpl, gxs, gys, gxx, gxy, gyy, det = (
+                a[keep] for a in (rows, tmpl, gxs, gys, gxx, gxy, gyy, det)
+            )
             if len(rows) == 0:
                 break
-            cur = _sample(n_img, tx[rows] + d_lev[rows, 0:1], ty[rows] + d_lev[rows, 1:2])
-            err = cur - tmpl[rows]
-            bx = -np.sum(gxs[rows] * err, axis=1)
-            by = -np.sum(gys[rows] * err, axis=1)
-            step_x = (gyy[rows] * bx - gxy[rows] * by) / det[rows]
-            step_y = (gxx[rows] * by - gxy[rows] * bx) / det[rows]
+            err = _windows(pyr_dst[lev], dst[rows], p_lev[rows] + d_lev[rows])
+            err -= tmpl
+            bx = -np.sum(gxs * err, axis=1)
+            by = -np.sum(gys * err, axis=1)
+            step_x = (gyy * bx - gxy * by) / det
+            step_y = (gxx * by - gxy * bx) / det
             d_lev[rows, 0] += step_x
             d_lev[rows, 1] += step_y
-            done = np.hypot(step_x, step_y) < eps
+            done = np.hypot(step_x, step_y) < _LK_EPS
             converged[rows[done]] = True
-            rows = rows[~done]
+            keep = ~done
         d = d_lev * scale
-
-    cur = _sample(pyr_n[0], pts[:, 0:1] + d[:, 0:1] + off_x[None, :],
-                  pts[:, 1:2] + d[:, 1:2] + off_y[None, :])
-    tmpl0 = _sample(pyr_p[0], pts[:, 0:1] + off_x[None, :], pts[:, 1:2] + off_y[None, :])
-    resid = np.sqrt(np.mean((cur - tmpl0) ** 2, axis=1))
 
     # Both the template window and the tracked window must stay inside the
     # image; clamped edge samples bias the estimate toward zero motion.
     new_pts = pts + d
-    ok &= converged & win_inside(new_pts) & (resid <= max_residual)
-    return new_pts, ok, resid
+    ok &= converged & _win_inside(new_pts, w, h)
+    rows = np.nonzero(ok)[0]
+    cur = _windows(pyr_dst[0], dst[rows], new_pts[rows])
+    tmpl = _windows(pyr_src[0], src[rows], pts[rows])
+    ok[rows] = np.sqrt(np.mean((cur - tmpl) ** 2, axis=1)) <= _LK_MAX_RESIDUAL
+    return new_pts, ok
+
+
+def _as_luma(frame: np.ndarray) -> np.ndarray:
+    return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64, copy=False)
 
 
 def track_lk(
@@ -278,7 +287,7 @@ def track_lk(
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 1:
         raise ValueError("need at least one point")
-    new_pts, ok, _ = _track_points(prev, nxt, pts)
+    new_pts, ok = _track(_pyramid(prev[None]), _pyramid(nxt[None]), pts)
     if not ok.any():
         raise TrackingFailure("no point survived tracking")
     return [
@@ -287,64 +296,53 @@ def track_lk(
     ]
 
 
-def _grid_points(shape: tuple[int, int], grid: int) -> np.ndarray:
-    h, w = shape
+def _grid_track(lumas: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Track the grid-cell centres over all T-1 adjacent pairs of a (T, H, W)
+    luma stack in one solve; returns (pts (n, 2), disp (T-1, n, 2), ok (T-1, n))."""
+    if not 4 <= grid <= 32:
+        raise ConfigError(f"grid must be in [4, 32], got {grid}")
+    pyr = _pyramid(lumas)
+    h, w = pyr[0].shape[1:]
     cx = (np.arange(grid) + 0.5) * (w / grid)
     cy = (np.arange(grid) + 0.5) * (h / grid)
     gx, gy = np.meshgrid(cx, cy)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pairs = len(pyr[0]) - 1
+    src = np.repeat(np.arange(pairs), len(pts))
+    all_pts = np.tile(pts, (pairs, 1))
+    new_pts, ok = _track(pyr, pyr, all_pts, src, src + 1)
+    return pts, (new_pts - all_pts).reshape(pairs, len(pts), 2), ok.reshape(pairs, len(pts))
 
 
-def _grid_field(pts, new_pts, ok, grid) -> FlowField:
-    if not ok.any():
-        raise TrackingFailure("flow failed in every grid cell")
-    disp = new_pts - pts
-    if not ok.all():
+def _grid_field(pts: np.ndarray, disp: np.ndarray, ok: np.ndarray, grid: int) -> FlowField:
+    """Failed cells take the nearest successful cell's displacement; with no
+    successful cell the field is zero."""
+    disp = np.where(ok[:, None], disp, 0.0)
+    if ok.any() and not ok.all():
         good = np.nonzero(ok)[0]
         bad = np.nonzero(~ok)[0]
         dist = np.sum((pts[bad][:, None, :] - pts[good][None, :, :]) ** 2, axis=2)
         disp[bad] = disp[good[np.argmin(dist, axis=1)]]
-    u = disp[:, 0].reshape(grid, grid)
-    v = disp[:, 1].reshape(grid, grid)
-    return FlowField(width=grid, height=grid, u=u, v=v)
-
-
-def _as_luma(frame: np.ndarray) -> np.ndarray:
-    return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64, copy=False)
+    return FlowField(grid, grid, disp[:, 0].reshape(grid, grid), disp[:, 1].reshape(grid, grid))
 
 
 def grid_flow(prev_frame: np.ndarray, next_frame: np.ndarray, grid: int = 8) -> FlowField:
     """LK flow seeded at grid-cell centers; failed cells take the nearest
     successful neighbor's displacement."""
-    if not 4 <= grid <= 32:
-        raise ConfigError(f"grid must be in [4, 32], got {grid}")
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
-    prev = _as_luma(prev_frame)
-    nxt = _as_luma(next_frame)
-    pts = _grid_points(prev.shape, grid)
-    new_pts, ok, _ = _track_points(prev, nxt, pts)
-    return _grid_field(pts, new_pts, ok, grid)
+    pts, disp, ok = _grid_track(np.stack([_as_luma(prev_frame), _as_luma(next_frame)]), grid)
+    if not ok.any():
+        raise TrackingFailure("flow failed in every grid cell")
+    return _grid_field(pts, disp[0], ok[0], grid)
 
 
 def grid_flow_sequence(lumas: np.ndarray, grid: int = 8) -> list[FlowField]:
-    """grid_flow over every adjacent pair of a (T, H, W) luma stack, sharing
-    pyramid construction between the pairs."""
-    if not 4 <= grid <= 32:
-        raise ConfigError(f"grid must be in [4, 32], got {grid}")
-    pts = _grid_points(lumas[0].shape, grid)
-    pyramids = [_pyramid(np.asarray(lumas[t], dtype=np.float64), 3) for t in range(len(lumas))]
-    fields = []
-    for t in range(len(lumas) - 1):
-        try:
-            new_pts, ok, _ = _track_points(
-                lumas[t], lumas[t + 1], pts, pyramids=(pyramids[t], pyramids[t + 1])
-            )
-            fields.append(_grid_field(pts, new_pts, ok, grid))
-        except TrackingFailure:
-            g = np.zeros((grid, grid))
-            fields.append(FlowField(width=grid, height=grid, u=g, v=g.copy()))
-    return fields
+    """grid_flow over every adjacent pair of a (T, H, W) luma stack, all
+    pairs tracked in one solve; a pair where every cell fails (constant or
+    pure-noise content) gives a zero field."""
+    pts, disp, ok = _grid_track(lumas, grid)
+    return [_grid_field(pts, dp, k, grid) for dp, k in zip(disp, ok)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,7 @@ def _ransac_similarity(
 
 def _refine_similarity(
     prev: np.ndarray,
-    nxt: np.ndarray,
+    pyr_n: list[np.ndarray],
     z0: np.ndarray,
     a: complex,
     t: complex,
@@ -406,7 +404,7 @@ def _refine_similarity(
     prev_w = ndimage.map_coordinates(prev, [src.imag, src.real], order=1, mode="nearest")
     zw = a * z0 + t
     pw = np.stack([zw.real, zw.imag], axis=1)
-    new_pts, ok, _ = _track_points(prev_w, nxt, pw)
+    new_pts, ok = _track(_pyramid(prev_w[None]), pyr_n, pw)
     if ok.sum() < 2:
         return None
     z1r = new_pts[ok, 0] + 1j * new_pts[ok, 1]
@@ -504,7 +502,9 @@ def estimate_motion(
     except DegenerateScene:
         # small frames starve under the default 8 px suppression radius
         corners = detect_corners(prev, border=_LK_WIN + 1, nms_radius=4, quality=0.005)
-    new_pts, ok, _ = _track_points(prev, nxt, corners)
+    # the nxt pyramid serves the first track and both refinement re-tracks
+    pyr_n = _pyramid(nxt[None])
+    new_pts, ok = _track(_pyramid(prev[None]), pyr_n, corners)
     if not ok.any():
         raise TrackingFailure("no corner survived tracking")
     p0 = corners[ok]
@@ -534,7 +534,7 @@ def estimate_motion(
         # window itself rotates, so re-track against a warped template and
         # refit.  Two passes are enough to push the bias below 0.01 px.
         for _ in range(2):
-            a, t, ratio = _refine_similarity(prev, nxt, z0, a, t, ransac, rng) or (a, t, ratio)
+            a, t, ratio = _refine_similarity(prev, pyr_n, z0, a, t, ransac, rng) or (a, t, ratio)
         c = center[0] + 1j * center[1]
         delta = a * c + t - c
         return MotionParams(

@@ -109,6 +109,24 @@ class TestScore:
         assert code == 3
 
 
+class TestBadY4mHeader:
+    @pytest.fixture
+    def bad_size(self, tmp_path):
+        path = tmp_path / "bad.y4m"
+        path.write_bytes(b"YUV4MPEG2 W1x H32 F30:1 C444\nFRAME\n" + bytes(3 * 32 * 32))
+        return path
+
+    def test_trajectory_exits_2(self, capsys, bad_size, tmp_path):
+        code, out, err = run(capsys, "trajectory", str(bad_size), str(tmp_path / "t.csv"))
+        assert code == 2 and "frame size" in err
+        assert out == ""
+
+    def test_score_exits_2(self, capsys, bad_size):
+        code, out, err = run(capsys, "score", str(bad_size))
+        assert code == 2 and "frame size" in err
+        assert out == ""
+
+
 class TestTrajectory:
     def test_static_video_zero_columns(self, capsys, workspace, tmp_path):
         out_csv = tmp_path / "traj.csv"
@@ -170,6 +188,26 @@ class TestTrain:
         code, out, err = run(capsys, "train", str(bad), "--out", str(tmp_path / "m.ckpt"))
         assert code == 2
         assert f"bad.csv:4: {message}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "count, bad_value",
+        [(None, 0.0), (1.5, 0.0), (-1, 0.0), (12, np.nan)],
+        ids=["list-header", "float-count", "negative-count", "nan-row"],
+    )
+    def test_bad_feature_cache_exits_2(self, capsys, workspace, tmp_path, count, bad_value):
+        # the default dims and the manifest's 12 rows, so only the flaw differs
+        header = [1, 2] if count is None else dict(
+            c_o=16, c_s=8, c_b=4, n=32, n_b=4, tau_b=8, dim=288, count=count)
+        rows = np.zeros((12, 288), dtype="<f4")
+        rows[5, 40] = bad_value
+        path = tmp_path / "features.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rows.tobytes())
+        code, out, err = run(
+            capsys, "train", str(workspace["manifest"]),
+            "--out", str(tmp_path / "m.ckpt"), "--cache", str(path),
+        )
+        assert code == 2 and "feature cache" in err
         assert out == ""
 
     def test_unknown_config_key_exits_2(self, capsys, workspace, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabilitykit import features as feat
-from stabilitykit.errors import ConfigError, InsufficientFrames
+from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError
 from stabilitykit.media import Clip, sample_clip
 from stabilitykit.motion import FlowField
 from stabilitykit.synth import gen_dataset, make_base
@@ -174,3 +174,30 @@ class TestCache:
         assert dims2 == dims
         assert back.shape == matrix.shape
         assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[1, 2]", b'"c_o"', b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": 1.5}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": "2"}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": -1}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": -8, "n_b": 2, "tau_b": 4, "count": 1}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": true}',
+         b"\xff\xfe{"],
+        ids=["list", "string", "float-count", "string-count", "negative-count", "negative-dim",
+             "bool-count", "not-utf8"],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "features.bin"
+        path.write_bytes(header + b"\n" + bytes(4 * 200))
+        with pytest.raises(ParseError):
+            feat.load_feature_cache(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, tmp_path, rng, bad):
+        dims = feat.FeatureDims(n=8, n_b=2, tau_b=4)
+        matrix = rng.normal(size=(3, dims.dim))
+        matrix[1, 7] = bad
+        path = tmp_path / "features.bin"
+        feat.save_feature_cache(path, matrix, dims)
+        with pytest.raises(ParseError, match="non-finite"):
+            feat.load_feature_cache(path)

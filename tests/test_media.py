@@ -60,6 +60,13 @@ class TestLoadY4m:
         with pytest.raises(ParseError):
             media.load_y4m(p)
 
+    @pytest.mark.parametrize("header", [b"W1x H16", b"W16 H", b"W-16 H16", b"W16 H1.5"])
+    def test_non_integer_size_field(self, tmp_path, header):
+        p = tmp_path / "size.y4m"
+        p.write_bytes(b"YUV4MPEG2 " + header + b" F30:1 C444\nFRAME\n" + bytes(3 * 16 * 16))
+        with pytest.raises(ParseError, match="frame size"):
+            media.load_y4m(p)
+
     def test_unsupported_colorspace(self, tmp_path):
         plane = np.zeros((16, 16), dtype=np.uint8)
         p = tmp_path / "c422.y4m"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import textured_frame, textured_plane
 from stabilitykit import motion
@@ -118,6 +119,103 @@ def loop_ransac_homography(p0, p1, samples, inlier_px):
     if h is None:
         raise UnderDetermined("degenerate inlier configuration")
     return best_row, best_inl, h
+
+
+def oracle_pyramid(img, levels=3):
+    """Reference per-frame pyramid of the sampled-tap LK below."""
+    out = [img.astype(np.float64)]
+    for _ in range(levels - 1):
+        prev = out[-1]
+        if min(prev.shape) // 2 < 2 * 7 + 3:
+            break
+        blurred = ndimage.correlate1d(prev, motion._BINOMIAL5, axis=0, mode="nearest")
+        blurred = ndimage.correlate1d(blurred, motion._BINOMIAL5, axis=1, mode="nearest")
+        out.append(blurred[::2, ::2])
+    return out
+
+
+def oracle_sample(img, xs, ys):
+    """Reference bilinear gather: every tap clipped, cast and gathered alone."""
+    h, w = img.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    flat = img.ravel()
+    i00 = flat[y0 * w + x0]
+    i01 = flat[y0 * w + x1]
+    i10 = flat[y1 * w + x0]
+    i11 = flat[y1 * w + x1]
+    top = i00 + (i01 - i00) * fx
+    bot = i10 + (i11 - i10) * fx
+    return top + (bot - top) * fy
+
+
+WIN_OFF = np.arange(-7, 8, dtype=np.float64)
+WIN_X = np.tile(WIN_OFF, 15)
+WIN_Y = np.repeat(WIN_OFF, 15)
+
+
+def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_residual=25.0):
+    """Reference pyramidal LK of one frame pair, sampling all 225 taps of a
+    window independently; returns (new_pts, ok)."""
+    n = len(pts)
+    h, w = prev.shape
+    pyr_p = oracle_pyramid(prev, levels)
+    pyr_n = oracle_pyramid(nxt, levels)
+
+    def win_inside(p):
+        return (p[:, 0] - 7 >= 0) & (p[:, 0] + 7 <= w - 1) & (p[:, 1] - 7 >= 0) & (
+            p[:, 1] + 7 <= h - 1)
+
+    d = np.zeros((n, 2))
+    ok = win_inside(pts)
+    converged = np.zeros(n, dtype=bool)
+    for lev in range(len(pyr_p) - 1, -1, -1):
+        scale = 2.0**lev
+        p_img, n_img = pyr_p[lev], pyr_n[lev]
+        gy, gx = np.gradient(p_img)
+        p_lev = pts / scale
+        d_lev = d / scale
+        tx = p_lev[:, 0:1] + WIN_X[None, :]
+        ty = p_lev[:, 1:2] + WIN_Y[None, :]
+        tmpl = oracle_sample(p_img, tx, ty)
+        gxs = oracle_sample(gx, tx, ty)
+        gys = oracle_sample(gy, tx, ty)
+        gxx = np.sum(gxs * gxs, axis=1)
+        gxy = np.sum(gxs * gys, axis=1)
+        gyy = np.sum(gys * gys, axis=1)
+        det = gxx * gyy - gxy * gxy
+        trackable = det > 1e-9
+        ok &= trackable
+        det = np.where(trackable, det, 1.0)
+        converged[:] = False
+        rows = np.nonzero(ok)[0]
+        for _ in range(max_iter):
+            if len(rows) == 0:
+                break
+            cur = oracle_sample(n_img, tx[rows] + d_lev[rows, 0:1], ty[rows] + d_lev[rows, 1:2])
+            err = cur - tmpl[rows]
+            bx = -np.sum(gxs[rows] * err, axis=1)
+            by = -np.sum(gys[rows] * err, axis=1)
+            step_x = (gyy[rows] * bx - gxy[rows] * by) / det[rows]
+            step_y = (gxx[rows] * by - gxy[rows] * bx) / det[rows]
+            d_lev[rows, 0] += step_x
+            d_lev[rows, 1] += step_y
+            done = np.hypot(step_x, step_y) < eps
+            converged[rows[done]] = True
+            rows = rows[~done]
+        d = d_lev * scale
+    cur = oracle_sample(pyr_n[0], pts[:, 0:1] + d[:, 0:1] + WIN_X, pts[:, 1:2] + d[:, 1:2] + WIN_Y)
+    tmpl0 = oracle_sample(pyr_p[0], pts[:, 0:1] + WIN_X, pts[:, 1:2] + WIN_Y)
+    resid = np.sqrt(np.mean((cur - tmpl0) ** 2, axis=1))
+    new_pts = pts + d
+    ok &= converged & win_inside(new_pts) & (resid <= max_residual)
+    return new_pts, ok
 
 
 H_TRUE = np.array([[1.02, 0.03, 5.0], [-0.02, 0.98, -3.0], [1e-4, -2e-4, 1.0]])
@@ -372,6 +470,111 @@ class TestGridFlow:
             grid_flow(plane, plane, grid=3)
         with pytest.raises(ConfigError):
             grid_flow(plane, plane, grid=33)
+
+
+# The engine lerps one 16x16 gather per window with a single fractional
+# offset, where the oracle rounds each tap's position on its own; the worst
+# difference measured on these inputs is 1.3e-13 px.
+LK_TOL_PX = 1e-9
+
+
+def shaky_lumas(seed, count=6, size=(128, 96)):
+    """(count, H, W) luma planes of a textured scene under seeded translation
+    and rotation jitter."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, [1.5, 1.5, 0.004], size=(count - 1, 3))
+    path = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    traj = Trajectory(x=path[:, 0], y=path[:, 1], theta=path[:, 2])
+    seq = render_shaky(textured_frame(seed, size[0] + 48, size[1] + 48), traj, size)
+    return np.stack([motion.to_luma(f) for f in seq.frames])
+
+
+def engine_pair(prev, nxt, pts):
+    return motion._track(motion._pyramid(prev[None]), motion._pyramid(nxt[None]), pts)
+
+
+def assert_matches_oracle(prev, nxt, pts):
+    want, ok = oracle_track_points(prev, nxt, pts)
+    got, ok_got = engine_pair(prev, nxt, pts)
+    assert np.array_equal(ok_got, ok)
+    assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= LK_TOL_PX
+    return ok
+
+
+class TestLkEngine:
+    def test_windows_match_per_tap_gather(self):
+        plane = textured_plane(4, 32, 24)
+        xs = [-40.0, -9.5, -7.2, -1.0, -0.25, 0.0, 0.5, 12.3, 30.9, 31.0, 31.5, 35.7, 38.2, 60.0]
+        ys = [-30.0, -8.1, -0.6, 0.0, 9.75, 22.5, 23.0, 26.4, 30.2, 45.0]
+        xy = np.array([(x, y) for x in xs for y in ys])
+        got = motion._windows(plane[None], np.zeros(len(xy), dtype=np.intp), xy)
+        want = oracle_sample(plane, xy[:, 0:1] + WIN_X, xy[:, 1:2] + WIN_Y)
+        assert np.abs(got - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corners_match_oracle(self, seed):
+        lumas = shaky_lumas(seed, count=2)
+        ok = assert_matches_oracle(lumas[0], lumas[1], detect_corners(lumas[0]))
+        assert ok.sum() >= 8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_points_match_oracle(self, seed):
+        prev, nxt = shaky_lumas(seed + 10, count=2)
+        h, w = prev.shape
+        rng = np.random.default_rng(seed)
+        inner = rng.uniform([7, 7], [w - 8, h - 8], size=(150, 2))
+        edges = np.array([[-3.0, 40.0], [-0.5, 50.0], [0.0, 0.0], [w - 1.0, 30.0],
+                          [w - 1.0, h - 1.0], [w + 2.5, 40.0], [60.0, -4.0], [60.0, h - 1.0],
+                          [7.0, 7.0], [w - 8.0, h - 8.0], [8.25, h - 9.5]])
+        pts = np.vstack([inner, edges])
+        ok = assert_matches_oracle(prev, nxt, pts)
+        # at the coarsest level (scale 4) these windows reach past the border
+        near = np.minimum.reduce([pts[:, 0], pts[:, 1], w - 1 - pts[:, 0], h - 1 - pts[:, 1]])
+        assert (ok & (near < 4 * 7)).sum() >= 10
+        assert not ok[len(inner) : len(inner) + 8].any()
+
+    def test_flat_half_frame_matches_oracle(self):
+        prev, nxt = shaky_lumas(20, count=2)
+        prev = prev.copy()
+        prev[:, : prev.shape[1] // 2] = 128.0
+        pts = motion._grid_track(np.stack([prev, nxt]), 12)[0]
+        ok = assert_matches_oracle(prev, nxt, pts)
+        assert ok.any() and not ok.all()
+
+    def test_grid_points_of_every_pair_match_oracle(self):
+        lumas = shaky_lumas(30, count=6)
+        pts, disp, ok = motion._grid_track(lumas, 8)
+        for t in range(len(lumas) - 1):
+            want, ok_want = oracle_track_points(lumas[t], lumas[t + 1], pts)
+            assert np.array_equal(ok[t], ok_want)
+            assert np.abs(disp[t][ok_want] - (want - pts)[ok_want]).max() <= LK_TOL_PX
+        assert ok.mean() > 0.5
+
+    def test_sequence_is_independent_of_batch(self):
+        lumas = shaky_lumas(40, count=8)
+        fields = motion.grid_flow_sequence(lumas)
+        assert len(fields) == 7
+        for t, field in enumerate(fields):
+            alone = grid_flow(lumas[t], lumas[t + 1])
+            assert np.array_equal(field.u, alone.u) and np.array_equal(field.v, alone.v)
+
+    def test_noise_frame_zeroes_only_its_two_pairs(self):
+        lumas = shaky_lumas(50, count=8)
+        lumas[4] = np.random.default_rng(0).uniform(0, 255, lumas[4].shape)
+        fields = motion.grid_flow_sequence(lumas)
+        zero = [not f.u.any() and not f.v.any() for f in fields]
+        assert zero == [t in (3, 4) for t in range(7)]
+
+    def test_similarity_builds_four_pyramids_per_pair(self, monkeypatch):
+        prev, nxt = shaky_lumas(60, count=2)
+        built = []
+        pyramid = motion._pyramid
+        monkeypatch.setattr(motion, "_pyramid", lambda s: built.append(s) or pyramid(s))
+        estimate_motion(prev, nxt, "similarity")
+        assert len(built) == 4  # prev, nxt, and prev warped once per refinement
+        built.clear()
+        estimate_motion(prev, nxt, "homography")
+        assert len(built) == 2
 
 
 class TestVideoTrajectory:
