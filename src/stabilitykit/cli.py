@@ -2,16 +2,15 @@
 
 Subcommands: score, trajectory, train, eval, mos, synth.  Every command is
 deterministic for a fixed config and seed; report floats are serialized with
-6 significant digits so reruns are byte-identical.
-
-Exit codes: 0 success, 2 input error, 3 missing model, 4 degenerate
-content, 5 insufficient data.
+6 significant digits so reruns are byte-identical.  The exit codes are
+listed in ``stabilitykit.errors``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,70 +22,17 @@ from . import model as model_mod
 from . import mos as mos_mod
 from . import synth as synth_mod
 from .classic import itf, stability_score
-from .errors import (
-    ConfigError,
-    DegenerateBatch,
-    DegenerateInput,
-    DegenerateScene,
-    DimensionMismatch,
-    EmptyAfterCleaning,
-    EmptyInput,
-    InsufficientData,
-    InsufficientFrames,
-    InsufficientRatings,
-    MarginError,
-    ParseError,
-    TrackingFailure,
-    UnderDetermined,
-)
+from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingModel, ParseError, StabilityKitError
 from .evaluation import evaluate
 from .media import load_frame_dir, load_y4m, sample_clip
 from .motion import RansacParams, save_trajectory_csv, video_trajectory
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NO_MODEL = 3
-EXIT_DEGENERATE = 4
-EXIT_INSUFFICIENT = 5
-
 SEED_ENV_VAR = "STABILITYKIT_SEED"
-
-_INPUT_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    EmptyInput,
-    ConfigError,
-    MarginError,
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-)
-_DEGENERATE_ERRORS = (
-    DegenerateScene,
-    TrackingFailure,
-    UnderDetermined,
-    DegenerateInput,
-    DegenerateBatch,
-)
-_INSUFFICIENT_ERRORS = (
-    InsufficientFrames,
-    InsufficientData,
-    InsufficientRatings,
-    EmptyAfterCleaning,
-)
-
-
-class _MissingModel(Exception):
-    pass
-
-
-def _fmt(x: float) -> float:
-    return float(f"{x:.6g}")
 
 
 def _roundtrip(obj):
     if isinstance(obj, float):
-        return _fmt(obj)
+        return float(f"{obj:.6g}")
     if isinstance(obj, dict):
         return {k: _roundtrip(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -106,7 +52,7 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -116,18 +62,40 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
     return cfg
 
 
+def _option(cfg: dict, key: str, default, flag=None):
+    """The command-line ``flag`` when given, else ``cfg[key]``, else ``default``.
+    A config value must have the default's JSON type (an int is also a float,
+    a float is finite, and a list holds numbers)."""
+    if flag is not None:
+        return flag
+    val = cfg.get(key, default)
+    if not _same_type(val, default):
+        raise ConfigError(f"config key {key!r} must be of type {type(default).__name__}, got {val!r}")
+    return val
+
+
+def _same_type(val, default) -> bool:
+    if isinstance(val, bool) or isinstance(default, bool):
+        return type(val) is type(default)
+    if isinstance(default, float):
+        return isinstance(val, (int, float)) and -math.inf < val < math.inf
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_same_type(v, 0.0) for v in val)
+    return isinstance(val, type(default))
+
+
 def _resolve_seed(arg_seed: int | None, cfg: dict) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
+    """--seed, else the config's seed, else $STABILITYKIT_SEED, else 0."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if arg_seed is None and "seed" not in cfg and env is not None:
         try:
-            return int(env)
+            arg_seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    seed = _option(cfg, "seed", 0, arg_seed)
+    if seed < 0:  # numpy seeds are non-negative
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _load_video(path: str):
@@ -138,17 +106,8 @@ def _load_video(path: str):
 
 
 def _clip_opts(cfg: dict, args) -> dict:
-    out = {
-        "n": cfg.get("n", 32),
-        "tau": cfg.get("tau", 2),
-        "grid": cfg.get("grid", 8),
-        "tau_b": cfg.get("tau_b", feat.DEFAULT_TAU_B),
-    }
-    for key in out:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+    defaults = {"n": 32, "tau": 2, "grid": 8, "tau_b": feat.DEFAULT_TAU_B}
+    return {key: _option(cfg, key, default, getattr(args, key)) for key, default in defaults.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +120,12 @@ _SCORE_KEYS = {"seed", "n", "tau", "grid", "tau_b", "n_clips", "model"}
 def cmd_score(args) -> int:
     cfg = _load_config(args.config, _SCORE_KEYS)
     seed = _resolve_seed(args.seed, cfg)
-    model_path = args.model or cfg.get("model")
-    n_clips = cfg.get("n_clips", args.n_clips)
+    model_path = _option(cfg, "model", "", args.model)
+    n_clips = _option(cfg, "n_clips", 4, args.n_clips)
+    opts = _clip_opts(cfg, args)
     # checked before decoding: a bad value would otherwise surface only
     # after the whole trajectory has been estimated
-    if model_path and (not isinstance(n_clips, int) or n_clips < 1):
+    if model_path and n_clips < 1:
         raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
     seq = _load_video(args.video)
     itf_res = itf(seq)
@@ -173,34 +133,28 @@ def cmd_score(args) -> int:
     stab = stability_score(traj)
     report = {
         "itf_db": itf_res.score_db,
-        "stability": {
-            "score": stab.score,
-            "x": stab.component_scores["x"],
-            "y": stab.component_scores["y"],
-            "theta": stab.component_scores["theta"],
-        },
+        "stability": dict(stab.component_scores, score=stab.score),
     }
     if model_path:
         if not Path(model_path).is_file():
-            raise _MissingModel(f"model checkpoint not found: {model_path}")
+            raise MissingModel(f"model checkpoint not found: {model_path}")
         params = model_mod.load_checkpoint(model_path)
-        opts = _clip_opts(cfg, args)
         report["prediction"] = model_mod.predict_video(
             params, seq, n_clips=n_clips, seed=seed, **opts
         )
     _emit(report, args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config, {"seed", "model_kind"})
     seed = _resolve_seed(args.seed, cfg)
-    model_kind = args.model_kind or cfg.get("model_kind", "similarity")
+    model_kind = _option(cfg, "model_kind", "similarity", args.model_kind)
     seq = _load_video(args.video)
     traj, _ = video_trajectory(seq, model_kind, RansacParams(seed=seed))
     save_trajectory_csv(traj, args.out)
     _emit({"frames": traj.length, "out": str(args.out)}, None)
-    return EXIT_OK
+    return 0
 
 
 _TRAIN_KEYS = {
@@ -213,13 +167,25 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, _TRAIN_KEYS)
     seed = _resolve_seed(args.seed, cfg)
     opts = _clip_opts(cfg, args)
+    tc = model_mod.TrainConfig(
+        lambda_rank=float(_option(cfg, "lambda", 0.3)),
+        epochs=_option(cfg, "epochs", 30),
+        batch_size=_option(cfg, "batch_size", 4),
+        lr_head=float(_option(cfg, "lr_head", 1e-3)),
+        seed=seed,
+    )
+    val_frac = float(_option(cfg, "val_frac", 0.2))
+    if not 0.0 <= val_frac < 1.0:
+        raise ConfigError(f"val_frac must be in [0, 1), got {val_frac!r}")
+    if tc.epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {tc.epochs}")
     rows = synth_mod.load_manifest(args.manifest)
     if not rows:
         raise EmptyInput("manifest has no rows")
 
-    dims = feat.FeatureDims(
-        n=opts["n"], n_b=opts["n"] // opts["tau_b"], tau_b=opts["tau_b"]
-    )
+    # blur_indices rejects a tau_b that does not divide n
+    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
+    dims = feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"])
     cache_path = Path(args.cache) if args.cache else None
     matrix = None
     if cache_path and cache_path.is_file():
@@ -242,14 +208,6 @@ def cmd_train(args) -> int:
             matrix = matrix.astype("<f4").astype(np.float64)
 
     y = np.array([score for _, _, score in rows])
-    tc = model_mod.TrainConfig(
-        lambda_rank=float(cfg.get("lambda", 0.3)),
-        epochs=int(cfg.get("epochs", 30)),
-        batch_size=int(cfg.get("batch_size", 4)),
-        lr_head=float(cfg.get("lr_head", 1e-3)),
-        seed=seed,
-    )
-    val_frac = float(cfg.get("val_frac", 0.2))
     perm = np.random.default_rng(seed).permutation(len(rows))
     n_val = int(round(val_frac * len(rows)))
     if n_val < 3:  # rank correlation needs 3 points; tiny sets train on all
@@ -270,12 +228,16 @@ def cmd_train(args) -> int:
     else:
         report["final_loss"] = logs[-1].loss
     _emit(report, None)
-    return EXIT_OK
+    return 0
 
 
 def _read_column(path: str, column: int = 0) -> list[float]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     vals = []
-    for ln, line in enumerate(Path(path).read_text().strip().splitlines()):
+    for ln, line in enumerate(text.strip().splitlines()):
         parts = [p.strip() for p in line.split(",")]
         try:
             vals.append(float(parts[column]))
@@ -287,16 +249,12 @@ def _read_column(path: str, column: int = 0) -> list[float]:
 
 
 def cmd_eval(args) -> int:
-    if args.mos_csv:
-        pred = _read_column(args.pred_csv, 0)
-        mos = _read_column(args.mos_csv, 0)
-    else:
-        pred = _read_column(args.pred_csv, 0)
-        mos = _read_column(args.pred_csv, 1)
+    pred = _read_column(args.pred_csv, 0)
+    mos = _read_column(args.mos_csv, 0) if args.mos_csv else _read_column(args.pred_csv, 1)
     if len(pred) != len(mos):
         raise DimensionMismatch(f"pred has {len(pred)} rows, mos has {len(mos)}")
     _emit(evaluate(np.array(pred), np.array(mos)).as_dict(), args.out)
-    return EXIT_OK
+    return 0
 
 
 _MOS_KEYS = {"seed", "outlier_sigma", "max_outlier_frac", "denominator"}
@@ -307,9 +265,9 @@ def cmd_mos(args) -> int:
     table = mos_mod.RatingsTable.from_csv(args.ratings)
     result = mos_mod.reject_outlier_subjects(
         table,
-        outlier_sigma=float(cfg.get("outlier_sigma", 2.0)),
-        max_outlier_frac=float(cfg.get("max_outlier_frac", 0.05)),
-        denominator=cfg.get("denominator", "rated"),
+        outlier_sigma=float(_option(cfg, "outlier_sigma", 2.0)),
+        max_outlier_frac=float(_option(cfg, "max_outlier_frac", 0.05)),
+        denominator=_option(cfg, "denominator", "rated"),
     )
     mos_mod.write_mos_csv(result, args.out)
     _emit(
@@ -320,7 +278,7 @@ def cmd_mos(args) -> int:
         },
         None,
     )
-    return EXIT_OK
+    return 0
 
 
 _SYNTH_KEYS = {
@@ -331,20 +289,20 @@ _SYNTH_KEYS = {
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config, _SYNTH_KEYS)
     seed = _resolve_seed(args.seed, cfg)
-    ladder = cfg.get("ladder", list(synth_mod.DEFAULT_LADDER))
-    per_level = int(cfg.get("videos_per_level", 2))
-    count = int(cfg.get("count", per_level * len(ladder)))
+    ladder = _option(cfg, "ladder", list(synth_mod.DEFAULT_LADDER))
+    per_level = _option(cfg, "videos_per_level", 2)
+    count = _option(cfg, "count", per_level * len(ladder))
     videos = synth_mod.iter_dataset(
         count,
         amplitude_ladder=ladder,
         seed=seed,
-        length=int(cfg.get("length", 72)),
-        frame_size=(int(cfg.get("width", 128)), int(cfg.get("height", 96))),
-        fps=float(cfg.get("fps", 30.0)),
+        length=_option(cfg, "length", 72),
+        frame_size=(_option(cfg, "width", 128), _option(cfg, "height", 96)),
+        fps=float(_option(cfg, "fps", 30.0)),
     )
     manifest = synth_mod.write_dataset(videos, args.out)
     _emit({"manifest": str(manifest), "count": count}, None)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="ITF, Stability Score, and optional model prediction")
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
     p.add_argument("--model", help="model checkpoint for the learned score")
-    p.add_argument("--n-clips", dest="n_clips", type=int, default=4)
+    p.add_argument("--n-clips", dest="n_clips", type=int)
     for name in ("n", "tau", "grid", "tau_b"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
     p.add_argument("--out", help="also write the JSON report here")
@@ -414,18 +372,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _MissingModel as exc:
+    except (StabilityKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MODEL
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _INSUFFICIENT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+        return getattr(exc, "exit_code", StabilityKitError.exit_code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ O(n log n) time and O(n) memory, so they run on tens of thousands of samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,13 +27,7 @@ class MetricReport:
     logistic_beta: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "srocc": self.srocc,
-            "plcc": self.plcc,
-            "krcc": self.krcc,
-            "rmse": self.rmse,
-            "logistic_beta": [float(b) for b in self.logistic_beta],
-        }
+        return dict(asdict(self), logistic_beta=[float(b) for b in self.logistic_beta])
 
 
 def _pair(a, b, min_len: int) -> tuple[np.ndarray, np.ndarray]:

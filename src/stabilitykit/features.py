@@ -9,15 +9,14 @@ the fused vector has 16 + 32*8 + 4*4 = 288 coordinates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, InsufficientFrames, ParseError
-from .media import Clip, to_luma
+from .media import Clip, load_f32_header, resize_float, save_f32, to_luma
 from .motion import FlowField, grid_flow_sequence
 
 C_O = 16
@@ -41,16 +40,6 @@ class FeatureDims:
     @property
     def dim(self) -> int:
         return self.c_o + self.n * self.c_s + self.n_b * self.c_b
-
-    def as_dict(self) -> dict:
-        return {
-            "c_o": self.c_o,
-            "c_s": self.c_s,
-            "c_b": self.c_b,
-            "n": self.n,
-            "n_b": self.n_b,
-            "tau_b": self.tau_b,
-        }
 
 
 @dataclass
@@ -111,27 +100,6 @@ def flow_features(flows: list[FlowField]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gy, gx = np.gradient(luma)
-    return gx, gy
-
-
-def _resize_lumas(lumas: np.ndarray, size: int) -> np.ndarray:
-    """Float bilinear resize of a (T, H, W) luma stack, half-pixel centers."""
-    src_h, src_w = lumas.shape[1:]
-    xs = np.clip((np.arange(size) + 0.5) * (src_w / size) - 0.5, 0.0, src_w - 1.0)
-    ys = np.clip((np.arange(size) + 0.5) * (src_h / size) - 0.5, 0.0, src_h - 1.0)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    fx = (xs - x0)[None, None, :]
-    fy = (ys - y0)[None, :, None]
-    top = lumas[:, y0[:, None], x0[None, :]] * (1 - fx) + lumas[:, y0[:, None], x1[None, :]] * fx
-    bot = lumas[:, y1[:, None], x0[None, :]] * (1 - fx) + lumas[:, y1[:, None], x1[None, :]] * fx
-    return top * (1 - fy) + bot * fy
-
-
 def _semantic_from_lumas(lumas: np.ndarray) -> np.ndarray:
     """Vectorized per-frame stats over a (T, H, W) luma stack."""
     t, h, w = lumas.shape
@@ -189,7 +157,7 @@ def _hf_energy_ratio(luma: np.ndarray) -> float:
 
 def _blur_frame(luma: np.ndarray) -> np.ndarray:
     lap = ndimage.convolve(luma, _LAPLACIAN, mode="reflect")
-    gx, gy = _gradients(luma)
+    gy, gx = np.gradient(luma)
     sx = ndimage.sobel(luma, axis=1, mode="reflect")
     sy = ndimage.sobel(luma, axis=0, mode="reflect")
     return np.array(
@@ -244,7 +212,7 @@ def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> Feat
     # untrackable pairs (constant or pure-noise content) come back as zero
     # fields, keeping the feature vector finite for any valid clip
     flows = grid_flow_sequence(lumas, grid=grid)
-    resized = _resize_lumas(lumas, SEMANTIC_SIZE)
+    resized = resize_float(lumas, SEMANTIC_SIZE, SEMANTIC_SIZE)
     blur_idx = blur_indices(n, tau_b)
     dims = FeatureDims(n=n, n_b=n // tau_b, tau_b=tau_b)
     return FeatureBundle(
@@ -262,30 +230,23 @@ def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> Feat
 
 def save_feature_cache(path: str | Path, matrix: np.ndarray, dims: FeatureDims) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
-    header = dict(dims.as_dict(), dim=dims.dim, count=int(matrix.shape[0]))
+    header = dict(asdict(dims), dim=dims.dim, count=int(matrix.shape[0]))
     if matrix.ndim != 2 or matrix.shape[1] != dims.dim:
         raise ConfigError(f"matrix shape {matrix.shape} does not match dim {dims.dim}")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(matrix.astype("<f4").tobytes())
+    save_f32(path, header, matrix)
 
 
 def load_feature_cache(path: str | Path) -> tuple[np.ndarray, FeatureDims]:
-    data = Path(path).read_bytes()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise ParseError("feature cache has no header line")
+    header, blob = load_f32_header(path, "feature cache")
     try:
-        header = json.loads(data[:nl])
         fields = {k: header[k] for k in ("c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count")}
-    except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
+    except KeyError as exc:
         raise ParseError(f"bad feature cache header: {exc}") from exc
     if any(type(v) is not int or v < 0 for v in fields.values()):
         raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
     count = fields.pop("count")
     dims = FeatureDims(**fields)
     expect = count * dims.dim * 4
-    blob = data[nl + 1 :]
     if len(blob) < expect:
         raise ParseError(f"feature cache truncated: {len(blob)} < {expect} bytes")
     matrix = np.frombuffer(blob, "<f4", count * dims.dim).reshape(count, dims.dim)

@@ -1,4 +1,5 @@
-"""Frame ingestion: Y4M and PPM/PGM decoding, clip sampling, luma, resize.
+"""Frame ingestion: Y4M and PPM/PGM decoding, clip sampling, luma, resize,
+and the header-plus-f32 container of checkpoints and feature caches.
 
 Frames are ``(H, W, 3)`` uint8 RGB arrays throughout the toolkit.  Only
 uncompressed sources are supported (YUV4MPEG2 streams and directories of
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyInput,
     InsufficientFrames,
@@ -124,15 +126,15 @@ class Clip:
 
 
 def to_luma(frame: np.ndarray) -> np.ndarray:
-    """Rec.601 luma, float64 in [0, 255]: Y = 0.299 R + 0.587 G + 0.114 B."""
-    f = frame.astype(np.float64)
-    return f[..., 0] * 0.299 + f[..., 1] * 0.587 + f[..., 2] * 0.114
+    """Rec.601 luma of uint8 RGB, float64 in [0, 255]: Y = 0.299 R + 0.587 G + 0.114 B."""
+    # uint8 times a Python float is already float64: no float copy of the RGB
+    return frame[..., 0] * 0.299 + frame[..., 1] * 0.587 + frame[..., 2] * 0.114
 
 
 def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
     """Sample an ``n``-frame clip with stride ``tau``; start drawn from ``seed``."""
     if n < 2 or tau < 1:
-        raise ValueError("need n >= 2 and tau >= 1")
+        raise ConfigError(f"need n >= 2 and tau >= 1, got n={n}, tau={tau}")
     span = (n - 1) * tau + 1
     if len(seq) < span:
         raise InsufficientFrames(
@@ -145,25 +147,29 @@ def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
     return Clip(frames=seq.frames[indices].copy(), source_indices=indices, n=n, tau=tau)
 
 
-def resize_stack(frames: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Bilinear resize of a (T, H, W, 3) stack on half-pixel-centered
+def resize_float(stack: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Float64 bilinear resize of a (T, H, W, ...) stack on half-pixel-centered
     coordinates (the sampling grid is computed once for the whole stack)."""
     if w < 1 or h < 1:
-        raise ValueError("target dimensions must be positive")
-    src_h, src_w = frames.shape[1:3]
+        raise ConfigError("target dimensions must be positive")
+    src_h, src_w = stack.shape[1:3]
     xs = np.clip((np.arange(w) + 0.5) * (src_w / w) - 0.5, 0.0, src_w - 1.0)
     ys = np.clip((np.arange(h) + 0.5) * (src_h / h) - 0.5, 0.0, src_h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, src_w - 1)
     y1 = np.minimum(y0 + 1, src_h - 1)
-    fx = (xs - x0)[None, None, :, None]
-    fy = (ys - y0)[None, :, None, None]
-    f = frames.astype(np.float64)
-    top = f[:, y0[:, None], x0[None, :]] * (1 - fx) + f[:, y0[:, None], x1[None, :]] * fx
-    bot = f[:, y1[:, None], x0[None, :]] * (1 - fx) + f[:, y1[:, None], x1[None, :]] * fx
-    out = top * (1 - fy) + bot * fy
-    return np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
+    trailing = (1,) * (stack.ndim - 3)  # broadcast over channel axes
+    fx = (xs - x0).reshape(w, *trailing)
+    fy = (ys - y0).reshape(h, 1, *trailing)
+    top = stack[:, y0[:, None], x0[None, :]] * (1 - fx) + stack[:, y0[:, None], x1[None, :]] * fx
+    bot = stack[:, y1[:, None], x0[None, :]] * (1 - fx) + stack[:, y1[:, None], x1[None, :]] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def resize_stack(frames: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Bilinear resize of a (T, H, W, 3) uint8 stack, rounded back to uint8."""
+    return np.clip(_round_half_up(resize_float(frames, w, h)), 0, 255).astype(np.uint8)
 
 
 def resize_bilinear(frame: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -345,6 +351,32 @@ def load_frame_dir(path: str | Path) -> FrameSequence:
     if meta.is_file():
         try:
             fps = float(json.loads(meta.read_text())["fps"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad meta.json: {exc}") from exc
     return FrameSequence(frames=np.stack(frames), fps=fps).validate()
+
+
+# ---------------------------------------------------------------------------
+# Header-plus-f32 files: one JSON header line, then little-endian f32 values
+# ---------------------------------------------------------------------------
+
+
+def save_f32(path: str | Path, header: dict, values: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        fh.write(np.asarray(values).astype("<f4").tobytes())
+
+
+def load_f32_header(path: str | Path, kind: str) -> tuple[dict, bytes]:
+    """The JSON header object of a header-plus-f32 file and the bytes after
+    its newline; ``kind`` names the file in error messages."""
+    line, newline, values = Path(path).read_bytes().partition(b"\n")
+    if not newline:
+        raise ParseError(f"{kind} has no header line")
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ParseError(f"bad {kind} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"bad {kind} header: not a JSON object")
+    return header, values

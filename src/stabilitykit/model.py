@@ -8,10 +8,11 @@ gradients are computed analytically through both batch-level loss terms.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .errors import (
     ParseError,
     TruncatedError,
 )
-from .media import FrameSequence, sample_clip
+from .evaluation import _pair
+from .media import FrameSequence, load_f32_header, sample_clip, save_f32
 from . import features as feat
 
 HIDDEN = 128
@@ -41,12 +43,6 @@ class ModelParams:
     norm_mean: np.ndarray
     norm_std: np.ndarray
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2),
-            self.input_dim, self.norm_mean.copy(), self.norm_std.copy(),
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -56,16 +52,6 @@ class TrainConfig:
     lr_head: float = 1e-3
     seed: int = 0
     schedule: str = "cosine"
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda_rank": self.lambda_rank,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_head": self.lr_head,
-            "seed": self.seed,
-            "schedule": self.schedule,
-        }
 
 
 @dataclass
@@ -138,52 +124,46 @@ def mlp_forward(params: ModelParams, f: np.ndarray | feat.FusedFeature) -> float
 # ---------------------------------------------------------------------------
 
 
-def _check_vectors(pred: np.ndarray, mos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    mos = np.asarray(mos, dtype=np.float64).ravel()
-    if pred.shape != mos.shape:
-        raise DimensionMismatch(f"length mismatch: {len(pred)} vs {len(mos)}")
-    if len(pred) < 2:
-        raise DimensionMismatch("need at least 2 samples")
+def _check_vectors(
+    pred: np.ndarray, mos: np.ndarray, varied_targets: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    pred, mos = _pair(pred, mos, 2)
+    if varied_targets:
+        b = mos - mos.mean()
+        if float(b @ b) < _EPS_VAR:
+            raise DegenerateBatch("constant target scores: correlation undefined")
     return pred, mos
 
 
 def plcc_loss(pred: np.ndarray, mos: np.ndarray) -> float:
     """(1 - r) / 2 with Pearson r; a constant prediction defines r = 0."""
-    pred, mos = _check_vectors(pred, mos)
-    b = mos - mos.mean()
-    sbb = float(b @ b)
-    if sbb < _EPS_VAR:
-        raise DegenerateBatch("constant target scores: correlation undefined")
-    a = pred - pred.mean()
-    saa = float(a @ a)
-    if saa < _EPS_VAR:
-        return 0.5
-    r = float(a @ b) / np.sqrt(saa * sbb)
-    return (1.0 - r) / 2.0
+    return _loss_terms(*_check_vectors(pred, mos, varied_targets=True), 0.0)[0]
 
 
 def rank_loss(pred: np.ndarray, mos: np.ndarray) -> float:
     """Pairwise hinge with MOS-difference margins, normalized by n^2."""
-    pred, mos = _check_vectors(pred, mos)
-    dp = pred[:, None] - pred[None, :]
-    dm = mos[:, None] - mos[None, :]
-    e = np.where(dm >= 0, 1.0, -1.0)
-    hinge = np.maximum(0.0, np.abs(dm) - e * dp)
-    return float(hinge.sum()) / (len(pred) ** 2)
+    return _loss_terms(*_check_vectors(pred, mos), 0.0)[1]
 
 
 def loss_total(pred: np.ndarray, mos: np.ndarray, lambda_rank: float) -> float:
-    return plcc_loss(pred, mos) + lambda_rank * rank_loss(pred, mos)
+    return _loss_and_grad_wrt_pred(*_check_vectors(pred, mos, varied_targets=True), lambda_rank)[0]
 
 
 def _loss_and_grad_wrt_pred(
     pred: np.ndarray, mos: np.ndarray, lambda_rank: float
 ) -> tuple[float, np.ndarray]:
-    """Degenerate-tolerant loss + d(loss)/d(pred) used inside training.
+    """Degenerate-tolerant loss + d(loss)/d(pred) used inside training."""
+    plcc_term, rank_term, grad = _loss_terms(pred, mos, lambda_rank)
+    return plcc_term + lambda_rank * rank_term, grad
+
+
+def _loss_terms(
+    pred: np.ndarray, mos: np.ndarray, lambda_rank: float
+) -> tuple[float, float, np.ndarray]:
+    """The PLCC term, the rank term and d(PLCC + lambda_rank * rank)/d(pred).
 
     Constant targets zero the correlation term's gradient; a constant
-    prediction contributes loss 0.5 with zero gradient (the limit is
+    prediction contributes PLCC term 0.5 with zero gradient (the limit is
     direction-free)."""
     n = len(pred)
     b = mos - mos.mean()
@@ -207,7 +187,7 @@ def _loss_and_grad_wrt_pred(
     rank_term = float(np.where(act, pre, 0.0).sum()) / (n * n)
     g_pair = np.where(act, -e, 0.0)
     grad += lambda_rank * (g_pair.sum(axis=1) - g_pair.sum(axis=0)) / (n * n)
-    return plcc_term + lambda_rank * rank_term, grad
+    return plcc_term, rank_term, grad
 
 
 def backward(
@@ -248,6 +228,8 @@ def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
             item = item.f
         xs.append(np.asarray(item, dtype=np.float64))
         ys.append(float(score))
+    if not xs:
+        raise InsufficientData("the dataset is empty")
     return np.stack(xs), np.array(ys)
 
 
@@ -265,7 +247,7 @@ def train(
     Returns the parameters with the best validation SROCC when a validation
     set is given, otherwise the final parameters.
     """
-    from .evaluation import srocc  # local import avoids a cycle
+    from .evaluation import srocc  # resolved per call, so a wrapped srocc is the one used
 
     x, y = _stack_dataset(dataset)
     if len(x) < 2 * cfg.batch_size:
@@ -295,7 +277,7 @@ def train(
     steps_per_epoch = max(len(x) // cfg.batch_size, 1)
     total_steps = cfg.epochs * steps_per_epoch
     logs: list[EpochLog] = []
-    best = params.copy()
+    best = copy.deepcopy(params)
     best_srocc = -np.inf
     step = 0
     adam_t = 0
@@ -332,7 +314,7 @@ def train(
             val_s = float(srocc(pv, yv))
             if val_s > best_srocc:
                 best_srocc = val_s
-                best = params.copy()
+                best = copy.deepcopy(params)
         logs.append(EpochLog(epoch=epoch + 1, loss=float(np.mean(losses)), val_srocc=val_s))
 
     return (best if xv is not None else params), logs
@@ -376,7 +358,7 @@ _CKPT_FORMAT = "stabilitykit-model-v1"
 def config_hash(cfg: TrainConfig | dict | None) -> str:
     if cfg is None:
         return ""
-    payload = cfg.as_dict() if isinstance(cfg, TrainConfig) else cfg
+    payload = asdict(cfg) if isinstance(cfg, TrainConfig) else cfg
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -392,28 +374,19 @@ def save_checkpoint(
         "norm_std": [float(v) for v in params.norm_std],
         "config_hash": config_hash(cfg),
     }
-    blob = np.concatenate(
-        [params.w1.ravel(), params.b1, params.w2, [params.b2]]
-    ).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(blob.tobytes())
+    save_f32(path, header, np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]]))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    data = Path(path).read_bytes()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise ParseError("checkpoint has no header line")
+    header, data = load_f32_header(path, "checkpoint")
+    if header.get("format") != _CKPT_FORMAT:
+        raise ParseError(f"unknown checkpoint format {header.get('format')!r}")
     try:
-        header = json.loads(data[:nl])
-        if header.get("format") != _CKPT_FORMAT:
-            raise ParseError(f"unknown checkpoint format {header.get('format')!r}")
         d = int(header["input_dim"])
         hid = int(header["hidden"])
         norm_mean = np.array(header["norm_mean"], dtype=np.float64)
         norm_std = np.array(header["norm_std"], dtype=np.float64)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad checkpoint header: {exc}") from exc
     if d < 1 or hid < 1:
         raise ParseError(f"bad checkpoint dims: input_dim {d}, hidden {hid}")
@@ -423,10 +396,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"{norm_std.shape}, input_dim is {d}"
         )
     need = hid * d + hid + hid + 1
-    have = (len(data) - nl - 1) // 4
+    have = len(data) // 4
     if have < need:
         raise TruncatedError(f"checkpoint weights truncated: {have} of {need} values")
-    blob = np.frombuffer(data, "<f4", need, nl + 1).astype(np.float64)
+    blob = np.frombuffer(data, "<f4", need).astype(np.float64)
     w1 = blob[: hid * d].reshape(hid, d)
     b1 = blob[hid * d : hid * d + hid]
     w2 = blob[hid * d + hid : hid * d + 2 * hid]

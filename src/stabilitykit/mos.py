@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyAfterCleaning,
     EmptyInput,
     InsufficientData,
@@ -70,16 +71,20 @@ class RatingsTable:
         """CSV columns: subject_id,video_id,score[,session]; header optional."""
         rows = []
         with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                try:
-                    float(row[2])
-                except (IndexError, ValueError):
-                    if rows:
-                        raise ParseError(f"bad ratings row: {row}")
-                    continue  # header line
-                rows.append(tuple(row[:4]))
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        float(row[2])
+                    except (IndexError, ValueError):
+                        if rows:
+                            raise ParseError(f"bad ratings row: {row}")
+                        continue  # header line
+                    rows.append(tuple(row[:4]))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
         return cls.from_records(rows)
 
 
@@ -136,7 +141,7 @@ def reject_outlier_subjects(
     elif denominator == "all":
         denom = np.full(len(table.subjects), len(table.videos))
     else:
-        raise ValueError("denominator must be 'rated' or 'all'")
+        raise ConfigError("denominator must be 'rated' or 'all'")
     frac = outliers.sum(axis=1) / denom
     rejected_mask = frac > max_outlier_frac
     rated_any = present.any(axis=1)
@@ -192,7 +197,7 @@ def split_half(table: RatingsTable, n: int, repeats: int, seed: int) -> float:
     """Mean SROCC between MOS vectors of two disjoint random n-subject groups
     over their commonly rated videos, averaged over ``repeats`` draws."""
     if n < 1 or repeats < 1:
-        raise ValueError("n and repeats must be positive")
+        raise ConfigError("n and repeats must be positive")
     n_subj = len(table.subjects)
     if n_subj < 2 * n:
         raise InsufficientData(f"need {2 * n} subjects, have {n_subj}")

@@ -146,6 +146,7 @@ _LK_LEVELS = 3
 _LK_MAX_ITER = 30
 _LK_EPS = 0.01
 _LK_MAX_RESIDUAL = 25.0  # RMS gray levels over the window
+_GRID_RUN_POINTS = 2048  # most grid points per LK solve in _grid_track
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 _TAPS = np.arange(-_LK_WIN, _LK_WIN + 2)  # 16 integer taps span a 15-wide lerp
@@ -286,7 +287,7 @@ def track_lk(
         raise DimensionMismatch("planes must share dimensions")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 1:
-        raise ValueError("need at least one point")
+        raise ConfigError("need at least one point")
     new_pts, ok = _track(_pyramid(prev[None]), _pyramid(nxt[None]), pts)
     if not ok.any():
         raise TrackingFailure("no point survived tracking")
@@ -310,7 +311,14 @@ def _grid_track(lumas: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray, n
     pairs = len(pyr[0]) - 1
     src = np.repeat(np.arange(pairs), len(pts))
     all_pts = np.tile(pts, (pairs, 1))
-    new_pts, ok = _track(pyr, pyr, all_pts, src, src + 1)
+    # runs of whole pairs bound the working set; _track rows are independent,
+    # so the split does not change any result
+    run = max(1, _GRID_RUN_POINTS // len(pts)) * len(pts)
+    runs = [
+        _track(pyr, pyr, all_pts[i : i + run], src[i : i + run], src[i : i + run] + 1)
+        for i in range(0, len(src), run)
+    ]
+    new_pts, ok = (np.concatenate(parts) for parts in zip(*runs))
     return pts, (new_pts - all_pts).reshape(pairs, len(pts), 2), ok.reshape(pairs, len(pts))
 
 
@@ -586,7 +594,7 @@ def estimate_motion(
 def accumulate_trajectory(params: list[MotionParams]) -> Trajectory:
     """Prefix-sum per-pair motion into a camera path anchored at zero."""
     if not params:
-        raise ValueError("empty parameter list")
+        raise ConfigError("empty parameter list")
     kinds = {p.model_kind for p in params}
     if len(kinds) > 1:
         raise ConfigError(f"mixed motion models: {sorted(kinds)}")

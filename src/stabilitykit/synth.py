@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import MarginError, ParseError
+from .errors import ConfigError, MarginError, ParseError
 from .media import FrameSequence, save_y4m, _round_half_up
 from .motion import Trajectory
 
@@ -51,16 +51,16 @@ def gen_trajectory(spec: ShakeSpec, seed: int) -> Trajectory:
     """Sum-of-sinusoids path plus seeded Gaussian noise, anchored so that
     every axis starts at zero."""
     if spec.length < 16:
-        raise ValueError("trajectory length must be at least 16")
+        raise ConfigError("trajectory length must be at least 16")
     t = np.arange(spec.length, dtype=np.float64)
     paths = {axis: np.zeros(spec.length) for axis in AXES}
     for comp in spec.components:
         if comp.axis not in AXES:
-            raise ValueError(f"unknown axis {comp.axis!r}")
+            raise ConfigError(f"unknown axis {comp.axis!r}")
         if comp.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+            raise ConfigError("amplitude must be non-negative")
         if not 0 <= comp.frequency <= spec.length / 2:
-            raise ValueError("frequency outside [0, length/2]")
+            raise ConfigError("frequency outside [0, length/2]")
         paths[comp.axis] += comp.amplitude * np.sin(
             2.0 * np.pi * comp.frequency * t / spec.length + comp.phase
         )
@@ -163,7 +163,7 @@ def render_shaky(
     path increment and rotated about the frame center by the angle increment."""
     w, h = out_size
     if w < 16 or h < 16:
-        raise ValueError("output size must be at least 16x16")
+        raise ConfigError("output size must be at least 16x16")
     gray = base.ndim == 2
     bh, bw = base.shape[:2]
     c_out = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
@@ -294,7 +294,7 @@ def iter_dataset(
     uninformative about the jitter level.
     """
     if count < 10:
-        raise ValueError("a dataset needs at least 10 videos")
+        raise ConfigError("a dataset needs at least 10 videos")
     ladder = list(amplitude_ladder if amplitude_ladder is not None else DEFAULT_LADDER)
     root = np.random.SeedSequence(seed)
     theta_lever = (frame_size[0] + frame_size[1]) / 4.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stabilitykit import cli
+from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
 from stabilitykit.media import FrameSequence, save_y4m
 from stabilitykit.synth import gen_dataset, write_dataset
@@ -81,6 +81,21 @@ class TestScore:
         )
         assert code == 2 and "n_clips" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag, want", [([], 1), (["--n-clips", "3"], 3)])
+    def test_n_clips_flag_overrides_config(self, capsys, workspace, tmp_path, monkeypatch,
+                                           flag, want):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clips": 1}))
+        seen = []
+        monkeypatch.setattr(model_mod, "predict_video",
+                            lambda *args, n_clips, **kwargs: seen.append(n_clips) or 0.0)
+        code, _, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt),
+                           "--config", str(cfg), *flag)
+        assert code == 0, err
+        assert seen == [want]
 
     def test_truncated_checkpoint_exits_2(self, capsys, workspace, tmp_path):
         ckpt = tmp_path / "model.ckpt"
@@ -332,3 +347,128 @@ class TestSeedResolution:
         code2, _, err = run(capsys, "score", str(workspace["shaky"]))
         assert code == 0
         assert code2 == 2 and "must be an integer" in err
+
+    @pytest.mark.parametrize("flag, cfg, env, want", [
+        (5, {"seed": 6}, "7", 5), (None, {"seed": 6}, "notanint", 6), (None, {}, "7", 7),
+        (None, {}, None, 0),
+    ])
+    def test_flag_then_config_then_env(self, monkeypatch, flag, cfg, env, want):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert cli._resolve_seed(flag, cfg) == want
+
+
+# Bad options and config values: each of these once ended in a traceback and
+# exit 1 (a NaN lambda in a NaN on stdout), and must be an input error.
+_TRAIN = ["train", "{manifest}", "--out", "{tmp}/m.ckpt"]
+_SCORE = ["score", "{shaky}", "--model", "{ckpt}"]
+_MOS = ["mos", "{ratings}", "--out", "{tmp}/mos.csv"]
+_SYNTH = ["synth", "--out", "{tmp}/ds"]
+_SMALL_CLIPS = {"n": 8, "tau_b": 4}
+EXIT_1_LEAKS = {
+    "score-n-1": (_SCORE + ["--n", "1"], None),
+    "score-tau-0": (_SCORE + ["--tau", "0"], None),
+    "train-n-1": (_TRAIN + ["--n", "1"], None),
+    "train-tau-b-0": (_TRAIN + ["--tau-b", "0"], None),
+    "train-epochs-string": (_TRAIN, dict(_SMALL_CLIPS, epochs="abc")),
+    "train-lambda-null": (_TRAIN, dict(_SMALL_CLIPS, **{"lambda": None})),
+    "train-lambda-nan": (_TRAIN, dict(_SMALL_CLIPS, **{"lambda": float("nan")})),
+    "train-epochs-0": (_TRAIN, dict(_SMALL_CLIPS, epochs=0)),
+    "train-val-frac-2": (_TRAIN, dict(_SMALL_CLIPS, val_frac=2)),
+    "score-seed-string": (["score", "{shaky}"], {"seed": "abc"}),
+    "score-seed-negative": (["score", "{shaky}", "--seed", "-1"], None),
+    "synth-seed-negative": (_SYNTH, {"seed": -3}),
+    "score-model-n-string": (_SCORE, {"n": "x"}),
+    "mos-sigma-string": (_MOS, {"outlier_sigma": "x"}),
+    "mos-denominator": (_MOS, {"denominator": "x"}),
+    "synth-count-3": (_SYNTH, {"count": 3}),
+    "synth-width-8": (_SYNTH, {"width": 8}),
+    "synth-ladder-string": (_SYNTH, {"ladder": "abc"}),
+    "mos-not-utf8": (["mos", "{latin1}", "--out", "{tmp}/mos.csv"], None),
+    "eval-not-utf8": (["eval", "{latin1}"], None),
+}
+
+
+class TestExitCodes:
+    @pytest.fixture
+    def paths(self, workspace, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("subject_id,video_id,score\n" + "".join(
+            f"s{s},v{v},{(7 * s + 13 * v) % 100}\n" for s in range(5) for v in range(6)))
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("pred,mos\n1,2\nd\u00e9j\u00e0,3\n".encode("latin-1"))
+        return {"manifest": workspace["manifest"], "shaky": workspace["shaky"], "ckpt": ckpt,
+                "ratings": ratings, "latin1": latin1, "tmp": tmp_path}
+
+    @pytest.mark.parametrize("argv, config", EXIT_1_LEAKS.values(), ids=EXIT_1_LEAKS.keys())
+    def test_former_exit_1_leak_exits_2(self, capsys, paths, argv, config):
+        argv = [a.format(**paths) for a in argv]
+        if config is not None:
+            cfg = paths["tmp"] / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
+    def test_config_nested_too_deep_exits_2(self, capsys, paths):
+        cfg = paths["tmp"] / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "mos", str(paths["ratings"]), "--out",
+                             str(paths["tmp"] / "mos.csv"), "--config", str(cfg))
+        assert code == 2 and "not valid JSON" in err
+        assert out == ""
+
+    def test_every_row_held_out_exits_5(self, capsys, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(_SMALL_CLIPS, val_frac=0.99)))
+        code, out, err = run(capsys, "train", str(workspace["manifest"]),
+                             "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg))
+        assert code == 5 and "empty" in err
+        assert out == ""
+
+
+# The exit codes documented in stabilitykit.errors.
+DOCUMENTED_EXIT_CODES = {
+    "StabilityKitError": 2, "ParseError": 2, "TruncatedError": 2, "DimensionMismatch": 2,
+    "EmptyInput": 2, "ConfigError": 2, "MarginError": 2,
+    "MissingModel": 3,
+    "DegenerateScene": 4, "TrackingFailure": 4, "UnderDetermined": 4, "DegenerateInput": 4,
+    "DegenerateBatch": 4,
+    "InsufficientFrames": 5, "InsufficientData": 5, "InsufficientRatings": 5,
+    "EmptyAfterCleaning": 5,
+}
+
+
+def _error_classes(cls=errors.StabilityKitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            yield from _error_classes(sub)
+
+
+class TestExitCodeTable:
+    def test_table_names_every_class(self):
+        assert sorted(c.__name__ for c in _error_classes()) == sorted(DOCUMENTED_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+    def test_documented_code(self, capsys, monkeypatch, cls):
+        def fail(args):
+            raise cls("planted failure")
+
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        code, out, err = run(capsys, "eval", "pairs.csv")
+        assert cls.exit_code == code == DOCUMENTED_EXIT_CODES[cls.__name__]
+        assert err == "error: planted failure\n" and out == ""
+
+    def test_os_error_exits_2(self, capsys, monkeypatch):
+        def fail(args):
+            raise PermissionError("permission denied: pairs.csv")
+
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        assert run(capsys, "eval", "pairs.csv")[:2] == (2, "")

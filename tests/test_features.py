@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from stabilitykit import features as feat
 from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError
-from stabilitykit.media import Clip, sample_clip
+from stabilitykit.media import Clip, resize_float, sample_clip
 from stabilitykit.motion import FlowField
 from stabilitykit.synth import gen_dataset, make_base
 
@@ -16,6 +18,32 @@ def gray_frames(values, width=32, height=32):
     return np.stack(
         [np.full((height, width, 3), v, dtype=np.uint8) for v in values]
     )
+
+
+def old_resize_lumas(lumas, size):
+    """The semantic branch's own float resize before it shared media's core."""
+    src_h, src_w = lumas.shape[1:]
+    xs = np.clip((np.arange(size) + 0.5) * (src_w / size) - 0.5, 0.0, src_w - 1.0)
+    ys = np.clip((np.arange(size) + 0.5) * (src_h / size) - 0.5, 0.0, src_h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, src_w - 1)
+    y1 = np.minimum(y0 + 1, src_h - 1)
+    fx = (xs - x0)[None, None, :]
+    fy = (ys - y0)[None, :, None]
+    top = lumas[:, y0[:, None], x0[None, :]] * (1 - fx) + lumas[:, y0[:, None], x1[None, :]] * fx
+    bot = lumas[:, y1[:, None], x0[None, :]] * (1 - fx) + lumas[:, y1[:, None], x1[None, :]] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def old_cache_bytes(matrix, dims):
+    """The feature-cache writer before the shared f32 container, with the old
+    hand-written ``FeatureDims.as_dict``."""
+    fields = {"c_o": dims.c_o, "c_s": dims.c_s, "c_b": dims.c_b, "n": dims.n,
+              "n_b": dims.n_b, "tau_b": dims.tau_b}
+    header = dict(fields, dim=dims.dim, count=int(matrix.shape[0]))
+    return (json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+            + np.asarray(matrix, dtype=np.float64).astype("<f4").tobytes())
 
 
 class TestFlowFeatures:
@@ -77,6 +105,13 @@ class TestSemanticFeatures:
     def test_deterministic(self, rng):
         frames = rng.integers(0, 256, (4, 24, 24, 3), dtype=np.uint8)
         assert np.array_equal(feat.semantic_features(frames), feat.semantic_features(frames))
+
+
+    @pytest.mark.parametrize("shape", [(3, 96, 128), (2, 360, 640), (4, 17, 23), (1, 224, 224)])
+    def test_semantic_resize_matches_old_core(self, rng, shape):
+        lumas = rng.uniform(0, 255, size=shape)
+        got = resize_float(lumas, feat.SEMANTIC_SIZE, feat.SEMANTIC_SIZE)
+        assert got.tobytes() == old_resize_lumas(lumas, feat.SEMANTIC_SIZE).tobytes()
 
 
 class TestBlurFeatures:
@@ -175,6 +210,14 @@ class TestCache:
         assert back.shape == matrix.shape
         assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
 
+    def test_bytes_match_old_writer(self, tmp_path, rng):
+        dims = feat.FeatureDims(n=16, n_b=2, tau_b=8)
+        matrix = rng.normal(size=(7, dims.dim)) * 1e3
+        path = tmp_path / "features.bin"
+        feat.save_feature_cache(path, matrix, dims)
+        assert path.read_bytes() == old_cache_bytes(matrix, dims)
+
+
     @pytest.mark.parametrize(
         "header",
         [b"[1, 2]", b'"c_o"', b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": 1.5}',
@@ -182,9 +225,9 @@ class TestCache:
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": -1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": -8, "n_b": 2, "tau_b": 4, "count": 1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": true}',
-         b"\xff\xfe{"],
+         b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
         ids=["list", "string", "float-count", "string-count", "negative-count", "negative-dim",
-             "bool-count", "not-utf8"],
+             "bool-count", "not-utf8", "nested-too-deep"],
     )
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "features.bin"

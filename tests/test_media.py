@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stabilitykit import media
 from stabilitykit.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyInput,
     InsufficientFrames,
@@ -28,6 +29,24 @@ def gray_stream(tmp_path, value=128, count=3, width=64, height=48):
     path = tmp_path / "gray.y4m"
     path.write_bytes(y4m_bytes([(plane, plane, plane)] * count, width, height))
     return path
+
+
+def old_resize_stack(frames, w, h):
+    """The RGB resize before it shared the float core with the semantic branch."""
+    src_h, src_w = frames.shape[1:3]
+    xs = np.clip((np.arange(w) + 0.5) * (src_w / w) - 0.5, 0.0, src_w - 1.0)
+    ys = np.clip((np.arange(h) + 0.5) * (src_h / h) - 0.5, 0.0, src_h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, src_w - 1)
+    y1 = np.minimum(y0 + 1, src_h - 1)
+    fx = (xs - x0)[None, None, :, None]
+    fy = (ys - y0)[None, :, None, None]
+    f = frames.astype(np.float64)
+    top = f[:, y0[:, None], x0[None, :]] * (1 - fx) + f[:, y0[:, None], x1[None, :]] * fx
+    bot = f[:, y1[:, None], x0[None, :]] * (1 - fx) + f[:, y1[:, None], x1[None, :]] * fx
+    out = top * (1 - fy) + bot * fy
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
 class TestLoadY4m:
@@ -151,6 +170,16 @@ class TestFrameDir:
         (tmp_path / "meta.json").write_text(json.dumps({"fps": 24}))
         assert media.load_frame_dir(tmp_path).fps == 24.0
 
+    @pytest.mark.parametrize("meta", ['{"fps": "x"}', "[1]", "[" * 100_000 + "]" * 100_000],
+                             ids=["string-fps", "list", "nested-too-deep"])
+    def test_bad_meta_json(self, tmp_path, meta):
+        arr = np.zeros((32, 32), dtype=np.uint8)
+        write_pgm(tmp_path / "a.pgm", arr)
+        write_pgm(tmp_path / "b.pgm", arr)
+        (tmp_path / "meta.json").write_text(meta)
+        with pytest.raises(ParseError, match="meta.json"):
+            media.load_frame_dir(tmp_path)
+
     def test_header_comments(self, tmp_path):
         arr = np.full((32, 32), 7, dtype=np.uint8)
         data = b"P5\n# a comment\n32 32\n255\n" + arr.tobytes()
@@ -213,6 +242,17 @@ class TestLuma:
         assert luma.min() >= 0.0 and luma.max() <= 255.0
 
 
+    def test_no_float_copy_matches_astype_form(self, rng):
+        # uint8 times a Python float is float64 under NEP 50 and under the
+        # value-based rules of numpy 1.x alike
+        frames = rng.integers(0, 256, size=(4, 19, 23, 3), dtype=np.uint8)
+        f = frames.astype(np.float64)
+        want = f[..., 0] * 0.299 + f[..., 1] * 0.587 + f[..., 2] * 0.114
+        got = media.to_luma(frames)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 class TestResize:
     def test_identity_is_bitwise(self, rng):
         frame = rng.integers(0, 256, size=(24, 17, 3), dtype=np.uint8)
@@ -237,3 +277,12 @@ class TestResize:
         value = seed % 256
         frame = np.full((11, 13, 3), value, dtype=np.uint8)
         assert np.all(media.resize_bilinear(frame, w, h) == value)
+
+    @pytest.mark.parametrize("size", [(17, 24), (5, 3), (40, 60), (224, 224), (1, 1)])
+    def test_stack_matches_old_resize(self, rng, size):
+        frames = rng.integers(0, 256, size=(3, 24, 17, 3), dtype=np.uint8)
+        assert np.array_equal(media.resize_stack(frames, *size), old_resize_stack(frames, *size))
+
+    def test_bad_size_is_config_error(self):
+        with pytest.raises(ConfigError):
+            media.resize_stack(np.zeros((1, 4, 4, 3), dtype=np.uint8), 0, 4)

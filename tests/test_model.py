@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from stabilitykit import model as m
 from stabilitykit.errors import (
     ConfigError,
     DegenerateBatch,
+    DegenerateInput,
     DimensionMismatch,
     InsufficientData,
     InsufficientFrames,
@@ -54,18 +57,61 @@ def naive_fd_gradients(params, x, y, lam, h=1e-4):
         it = np.nditer(base, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            p_hi = params.copy()
+            p_hi = copy.deepcopy(params)
             getattr(p_hi, key)[idx] += h
-            p_lo = params.copy()
+            p_lo = copy.deepcopy(params)
             getattr(p_lo, key)[idx] -= h
             g[idx] = (loss_at(p_hi) - loss_at(p_lo)) / (2 * h)
         grads[key] = g
-    p_hi = params.copy()
+    p_hi = copy.deepcopy(params)
     p_hi.b2 += h
-    p_lo = params.copy()
+    p_lo = copy.deepcopy(params)
     p_lo.b2 -= h
     grads["b2"] = (loss_at(p_hi) - loss_at(p_lo)) / (2 * h)
     return grads
+
+
+def old_plcc_loss(pred, mos):
+    """The standalone PLCC loss that preceded the shared loss core."""
+    pred = np.asarray(pred, dtype=np.float64).ravel()
+    mos = np.asarray(mos, dtype=np.float64).ravel()
+    b = mos - mos.mean()
+    sbb = float(b @ b)
+    if sbb < 1e-12:
+        raise DegenerateBatch("constant target scores: correlation undefined")
+    a = pred - pred.mean()
+    saa = float(a @ a)
+    if saa < 1e-12:
+        return 0.5
+    r = float(a @ b) / np.sqrt(saa * sbb)
+    return (1.0 - r) / 2.0
+
+
+def old_rank_loss(pred, mos):
+    """The standalone rank hinge that preceded the shared loss core."""
+    pred = np.asarray(pred, dtype=np.float64).ravel()
+    mos = np.asarray(mos, dtype=np.float64).ravel()
+    dp = pred[:, None] - pred[None, :]
+    dm = mos[:, None] - mos[None, :]
+    e = np.where(dm >= 0, 1.0, -1.0)
+    hinge = np.maximum(0.0, np.abs(dm) - e * dp)
+    return float(hinge.sum()) / (len(pred) ** 2)
+
+
+def old_checkpoint_bytes(params, cfg_payload):
+    """The checkpoint writer that preceded the shared f32 container, with the
+    config hash of the old hand-written ``TrainConfig.as_dict``."""
+    digest = hashlib.sha256(json.dumps(cfg_payload, sort_keys=True).encode()).hexdigest()[:16]
+    header = {
+        "format": "stabilitykit-model-v1",
+        "input_dim": params.input_dim,
+        "hidden": len(params.b1),
+        "norm_mean": [float(v) for v in params.norm_mean],
+        "norm_std": [float(v) for v in params.norm_std],
+        "config_hash": digest,
+    }
+    blob = np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]]).astype("<f4")
+    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + blob.tobytes()
 
 
 def rel_err(a, b, floor=1e-6):
@@ -213,6 +259,42 @@ class TestLossTotal:
         a = m.loss_total(pred, mos, 0.3)
         b = m.loss_total(pred[perm], mos[perm], 0.3)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestLossOracles:
+    """plcc_loss, rank_loss and loss_total wrap the training core's loss
+    terms; they stay bit-identical to the standalone versions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+    def test_bit_identical(self, seed, n, ties):
+        rng = np.random.default_rng(seed)
+        pred = rng.normal(size=n) * rng.uniform(0.01, 50)
+        mos = rng.uniform(0, 100, size=n)
+        if ties:
+            pred = np.round(pred)
+            mos = np.round(mos / 25.0)
+        if np.ptp(mos) == 0:
+            mos[0] += 1.0
+        assert m.plcc_loss(pred, mos) == old_plcc_loss(pred, mos)
+        assert m.rank_loss(pred, mos) == old_rank_loss(pred, mos)
+        for lam in (0.0, 0.3, 1.7):
+            want = old_plcc_loss(pred, mos) + lam * old_rank_loss(pred, mos)
+            assert m.loss_total(pred, mos, lam) == want
+
+    def test_constant_prediction_and_targets(self):
+        pred, mos = np.full(5, 3.0), np.array([1.0, 4.0, 2.0, 2.0, 9.0])
+        assert m.plcc_loss(pred, mos) == old_plcc_loss(pred, mos) == 0.5
+        assert m.rank_loss(pred, mos) == old_rank_loss(pred, mos)
+        assert m.rank_loss(mos, np.ones(5)) == old_rank_loss(mos, np.ones(5))
+        with pytest.raises(DegenerateBatch):
+            m.loss_total(mos, np.ones(5), 0.3)
+
+    @pytest.mark.parametrize("loss", [m.plcc_loss, m.rank_loss, lambda p, q: m.loss_total(p, q, 0.3)])
+    def test_non_finite_rejected(self, loss):
+        # the losses share evaluation's input check
+        with pytest.raises(DegenerateInput):
+            loss(np.array([1.0, np.nan, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 class TestBackward:
@@ -388,6 +470,24 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
         with pytest.raises(ParseError):
             m.load_checkpoint(path)
+
+    def test_config_hash_pinned(self):
+        # the value of the hand-written TrainConfig.as_dict before dataclasses.asdict
+        assert m.config_hash(m.TrainConfig()) == "e75f530214d29593"
+        assert m.config_hash(None) == ""
+
+    def test_bytes_match_old_writer(self, tmp_path, rng):
+        p = toy_params(d=9, hidden=6, seed=3)
+        p.b2 = -0.4375
+        p.norm_mean = rng.normal(size=9)
+        p.norm_std = np.abs(rng.normal(size=9)) + 0.1
+        cfg = m.TrainConfig(lambda_rank=0.5, epochs=7, batch_size=3, lr_head=2e-3, seed=11)
+        payload = {"lambda_rank": 0.5, "epochs": 7, "batch_size": 3, "lr_head": 2e-3,
+                   "seed": 11, "schedule": "cosine"}
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(p, path, cfg)
+        assert path.read_bytes() == old_checkpoint_bytes(p, payload)
+
 
     def test_log_csv(self, tmp_path):
         logs = [m.EpochLog(1, 0.5, None), m.EpochLog(2, 0.25, 0.9)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -557,6 +559,32 @@ class TestLkEngine:
         for t, field in enumerate(fields):
             alone = grid_flow(lumas[t], lumas[t + 1])
             assert np.array_equal(field.u, alone.u) and np.array_equal(field.v, alone.v)
+
+    def test_grid_32_runs_match_one_solve_in_bounded_memory(self):
+        lumas = shaky_lumas(70, count=7, size=(256, 192))
+        tracemalloc.start()
+        try:
+            pts, disp, ok = motion._grid_track(lumas, 32)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = len(lumas) - 1
+        assert pairs * len(pts) > 2 * motion._GRID_RUN_POINTS  # the solve is split in three
+        pyr = motion._pyramid(lumas)
+        src = np.repeat(np.arange(pairs), len(pts))
+        all_pts = np.tile(pts, (pairs, 1))
+        tracemalloc.start()
+        try:
+            want, ok_want = motion._track(pyr, pyr, all_pts, src, src + 1)
+            one_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ok.ravel(), ok_want)
+        assert np.array_equal(disp.reshape(-1, 2), want - all_pts)
+        assert ok.mean() > 0.5
+        # each run holds a third of the points; the pyramid is built inside
+        assert run_peak < 0.5 * one_peak
+
 
     def test_noise_frame_zeroes_only_its_two_pairs(self):
         lumas = shaky_lumas(50, count=8)
