@@ -4,7 +4,8 @@ Each class carries, as ``exit_code``, the process exit code that the CLI
 returns for it; these attributes are the one statement of the exit codes.
 0 is success.  2, the default, is an input error: a malformed or missing
 file, or a bad config value or option (the CLI also returns 2 for any
-``OSError``).  3 is ``MissingModel``, 4 is degenerate content and 5 is
+``OSError``).  3 is ``MissingModel``, 4 is degenerate content (including
+a training run that diverges to a non-finite loss or weight) and 5 is
 insufficient data.
 """
 

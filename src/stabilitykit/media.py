@@ -1,5 +1,6 @@
 """Frame ingestion: Y4M and PPM/PGM decoding, clip sampling, luma, resize,
-and the header-plus-f32 container of checkpoints and feature caches.
+the header-plus-f32 container of checkpoints and feature caches, and the
+text decoding of CSV inputs.
 
 Frames are ``(H, W, 3)`` uint8 RGB arrays throughout the toolkit.  Only
 uncompressed sources are supported (YUV4MPEG2 streams and directories of
@@ -9,6 +10,8 @@ up front, e.g. with ffmpeg.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -365,6 +368,21 @@ def save_f32(path: str | Path, header: dict, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         fh.write(np.asarray(values).astype("<f4").tobytes())
+
+
+def csv_rows(path: str | Path, encoding: str):
+    """A ``csv.reader`` over the file decoded as ``encoding``.
+
+    The whole file is decoded first, so a byte that does not decode raises
+    ``ParseError`` naming its own line, counted from the file's bytes.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: {exc}") from exc
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def load_f32_header(path: str | Path, kind: str) -> tuple[dict, bytes]:

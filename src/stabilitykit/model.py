@@ -4,15 +4,19 @@ A two-layer MLP (128 hidden units, 1 output) regresses the fused clip
 feature to a stability score.  Training minimizes a correlation loss plus a
 weighted pairwise rank hinge, with Adam under a cosine learning-rate decay;
 gradients are computed analytically through both batch-level loss terms.
+
+During training the parameters, their gradient and Adam's two moments are
+each one flat float64 vector in checkpoint order (``w1`` row-major, ``b1``,
+``w2``, ``b2``); ``w1``, ``b1``, ``w2`` and ``b2`` are views into it, so one
+Adam step is a few in-place ufuncs over whole vectors.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateBatch,
+    DegenerateInput,
     DimensionMismatch,
     InsufficientData,
     ParseError,
@@ -61,14 +66,6 @@ class EpochLog:
     val_srocc: float | None = None
 
 
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-
 def init_params(input_dim: int, seed: int = 0, hidden: int = HIDDEN) -> ModelParams:
     """He-style uniform fan-in init; normalization defaults to identity."""
     rng = np.random.default_rng(seed)
@@ -82,6 +79,25 @@ def init_params(input_dim: int, seed: int = 0, hidden: int = HIDDEN) -> ModelPar
         input_dim=input_dim,
         norm_mean=np.zeros(input_dim),
         norm_std=np.ones(input_dim),
+    )
+
+
+def _flat(params: ModelParams) -> np.ndarray:
+    """w1 (row-major), b1, w2 and b2 as one float64 vector: checkpoint order."""
+    return np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]])
+
+
+def _on_flat(params: ModelParams, flat: np.ndarray) -> ModelParams:
+    """``params`` with w1, b1, w2 and b2 replaced by views into ``flat``
+    (checkpoint order; ``b2`` is a 0-d view)."""
+    hidden, d = params.w1.shape
+    k = hidden * d
+    return replace(
+        params,
+        w1=flat[:k].reshape(hidden, d),
+        b1=flat[k : k + hidden],
+        w2=flat[k + hidden : -1],
+        b2=flat[-1, ...],
     )
 
 
@@ -195,8 +211,14 @@ def backward(
     x: np.ndarray,
     mos: np.ndarray,
     lambda_rank: float = 0.3,
-) -> tuple[float, Gradients]:
-    """Analytic gradients of the total loss for one batch."""
+    out: np.ndarray | None = None,
+) -> tuple[float, ModelParams]:
+    """Total loss of one batch and its analytic gradients.
+
+    The gradients are written into ``out``, a flat vector in checkpoint
+    order (a new one when None), and returned as views into it named like
+    the parameters.
+    """
     x = _as_matrix(params, x)
     mos = np.asarray(mos, dtype=np.float64).ravel()
     if len(mos) != x.shape[0]:
@@ -205,13 +227,16 @@ def backward(
         raise DimensionMismatch("a batch needs at least 2 samples")
     pred, h, u, z = _forward(params, x)
     loss, dpred = _loss_and_grad_wrt_pred(pred, mos, lambda_rank)
-    gw2 = h.T @ dpred
-    gb2 = float(dpred.sum())
-    dh = np.outer(dpred, params.w2)
-    du = dh * (u > 0)
-    gw1 = du.T @ z
-    gb1 = du.sum(axis=0)
-    return loss, Gradients(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    if out is None:
+        out = np.empty(params.w1.size + 2 * len(params.b1) + 1)
+    g = _on_flat(params, out)
+    np.matmul(h.T, dpred, out=g.w2)
+    g.b2[...] = dpred.sum()
+    du = np.outer(dpred, params.w2)
+    du *= u > 0
+    np.matmul(du.T, z, out=g.w1)
+    du.sum(axis=0, out=g.b1)
+    return loss, g
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +269,14 @@ def train(
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Adam (b1=0.9, b2=0.999, eps=1e-8) with per-epoch seeded shuffling.
 
-    Returns the parameters with the best validation SROCC when a validation
-    set is given, otherwise the final parameters.
+    The parameters, their gradient and the two Adam moments are flat
+    vectors, and each step updates them with in-place ufuncs in the
+    elementwise order of the textbook update, so results are bit-identical
+    to updating each parameter array on its own.  Returns the parameters
+    with the best validation SROCC when a validation set is given,
+    otherwise the final parameters.  Raises ``DegenerateInput`` when an
+    epoch ends with a non-finite loss or weight (the step size or the rank
+    weight is too large).
     """
     from .evaluation import srocc  # resolved per call, so a wrapped srocc is the one used
 
@@ -263,50 +294,54 @@ def train(
     mean, std = fit_norm_stats(x)
     params = init_params(x.shape[1], seed=int(rng.integers(0, 2**31)))
     params.norm_mean, params.norm_std = mean, std
+    theta = _flat(params)
+    params = _on_flat(params, theta)
 
     xv = yv = None
     if val_dataset is not None:
         xv, yv = _stack_dataset(val_dataset)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
-    v = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
-    m["b2"] = 0.0
-    v["b2"] = 0.0
+    grad, m, v, upd, tmp = (np.zeros_like(theta) for _ in range(5))
 
-    steps_per_epoch = max(len(x) // cfg.batch_size, 1)
+    steps_per_epoch = len(x) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     logs: list[EpochLog] = []
-    best = copy.deepcopy(params)
+    best = theta.copy()
     best_srocc = -np.inf
     step = 0
-    adam_t = 0
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(x))
         losses = []
-        for k in range(steps_per_epoch):
-            idx = order[k * cfg.batch_size : (k + 1) * cfg.batch_size]
-            if len(idx) < 2:
-                continue
-            loss, g = backward(params, x[idx], y[idx], cfg.lambda_rank)
-            losses.append(loss)
-            lr = cfg.lr_head
-            if cfg.schedule == "cosine":
-                lr *= _cosine_factor(step, total_steps)
-            step += 1
-            adam_t += 1
-            for key in ("w1", "b1", "w2", "b2"):
-                grad = getattr(g, key)
-                m[key] = beta1 * m[key] + (1 - beta1) * grad
-                v[key] = beta2 * v[key] + (1 - beta2) * grad * grad
-                mh = m[key] / (1 - beta1**adam_t)
-                vh = v[key] / (1 - beta2**adam_t)
-                upd = lr * mh / (np.sqrt(vh) + eps)
-                if key == "b2":
-                    params.b2 = float(params.b2 - upd)
-                else:
-                    setattr(params, key, getattr(params, key) - upd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps_per_epoch):
+                idx = order[k * cfg.batch_size : (k + 1) * cfg.batch_size]
+                loss, _ = backward(params, x[idx], y[idx], cfg.lambda_rank, out=grad)
+                losses.append(loss)
+                lr = cfg.lr_head
+                if cfg.schedule == "cosine":
+                    lr *= _cosine_factor(step, total_steps)
+                step += 1
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+                m *= beta1
+                m += np.multiply(grad, 1 - beta1, out=tmp)
+                v *= beta2
+                np.multiply(grad, 1 - beta2, out=tmp)
+                v += np.multiply(tmp, grad, out=tmp)
+                # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, 1 - beta1**step, out=upd)
+                upd *= lr
+                np.sqrt(np.divide(v, 1 - beta2**step, out=tmp), out=tmp)
+                tmp += eps
+                upd /= tmp
+                theta -= upd
+            epoch_loss = float(np.mean(losses))
+        if not (np.isfinite(epoch_loss) and np.isfinite(theta).all()):
+            raise DegenerateInput(
+                f"training diverged in epoch {epoch} (non-finite loss or weights) "
+                f"with lr_head {cfg.lr_head:g} and lambda {cfg.lambda_rank:g}"
+            )
 
         val_s = None
         if xv is not None:
@@ -314,10 +349,11 @@ def train(
             val_s = float(srocc(pv, yv))
             if val_s > best_srocc:
                 best_srocc = val_s
-                best = copy.deepcopy(params)
-        logs.append(EpochLog(epoch=epoch + 1, loss=float(np.mean(losses)), val_srocc=val_s))
+                best = theta.copy()
+        logs.append(EpochLog(epoch=epoch, loss=epoch_loss, val_srocc=val_s))
 
-    return (best if xv is not None else params), logs
+    final = best if xv is not None else theta
+    return replace(_on_flat(params, final), b2=float(final[-1])), logs
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +410,7 @@ def save_checkpoint(
         "norm_std": [float(v) for v in params.norm_std],
         "config_hash": config_hash(cfg),
     }
-    save_f32(path, header, np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]]))
+    save_f32(path, header, _flat(params))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .evaluation import rmse as _rmse
 from .evaluation import srocc as _srocc
+from .media import csv_rows
 from .errors import DegenerateInput, DimensionMismatch
 
 
@@ -70,21 +71,20 @@ class RatingsTable:
     def from_csv(cls, path: str | Path) -> "RatingsTable":
         """CSV columns: subject_id,video_id,score[,session]; header optional."""
         rows = []
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                for row in reader:
-                    if not row:
-                        continue
-                    try:
-                        float(row[2])
-                    except (IndexError, ValueError):
-                        if rows:
-                            raise ParseError(f"bad ratings row: {row}")
-                        continue  # header line
-                    rows.append(tuple(row[:4]))
-            except (UnicodeDecodeError, csv.Error) as exc:
-                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        reader = csv_rows(path, "utf-8")
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    float(row[2])
+                except (IndexError, ValueError):
+                    if rows:
+                        raise ParseError(f"bad ratings row: {row}")
+                    continue  # header line
+                rows.append(tuple(row[:4]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
         return cls.from_records(rows)
 
 

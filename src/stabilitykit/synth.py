@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, MarginError, ParseError
-from .media import FrameSequence, save_y4m, _round_half_up
+from .media import FrameSequence, csv_rows, save_y4m, _round_half_up
 from .motion import Trajectory
 
 AXES = ("x", "y", "theta")
@@ -402,22 +402,21 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path, float]]:
     """Rows of (video_id, absolute path, gt_score)."""
     p = Path(path)
     rows = []
-    with open(p, encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if not row or row[0] == "video_id":
-                    continue
-                where = f"{p}:{reader.line_num}"
-                if len(row) < 3:
-                    raise ParseError(f"{where}: need 3 fields, have {len(row)}")
-                try:
-                    score = float(row[2])
-                except ValueError:
-                    raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
-                if not np.isfinite(score):
-                    raise ParseError(f"{where}: non-finite score {row[2]!r}")
-                rows.append((row[0], (p.parent / row[1]).resolve(), score))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"{p}:{reader.line_num}: {exc}") from exc
+    reader = csv_rows(p, "ascii")
+    try:
+        for row in reader:
+            if not row or row[0] == "video_id":
+                continue
+            where = f"{p}:{reader.line_num}"
+            if len(row) < 3:
+                raise ParseError(f"{where}: need 3 fields, have {len(row)}")
+            try:
+                score = float(row[2])
+            except ValueError:
+                raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
+            if not np.isfinite(score):
+                raise ParseError(f"{where}: non-finite score {row[2]!r}")
+            rows.append((row[0], (p.parent / row[1]).resolve(), score))
+    except csv.Error as exc:
+        raise ParseError(f"{p}:{reader.line_num}: {exc}") from exc
     return rows

@@ -424,6 +424,34 @@ class TestExitCodes:
         assert code == 2 and "not valid JSON" in err
         assert out == ""
 
+    @pytest.mark.parametrize("config", [{"lr_head": 1e300}, {"lambda": 1e308}])
+    def test_diverging_training_exits_4_without_checkpoint(self, capsys, workspace, tmp_path,
+                                                           config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(_SMALL_CLIPS, epochs=3, **config)))
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", str(workspace["manifest"]),
+                             "--out", str(ckpt), "--config", str(cfg))
+        assert code == 4, err
+        assert err.startswith("error: training diverged in epoch 1") and err.count("\n") == 1
+        assert out == ""
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("line", [2, 3])
+    @pytest.mark.parametrize("kind", ["ratings", "manifest"])
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path, kind, line):
+        rows = {"ratings": [b"subject_id,video_id,score", b"s1,v1,50", b"s2,v1,60"],
+                "manifest": [b"video_id,path,gt_score", b"a,a.y4m,1.5", b"b,b.y4m,2.5"]}[kind]
+        rows[line - 1] = rows[line - 1].replace(b",", b"\xff,", 1)
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        argv = {"ratings": ["mos", str(path), "--out", str(tmp_path / "mos.csv")],
+                "manifest": ["train", str(path), "--out", str(tmp_path / "m.ckpt")]}[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
+        assert out == ""
+
     def test_every_row_held_out_exits_5(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(_SMALL_CLIPS, val_frac=0.99)))

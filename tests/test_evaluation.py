@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import minimize
 
 from stabilitykit import evaluation as ev
 from stabilitykit.errors import DegenerateInput, DimensionMismatch
@@ -293,11 +294,124 @@ class TestLogisticFit:
 
     def test_non_flat_fit_runs_no_refit(self, rng, monkeypatch):
         calls = []
-        minimize = ev.minimize
-        monkeypatch.setattr(ev, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+        least_squares = ev.least_squares
+        monkeypatch.setattr(ev, "least_squares",
+                            lambda *a, **k: calls.append(1) or least_squares(*a, **k))
         mos = rng.uniform(0, 100, size=10)
         ev.logistic_fit(mos + rng.normal(size=10), mos)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        ev.logistic_fit(*FLAT_FIT_CASE)
+        assert len(calls) == 3  # the flat fit and its mirrored refit
+
+
+# Validation predictions anti-correlated with MOS: from the increasing init
+# the fit saturates the sigmoid and maps every point to one value.
+FLAT_FIT_CASE = (np.array([-8.7571, -8.8092, 0.0332, -8.3723, -5.2507]),
+                 np.array([65.181, 50.626, 24.072, 65.662, 63.13]))
+
+
+def nelder_mead_logistic_fit(pred, mos):
+    """The fit that preceded Levenberg-Marquardt: two Nelder-Mead passes on
+    the SSE, with the same inits and the same mirrored refit."""
+    pred, mos = np.asarray(pred, dtype=float), np.asarray(mos, dtype=float)
+
+    def sse(beta):
+        d = ev.logistic_4pl(pred, beta) - mos
+        return float(d @ d)
+
+    def fit(b1, b2):
+        beta = np.array([b1, b2, float(np.median(pred)), max(pred.std() / 4.0, 1e-6)])
+        for _ in range(2):
+            beta = minimize(sse, beta, method="Nelder-Mead", options={
+                "xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000}).x
+        return beta, ev.logistic_4pl(pred, beta)
+
+    beta, mapped = fit(mos.max(), mos.min())
+    if np.ptp(mapped) == 0:
+        mirrored, remapped = fit(mos.min(), mos.max())
+        if np.ptp(remapped) > 0:
+            beta, mapped = mirrored, remapped
+    return beta, mapped
+
+
+def validation_size_set(seed):
+    """Five rows like a small validation split: predictions that follow MOS
+    at a seeded noise level."""
+    rng = np.random.default_rng(seed)
+    mos = rng.uniform(0, 100, 5)
+    return mos / 30 + rng.normal(size=5) * rng.choice([0.1, 0.5, 1.0, 2.0]), mos
+
+
+class TestLogisticFitMatchesNelderMead:
+    """Levenberg-Marquardt reaches an SSE no higher than the Nelder-Mead
+    oracle's (to 1e-9 relative) with the same PLCC (to 1e-9); the two cases
+    where the fits part are pinned by their own tests."""
+
+    @staticmethod
+    def _sse(mapped, mos):
+        return float(np.sum((mapped - mos) ** 2))
+
+    def _check(self, pred, mos):
+        _, mapped = ev.logistic_fit(pred, mos)
+        _, want = nelder_mead_logistic_fit(pred, mos)
+        assert self._sse(mapped, mos) <= self._sse(want, mos) * (1 + 1e-9)
+        assert ev.pearson(mapped, mos) == pytest.approx(ev.pearson(want, mos), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_sigmoid_4000(self, seed):
+        # the rows the benchmark's eval requests use
+        rng = np.random.default_rng(seed)
+        mos = np.round(rng.uniform(1.0, 99.0, 4000), 2)
+        pred = np.round(1 / (1 + np.exp(-(mos - 50.0) / 15.0)) + rng.normal(0, 0.08, 4000), 6)
+        self._check(pred, mos)
+
+    def test_reaches_the_sigmoid_where_nelder_mead_stalls(self):
+        # The rows of the benchmark's eval request 4 at seed 7702, as read
+        # from its CSVs: Nelder-Mead drifts onto a near-linear plateau
+        # (betas near 1e8), Levenberg-Marquardt reaches the sigmoid.
+        rng = np.random.default_rng(np.random.SeedSequence(7702, spawn_key=(4, 4)))
+        mos = np.round(rng.uniform(1.0, 99.0, 4000), 2)
+        pred = 1 / (1 + np.exp(-(mos - 50.0) / 15.0)) + rng.normal(0, 0.08, 4000)
+        pred = np.array([float(f"{v:.6f}") for v in pred])
+        beta, mapped = ev.logistic_fit(pred, mos)
+        want_beta, want = nelder_mead_logistic_fit(pred, mos)
+        assert np.abs(want_beta).max() > 1e7
+        assert np.abs(beta).max() < 1e3
+        assert self._sse(mapped, mos) < 0.996 * self._sse(want, mos)
+        assert ev.pearson(mapped, mos) > ev.pearson(want, mos)
+
+    def test_noiseless(self, rng):
+        pred = rng.uniform(-1, 2, size=40)
+        self._check(pred, ev.logistic_4pl(pred, np.array([92.0, 8.0, 0.4, 0.25])))
+
+    def test_anti_correlated_flat_fit(self):
+        self._check(*FLAT_FIT_CASE)
+
+    def test_validation_size_sets(self):
+        for seed in range(30):
+            pred, mos = validation_size_set(seed)
+            _, mapped = ev.logistic_fit(pred, mos)
+            _, want = nelder_mead_logistic_fit(pred, mos)
+            got_sse, want_sse = self._sse(mapped, mos), self._sse(want, mos)
+            assert got_sse <= want_sse * (1 + 1e-9), seed
+            if got_sse >= want_sse * (1 - 1e-9):  # the same minimum
+                assert ev.pearson(mapped, mos) == pytest.approx(
+                    ev.pearson(want, mos), abs=1e-9), seed
+
+    def test_five_rows_can_stop_in_another_basin(self):
+        # On five rows the SSE has several step-like minima (b4 -> 0), and a
+        # local method keeps the one its path reaches.  Over seeds 0-99 the
+        # new fit is lower than Nelder-Mead on 28 sets, equal (to 1e-9) on 70
+        # and higher on 2; this is the worse of those two.  It is still a local
+        # minimum: a Nelder-Mead pass started from it finds nothing lower.
+        pred, mos = validation_size_set(66)
+        beta, mapped = ev.logistic_fit(pred, mos)
+        _, want = nelder_mead_logistic_fit(pred, mos)
+        got_sse = self._sse(mapped, mos)
+        assert got_sse == pytest.approx(2.08 * self._sse(want, mos), rel=0.01)
+        polish = minimize(lambda b: self._sse(ev.logistic_4pl(pred, b), mos), beta,
+                          method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-12})
+        assert polish.fun >= got_sse * (1 - 1e-9)
 
 
 class TestEvaluate:

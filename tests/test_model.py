@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabilitykit import model as m
+from stabilitykit.evaluation import srocc
 from stabilitykit.errors import (
     ConfigError,
     DegenerateBatch,
@@ -112,6 +113,66 @@ def old_checkpoint_bytes(params, cfg_payload):
     }
     blob = np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]]).astype("<f4")
     return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + blob.tobytes()
+
+
+def old_backward(params, x, mos, lambda_rank):
+    """The backward pass that returned fresh gradient arrays, one per parameter."""
+    pred, h, u, z = m._forward(params, x)
+    loss, dpred = m._loss_and_grad_wrt_pred(pred, mos, lambda_rank)
+    du = np.outer(dpred, params.w2) * (u > 0)
+    return loss, {"w1": du.T @ z, "b1": du.sum(axis=0), "w2": h.T @ dpred,
+                  "b2": float(dpred.sum())}
+
+
+def old_train(dataset, cfg, val_dataset=None):
+    """The training loop that kept Adam's moments per parameter in dicts."""
+    x, y = m._stack_dataset(dataset)
+    rng = np.random.default_rng(cfg.seed)
+    mean, std = m.fit_norm_stats(x)
+    params = m.init_params(x.shape[1], seed=int(rng.integers(0, 2**31)))
+    params.norm_mean, params.norm_std = mean, std
+    xv = yv = None
+    if val_dataset is not None:
+        xv, yv = m._stack_dataset(val_dataset)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    mom = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
+    var = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
+    mom["b2"] = var["b2"] = 0.0
+    steps_per_epoch = max(len(x) // cfg.batch_size, 1)
+    total_steps = cfg.epochs * steps_per_epoch
+    logs, best, best_srocc, step, adam_t = [], copy.deepcopy(params), -np.inf, 0, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        losses = []
+        for k in range(steps_per_epoch):
+            idx = order[k * cfg.batch_size : (k + 1) * cfg.batch_size]
+            loss, g = old_backward(params, x[idx], y[idx], cfg.lambda_rank)
+            losses.append(loss)
+            lr = cfg.lr_head
+            if cfg.schedule == "cosine":
+                lr *= m._cosine_factor(step, total_steps)
+            step += 1
+            adam_t += 1
+            for key in ("w1", "b1", "w2", "b2"):
+                grad = g[key]
+                mom[key] = beta1 * mom[key] + (1 - beta1) * grad
+                var[key] = beta2 * var[key] + (1 - beta2) * grad * grad
+                mh = mom[key] / (1 - beta1**adam_t)
+                vh = var[key] / (1 - beta2**adam_t)
+                upd = lr * mh / (np.sqrt(vh) + eps)
+                if key == "b2":
+                    params.b2 = float(params.b2 - upd)
+                else:
+                    setattr(params, key, getattr(params, key) - upd)
+        val_s = None
+        if xv is not None:
+            pv, _, _, _ = m._forward(params, xv)
+            val_s = float(srocc(pv, yv))
+            if val_s > best_srocc:
+                best_srocc = val_s
+                best = copy.deepcopy(params)
+        logs.append(m.EpochLog(epoch=epoch + 1, loss=float(np.mean(losses)), val_srocc=val_s))
+    return (best if xv is not None else params), logs
 
 
 def rel_err(a, b, floor=1e-6):
@@ -388,6 +449,49 @@ class TestTrain:
         data = [(np.ones(4) * i, 5.0) for i in range(10)]
         with pytest.raises(InsufficientData):
             m.train(data, m.TrainConfig())
+
+
+class TestTrainMatchesOldLoop:
+    """The flat-buffer Adam against the per-parameter loop it replaced: the
+    same elementwise operations in the same order, so results are equal."""
+
+    @staticmethod
+    def _data(n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 7)) * rng.uniform(0.5, 3.0, size=7)
+        y = x @ rng.normal(size=7) + rng.normal(size=n)
+        return [(x[i], float(y[i])) for i in range(n)]
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 4])
+    @pytest.mark.parametrize("schedule", ["cosine", "constant"])
+    @pytest.mark.parametrize("lambda_rank", [0.0, 0.3])
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_equal_params_logs_and_checkpoint(self, tmp_path, batch_size, schedule,
+                                              lambda_rank, with_val):
+        data = self._data(23, seed=batch_size)
+        val = self._data(9, seed=100 + batch_size) if with_val else None
+        cfg = m.TrainConfig(lambda_rank=lambda_rank, epochs=4, batch_size=batch_size,
+                            lr_head=5e-3, seed=batch_size + 10, schedule=schedule)
+        got, got_logs = m.train(data, cfg, val)
+        want, want_logs = old_train(data, cfg, val)
+        for key in ("w1", "b1", "w2"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert type(got.b2) is float and got.b2 == want.b2
+        assert got_logs == want_logs
+        m.save_checkpoint(got, tmp_path / "new.ckpt", cfg)
+        m.save_checkpoint(want, tmp_path / "old.ckpt", cfg)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+
+    def test_backward_fills_the_given_buffer(self, rng):
+        p = toy_params(d=5, hidden=6, seed=3)
+        x, y = rng.normal(size=(4, 5)), rng.normal(size=4)
+        out = np.full(6 * 5 + 6 + 6 + 1, np.nan)
+        loss, g = m.backward(p, x, y, 0.3, out=out)
+        want_loss, want = old_backward(p, x, y, 0.3)
+        assert loss == want_loss
+        assert np.array_equal(out, np.concatenate([want["w1"].ravel(), want["b1"], want["w2"],
+                                                   [want["b2"]]]))
+        assert np.shares_memory(g.w1, out) and np.shares_memory(g.b2, out)
 
 
 @pytest.fixture(scope="module")
