@@ -24,7 +24,7 @@ from . import synth as synth_mod
 from .classic import itf, stability_score
 from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingModel, ParseError, StabilityKitError
 from .evaluation import evaluate
-from .media import load_frame_dir, load_y4m, sample_clip
+from .media import csv_rows, load_frame_dir, load_y4m, sample_clip
 from .motion import RansacParams, save_trajectory_csv, video_trajectory
 
 SEED_ENV_VAR = "STABILITYKIT_SEED"
@@ -232,19 +232,15 @@ def cmd_train(args) -> int:
 
 
 def _read_column(path: str, column: int = 0) -> list[float]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    reader = csv_rows(path, "utf-8")
     vals = []
-    for ln, line in enumerate(text.strip().splitlines()):
-        parts = [p.strip() for p in line.split(",")]
+    for i, parts in enumerate(row for row in reader if row):
         try:
             vals.append(float(parts[column]))
         except (IndexError, ValueError):
-            if ln == 0:
+            if i == 0:
                 continue  # header
-            raise ParseError(f"{path}:{ln + 1}: cannot read column {column}")
+            raise ParseError(f"{path}:{reader.line_num}: cannot read column {column}")
     return vals
 
 

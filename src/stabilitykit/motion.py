@@ -1,5 +1,9 @@
 """Inter-frame motion: corners, pyramidal Lucas-Kanade, robust model fits,
-dense grid flow, and camera-trajectory accumulation.
+dense grid flow, and camera trajectories.
+
+``video_trajectory`` and ``grid_flow_sequence`` build one pyramid stack per
+run of frames and track every adjacent pair of it in one LK solve
+(``_track``); ``estimate_motion`` and ``grid_flow`` run them on two frames.
 
 Coordinates are (x, y) in pixels with the origin at the top-left pixel
 center.  Motion estimation runs at native resolution.
@@ -7,7 +11,6 @@ center.  Motion estimation runs at native resolution.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +23,9 @@ from .errors import (
     DimensionMismatch,
     ParseError,
     TrackingFailure,
-    TruncatedError,
     UnderDetermined,
 )
-from .media import to_luma
+from .media import csv_rows, to_luma
 
 
 @dataclass
@@ -178,7 +180,11 @@ def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray
     ix = np.clip(base[:, 0:1] + _TAPS, 0, w - 1)
     iy = np.clip(base[:, 1:2] + _TAPS, 0, h - 1)
     flat = (frame[:, None, None] * h + iy[:, :, None]) * w + ix[:, None, :]
-    p = stack.ravel().take(flat)
+    return _lerp(stack.ravel().take(flat), fx, fy).reshape(len(xy), (2 * _LK_WIN + 1) ** 2)
+
+
+def _lerp(p: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """(n, k-1, k-1) bilinear samples of n (k, k) blocks, one offset each."""
     # a + (b - a) * f, in place to hold fewer temporaries
     rows = p[:, :, 1:] - p[:, :, :-1]
     rows *= fx[:, None, None]
@@ -186,7 +192,7 @@ def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray
     win = rows[:, 1:] - rows[:, :-1]
     win *= fy[:, None, None]
     win += rows[:, :-1]
-    return win.reshape(len(xy), (2 * _LK_WIN + 1) ** 2)
+    return win
 
 
 def _win_inside(p: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -204,9 +210,12 @@ def _track(
     pts: np.ndarray,
     src: np.ndarray | None = None,
     dst: np.ndarray | None = None,
+    warped: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pyramidal LK of pts (n, 2) from frame src[i] of the pyr_src stacks to
     frame dst[i] of pyr_dst (both default to frame 0); returns (new_pts, ok).
+    ``warped`` gives each point's own level-0 template and x, y gradients,
+    (n, 225) each, in place of pyr_src's, and skips the coarser levels.
 
     All points of all frame pairs share one set of arrays, and a point leaves
     them once it converges.  Rows never mix, so a point's result does not
@@ -221,22 +230,25 @@ def _track(
     ok = _win_inside(pts, w, h)
     converged = np.zeros(n, dtype=bool)
 
-    for lev in range(len(pyr_src) - 1, -1, -1):
+    for lev in range(0 if warped is not None else len(pyr_src) - 1, -1, -1):
         scale = 2.0**lev
         p_lev = pts / scale
         d_lev = d / scale
         rows = np.nonzero(ok)[0]
-        tmpl = _windows(pyr_src[lev], src[rows], p_lev[rows])
-        gxs = np.empty_like(tmpl)
-        gys = np.empty_like(tmpl)
-        # gradients one source frame at a time: a (T, h, w) stack of them
-        # would double the pyramid's memory
-        for s in np.unique(src[rows]):
-            sel = src[rows] == s
-            gy, gx = np.gradient(pyr_src[lev][s])
-            at = np.zeros(int(sel.sum()), dtype=np.intp)
-            gxs[sel] = _windows(gx[None], at, p_lev[rows[sel]])
-            gys[sel] = _windows(gy[None], at, p_lev[rows[sel]])
+        if warped is not None:
+            tmpl, gxs, gys = (a[rows] for a in warped)
+        else:
+            tmpl = _windows(pyr_src[lev], src[rows], p_lev[rows])
+            gxs = np.empty_like(tmpl)
+            gys = np.empty_like(tmpl)
+            # gradients one source frame at a time: a (T, h, w) stack of them
+            # would double the pyramid's memory
+            for s in np.unique(src[rows]):
+                sel = src[rows] == s
+                gy, gx = np.gradient(pyr_src[lev][s])
+                at = np.zeros(int(sel.sum()), dtype=np.intp)
+                gxs[sel] = _windows(gx[None], at, p_lev[rows[sel]])
+                gys[sel] = _windows(gy[None], at, p_lev[rows[sel]])
         gxx = np.sum(gxs * gxs, axis=1)
         gxy = np.sum(gxs * gys, axis=1)
         gyy = np.sum(gys * gys, axis=1)
@@ -270,7 +282,7 @@ def _track(
     ok &= converged & _win_inside(new_pts, w, h)
     rows = np.nonzero(ok)[0]
     cur = _windows(pyr_dst[0], dst[rows], new_pts[rows])
-    tmpl = _windows(pyr_src[0], src[rows], pts[rows])
+    tmpl = warped[0][rows] if warped is not None else _windows(pyr_src[0], src[rows], pts[rows])
     ok[rows] = np.sqrt(np.mean((cur - tmpl) ** 2, axis=1)) <= _LK_MAX_RESIDUAL
     return new_pts, ok
 
@@ -393,33 +405,44 @@ def _ransac_similarity(
     return a, t, float(best.mean())
 
 
-def _refine_similarity(
-    prev: np.ndarray,
-    pyr_n: list[np.ndarray],
-    z0: np.ndarray,
-    a: complex,
-    t: complex,
-    ransac: RansacParams,
-    rng: np.random.Generator,
-) -> tuple[complex, complex, float] | None:
-    """Re-track corners against prev warped by the current model; residual
-    displacements then carry no rotation and the refit is nearly unbiased."""
-    h, w = prev.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    ainv = 1.0 / a
-    tinv = -t * ainv
-    src = ainv * (xs + 1j * ys) + tinv
-    prev_w = ndimage.map_coordinates(prev, [src.imag, src.real], order=1, mode="nearest")
+_WARP_TAPS = np.arange(-_LK_WIN - 1, _LK_WIN + 3)  # 18 integer taps span a 17-wide lerp
+
+
+def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Edge-clamped bilinear samples of the planes ``stack[frame]`` at (x, y),
+    frame broadcast to their shape; each sample lerps its own 2x2 block."""
+    _, h, w = stack.shape
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    # the last column and row lerp from their left and upper neighbours
+    x0 = np.minimum(x.astype(np.intp), w - 2)
+    y0 = np.minimum(y.astype(np.intp), h - 2)
+    i = ((frame * h + y0) * w + x0).reshape(-1, 1, 1)
+    quad = stack.ravel().take(i + np.array([[0, 1], [w, w + 1]]))
+    return _lerp(quad, (x - x0).ravel(), (y - y0).ravel()).reshape(x.shape)
+
+
+def _refine_track(lumas: np.ndarray, src: np.ndarray, z0: np.ndarray, a: np.ndarray,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-track corners z0 (complex) of frames src into frames src + 1 from
+    zw = a z0 + t, against the source warped by z -> a z + t.  Of that warped
+    frame only the 18x18 pixels around zw are made, then lerped to zw like
+    _windows: a 15x15 template and, by central differences, its gradients.
+    Level 0 only: the model predicts each inlier to within the RANSAC
+    threshold.  Returns (zw, z1, ok)."""
+    _, h, w = lumas.shape
     zw = a * z0 + t
     pw = np.stack([zw.real, zw.imag], axis=1)
-    new_pts, ok = _track(_pyramid(prev_w[None]), pyr_n, pw)
-    if ok.sum() < 2:
-        return None
-    z1r = new_pts[ok, 0] + 1j * new_pts[ok, 1]
-    tight = RansacParams(ransac.iters, min(ransac.inlier_px, 0.75), ransac.seed)
-    a2, t2, ratio = _ransac_similarity(zw[ok], z1r, tight, rng)
-    # compose the residual fit with the incoming model
-    return a2 * a, a2 * t + t2, ratio
+    base = np.floor(pw)
+    qx = np.clip(base[:, 0:1] + _WARP_TAPS, 0, w - 1)
+    qy = np.clip(base[:, 1:2] + _WARP_TAPS, 0, h - 1)
+    ainv = 1.0 / a[:, None, None]
+    q = ainv * (qx[:, None, :] + 1j * qy[:, :, None]) - t[:, None, None] * ainv
+    s = _lerp(_sample(lumas, src[:, None, None], q.real, q.imag), *(pw - base).T)
+    warped = (s[:, 1:-1, 1:-1], (s[:, 1:-1, 2:] - s[:, 1:-1, :-2]) / 2.0,
+              (s[:, 2:, 1:-1] - s[:, :-2, 1:-1]) / 2.0)
+    new, ok = _track([lumas], [lumas], pw, src, src + 1, tuple(g.reshape(len(pw), -1) for g in warped))
+    return zw, new[:, 0] + 1j * new[:, 1], ok
 
 
 def _homography_dlt(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,106 +507,114 @@ def _apply_h(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return q[:, :2] / q[:, 2:3]
 
 
-def estimate_motion(
-    prev_frame: np.ndarray,
-    next_frame: np.ndarray,
-    model_kind: str = "similarity",
-    ransac: RansacParams | None = None,
-) -> MotionParams:
+def _corners(luma: np.ndarray) -> np.ndarray:
+    try:
+        return detect_corners(luma, border=_LK_WIN + 1)
+    except DegenerateScene:
+        # small frames starve under the default 8 px suppression radius
+        return detect_corners(luma, border=_LK_WIN + 1, nms_radius=4, quality=0.005)
+
+
+def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray,
+                       ransac: RansacParams) -> list[MotionParams]:
+    """Refine the similarity fits (z0, a, t, inlier ratio, rng) of the pairs
+    of ``lumas``.  Translational LK is biased when the window itself rotates,
+    so the corners of all pairs are re-tracked against warped templates and
+    the residual motion refit; two passes push the bias below 0.01 px."""
+    z0, a, t, ratio, rngs = (list(f) for f in zip(*fits))
+    pair = np.repeat(np.arange(len(fits)), [len(z) for z in z0])
+    z0, a, t = np.concatenate(z0), np.array(a), np.array(t)
+    tight = RansacParams(ransac.iters, min(ransac.inlier_px, 0.75), ransac.seed)
+    for _ in range(2):
+        zw, z1, ok = _refine_track(lumas, pair, z0, a[pair], t[pair])
+        for k, rng in enumerate(rngs):
+            sel = ok & (pair == k)
+            if sel.sum() >= 2:
+                a2, t2, ratio[k] = _ransac_similarity(zw[sel], z1[sel], tight, rng)
+                # compose the residual fit with the incoming model
+                a[k], t[k] = a2 * a[k], a2 * t[k] + t2
+    c = center[0] + 1j * center[1]
+    delta = a * c + t - c
+    return [MotionParams("similarity", float(d.real), float(d.imag), float(np.arctan2(ak.imag, ak.real)),
+                         float(abs(ak)), inlier_ratio=r) for d, ak, r in zip(delta, a, ratio)]
+
+
+def _pair_motions(pyr: list[np.ndarray], model_kind: str, ransac: RansacParams) -> list[MotionParams]:
+    """Motion of every adjacent frame pair of one pyramid stack: corners per
+    frame, one _track of all pairs, then per pair a fit that draws from its
+    own ``default_rng(ransac.seed)``.  Errors are raised in pair order."""
+    if model_kind not in ("translation", "similarity", "homography"):
+        raise ConfigError(f"unknown motion model {model_kind!r}")
+    lumas = pyr[0]
+    pairs = len(lumas) - 1
+    h, w = lumas.shape[1:]
+    center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
+    corners, failed = [], {}
+    for k in range(pairs):
+        try:
+            corners.append(_corners(lumas[k]))
+        except DegenerateScene as exc:
+            failed[k] = exc  # raised when pair k comes up
+            corners.append(np.empty((0, 2)))
+    src = np.repeat(np.arange(pairs), [len(c) for c in corners])
+    pts = np.concatenate(corners)
+    new_pts, ok = _track(pyr, pyr, pts, src, src + 1)
+    params, fits = [], []
+    for k in range(pairs):
+        if k in failed:
+            raise failed[k]
+        sel = ok & (src == k)
+        if not sel.any():
+            raise TrackingFailure("no corner survived tracking")
+        p0, p1 = pts[sel], new_pts[sel]
+        rng = np.random.default_rng(ransac.seed)
+        if model_kind == "translation":
+            disp = p1 - p0
+            idx = rng.integers(0, len(p0), ransac.iters)
+            inl = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2) <= ransac.inlier_px
+            best = inl[_ransac_pick(inl.sum(axis=1))]
+            dx, dy = np.median(disp[best], axis=0)
+            params.append(MotionParams("translation", float(dx), float(dy), inlier_ratio=float(best.mean())))
+        elif model_kind == "homography":
+            if len(p0) < 4:
+                raise UnderDetermined(f"homography needs 4 matches, have {len(p0)}")
+            # ransac.iters distinct 4-point samples (the 4 smallest of one
+            # uniform key row each), scored together in _ransac_homography
+            samples = np.argpartition(rng.random((ransac.iters, len(p0))), 3, axis=1)[:, :4]
+            _, inl, hm = _ransac_homography(p0, p1, samples, ransac.inlier_px)
+            cxy = _apply_h(hm, center[None, :])[0] - center
+            # affine Jacobian at the frame center
+            nu, nv, den = hm[:, 0] * center[0] + hm[:, 1] * center[1] + hm[:, 2]
+            j = (hm[:2, :2] * den - np.outer([nu, nv], hm[2, :2])) / (den * den)
+            params.append(MotionParams(
+                "homography", float(cxy[0]), float(cxy[1]),
+                theta=float(np.arctan2(j[1, 0] - j[0, 1], j[0, 0] + j[1, 1])),
+                scale=float(np.sqrt(max(float(np.linalg.det(j)), 1e-12))),
+                h=hm, inlier_ratio=float(inl.mean())))
+        else:
+            if len(p0) < 2:
+                raise UnderDetermined("similarity needs at least 2 matches")
+            z0 = p0[:, 0] + 1j * p0[:, 1]
+            z1 = p1[:, 0] + 1j * p1[:, 1]
+            fits.append((z0, *_ransac_similarity(z0, z1, ransac, rng), rng))
+    if model_kind == "similarity":
+        return _similarity_params(lumas, fits, center, ransac)
+    return params
+
+
+def estimate_motion(prev_frame: np.ndarray, next_frame: np.ndarray, model_kind: str = "similarity",
+                    ransac: RansacParams | None = None) -> MotionParams:
     """Corner matching + seeded RANSAC fit of the requested motion model.
 
-    Frames are RGB (H, W, 3) or luma planes (H, W).  Every model draws all
-    ``ransac.iters`` hypotheses up front and scores them in one vectorized
-    pass; ties go to the earliest.  The homography model solves all 4-point
-    normalized DLTs as one stacked SVD and refits on the winner's inliers.
+    Frames are RGB (H, W, 3) or luma planes (H, W).  This is the
+    ``video_trajectory`` engine on a two-frame stack, so it equals that pair
+    of a trajectory.  Every model draws all ``ransac.iters`` hypotheses up
+    front and scores them in one vectorized pass; ties go to the earliest.
     """
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
-    if model_kind not in ("translation", "similarity", "homography"):
-        raise ConfigError(f"unknown motion model {model_kind!r}")
-    ransac = ransac or RansacParams()
-    prev = _as_luma(prev_frame)
-    nxt = _as_luma(next_frame)
-
-    try:
-        corners = detect_corners(prev, border=_LK_WIN + 1)
-    except DegenerateScene:
-        # small frames starve under the default 8 px suppression radius
-        corners = detect_corners(prev, border=_LK_WIN + 1, nms_radius=4, quality=0.005)
-    # the nxt pyramid serves the first track and both refinement re-tracks
-    pyr_n = _pyramid(nxt[None])
-    new_pts, ok = _track(_pyramid(prev[None]), pyr_n, corners)
-    if not ok.any():
-        raise TrackingFailure("no corner survived tracking")
-    p0 = corners[ok]
-    p1 = new_pts[ok]
-    m = len(p0)
-    rng = np.random.default_rng(ransac.seed)
-    h, w = prev.shape
-    center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
-
-    if model_kind == "translation":
-        disp = p1 - p0
-        idx = rng.integers(0, m, ransac.iters)
-        err = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2)
-        inl = err <= ransac.inlier_px
-        best = inl[_ransac_pick(inl.sum(axis=1))]
-        dx, dy = np.median(disp[best], axis=0)
-        return MotionParams("translation", float(dx), float(dy),
-                            inlier_ratio=float(best.mean()))
-
-    if model_kind == "similarity":
-        if m < 2:
-            raise UnderDetermined("similarity needs at least 2 matches")
-        z0 = p0[:, 0] + 1j * p0[:, 1]
-        z1 = p1[:, 0] + 1j * p1[:, 1]
-        a, t, ratio = _ransac_similarity(z0, z1, ransac, rng)
-        # Model-conditioned refinement: translational LK is biased when the
-        # window itself rotates, so re-track against a warped template and
-        # refit.  Two passes are enough to push the bias below 0.01 px.
-        for _ in range(2):
-            a, t, ratio = _refine_similarity(prev, pyr_n, z0, a, t, ransac, rng) or (a, t, ratio)
-        c = center[0] + 1j * center[1]
-        delta = a * c + t - c
-        return MotionParams(
-            "similarity",
-            float(delta.real),
-            float(delta.imag),
-            theta=float(np.arctan2(a.imag, a.real)),
-            scale=float(abs(a)),
-            inlier_ratio=ratio,
-        )
-
-    # homography: ransac.iters distinct 4-point samples (the 4 smallest of
-    # one uniform key row each), scored together in _ransac_homography
-    if m < 4:
-        raise UnderDetermined(f"homography needs 4 matches, have {m}")
-    keys = rng.random((ransac.iters, m))
-    samples = np.argpartition(keys, 3, axis=1)[:, :4]
-    _, best_inl, h_final = _ransac_homography(p0, p1, samples, ransac.inlier_px)
-    cxy = _apply_h(h_final, center[None, :])[0]
-    # affine Jacobian at the frame center
-    x, y = center
-    den = h_final[2, 0] * x + h_final[2, 1] * y + h_final[2, 2]
-    nu = h_final[0, 0] * x + h_final[0, 1] * y + h_final[0, 2]
-    nv = h_final[1, 0] * x + h_final[1, 1] * y + h_final[1, 2]
-    j = np.array(
-        [
-            [h_final[0, 0] * den - nu * h_final[2, 0], h_final[0, 1] * den - nu * h_final[2, 1]],
-            [h_final[1, 0] * den - nv * h_final[2, 0], h_final[1, 1] * den - nv * h_final[2, 1]],
-        ]
-    ) / (den * den)
-    theta = float(np.arctan2(j[1, 0] - j[0, 1], j[0, 0] + j[1, 1]))
-    det_j = float(np.linalg.det(j))
-    return MotionParams(
-        "homography",
-        float(cxy[0] - x),
-        float(cxy[1] - y),
-        theta=theta,
-        scale=float(np.sqrt(max(det_j, 1e-12))),
-        h=h_final,
-        inlier_ratio=float(best_inl.mean()),
-    )
+    pyr = _pyramid(np.stack([_as_luma(prev_frame), _as_luma(next_frame)]))
+    return _pair_motions(pyr, model_kind, ransac or RansacParams())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,31 +640,33 @@ def accumulate_trajectory(params: list[MotionParams]) -> Trajectory:
     )
 
 
-def video_trajectory(
-    seq,
-    model_kind: str = "similarity",
-    ransac: RansacParams | None = None,
-) -> tuple[Trajectory, list[MotionParams]]:
+_TRAJ_RUN_PAIRS = 16  # most frame pairs per pyramid stack in video_trajectory
+
+
+def video_trajectory(seq, model_kind: str = "similarity",
+                     ransac: RansacParams | None = None) -> tuple[Trajectory, list[MotionParams]]:
     """Per-pair motion over a FrameSequence, accumulated into a Trajectory.
 
-    Each frame is converted to luma once; only the two planes of the current
-    pair are held, never the whole (T, H, W) stack."""
-    params = []
-    prev = None
-    for frame in seq.frames:
-        nxt = _as_luma(frame)
-        if prev is not None:
-            params.append(estimate_motion(prev, nxt, model_kind, ransac))
-        prev = nxt
+    Runs of at most _TRAJ_RUN_PAIRS pairs each convert their frames to luma
+    and build one pyramid stack; a run's last frame carries over as the next
+    run's first, so each frame's luma and pyramid are made once.  A pair's
+    result equals ``estimate_motion`` on its two frames."""
+    ransac = ransac or RansacParams()
+    params, head = [], None  # head: pyramid levels of the previous run's last frame
+    last = len(seq.frames) - 1
+    for start in range(0, last, _TRAJ_RUN_PAIRS):
+        stop = min(start + _TRAJ_RUN_PAIRS, last)
+        pyr = _pyramid(to_luma(seq.frames[start if head is None else start + 1 : stop + 1]))
+        if head is not None:
+            pyr = [np.concatenate([first[None], lev]) for first, lev in zip(head, pyr)]
+        params += _pair_motions(pyr, model_kind, ransac)
+        head = [lev[-1].copy() for lev in pyr]
     return accumulate_trajectory(params), params
 
 
 # ---------------------------------------------------------------------------
 # Export formats
 # ---------------------------------------------------------------------------
-
-_FLOW_MAGIC = b"STKFLOW\x00"
-
 
 def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -643,13 +676,10 @@ def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def load_trajectory_csv(path: str | Path) -> Trajectory:
-    try:
-        rows = Path(path).read_text(encoding="ascii").strip().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"trajectory CSV is not ASCII: {exc}") from exc
-    if not rows or rows[0] != "frame,x,y,theta":
+    rows = [r for r in csv_rows(path, "ascii") if r]
+    if not rows or rows[0] != ["frame", "x", "y", "theta"]:
         raise ParseError("bad trajectory CSV header")
-    cells = [r.split(",") for r in rows[1:]]
+    cells = rows[1:]
     if not cells:
         raise ParseError("trajectory CSV has no rows")
     if any(len(c) != 4 for c in cells):
@@ -659,31 +689,3 @@ def load_trajectory_csv(path: str | Path) -> Trajectory:
     except ValueError as exc:
         raise ParseError(f"non-numeric trajectory CSV cell: {exc}") from exc
     return Trajectory(x=vals[:, 1], y=vals[:, 2], theta=vals[:, 3])
-
-
-def save_flow(flow: FlowField, path: str | Path) -> None:
-    """Binary flow grid: 16-byte header (magic, u32 width, u32 height), then
-    u and v as little-endian f32, row-major."""
-    with open(path, "wb") as fh:
-        fh.write(_FLOW_MAGIC)
-        fh.write(struct.pack("<II", flow.width, flow.height))
-        fh.write(flow.u.astype("<f4").tobytes())
-        fh.write(flow.v.astype("<f4").tobytes())
-
-
-def load_flow(path: str | Path) -> FlowField:
-    data = Path(path).read_bytes()
-    if data[:8] != _FLOW_MAGIC:
-        raise ParseError("not a stabilitykit flow file")
-    if len(data) < 16:
-        raise TruncatedError(f"flow header truncated: {len(data)} of 16 bytes")
-    width, height = struct.unpack("<II", data[8:16])
-    n = width * height
-    if len(data) < 16 + 8 * n:
-        raise TruncatedError(
-            f"flow payload truncated: expected {8 * n} bytes, got {len(data) - 16}"
-        )
-    grid = np.frombuffer(data, "<f4", 2 * n, 16)
-    u = grid[:n].reshape(height, width).astype(np.float64)
-    v = grid[n:].reshape(height, width).astype(np.float64)
-    return FlowField(width=width, height=height, u=u, v=v)

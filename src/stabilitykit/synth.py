@@ -22,6 +22,7 @@ from .media import FrameSequence, csv_rows, save_y4m, _round_half_up
 from .motion import Trajectory
 
 AXES = ("x", "y", "theta")
+THETA_RAD_PER_PX = 0.003  # theta jitter (amplitude and noise) per pixel of x/y shake
 
 
 @dataclass
@@ -35,7 +36,7 @@ class ShakeComponent:
 @dataclass
 class ShakeSpec:
     components: list[ShakeComponent] = field(default_factory=list)
-    noise_sigma: float = 0.0
+    noise_sigma: float = 0.0  # pixels; theta takes it times THETA_RAD_PER_PX
     length: int = 64
 
 
@@ -67,7 +68,8 @@ def gen_trajectory(spec: ShakeSpec, seed: int) -> Trajectory:
     rng = np.random.default_rng(seed)
     if spec.noise_sigma > 0:
         for axis in AXES:
-            paths[axis] += rng.normal(0.0, spec.noise_sigma, spec.length)
+            unit = THETA_RAD_PER_PX if axis == "theta" else 1.0
+            paths[axis] += rng.normal(0.0, spec.noise_sigma * unit, spec.length)
     for axis in AXES:
         paths[axis] -= paths[axis][0]
     return Trajectory(x=paths["x"], y=paths["y"], theta=paths["theta"])
@@ -244,7 +246,7 @@ def _random_spec(rng: np.random.Generator, amplitude: float, length: int) -> Sha
     if rng.random() < 0.5:  # occasional rotational jitter
         comps.append(
             ShakeComponent(
-                amplitude=amplitude * 0.003 * float(rng.uniform(0.5, 1.5)),
+                amplitude=amplitude * THETA_RAD_PER_PX * float(rng.uniform(0.5, 1.5)),
                 frequency=float(rng.uniform(f_lo, f_hi)),
                 phase=float(rng.uniform(0, 2 * np.pi)),
                 axis="theta",

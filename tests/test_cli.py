@@ -273,6 +273,15 @@ class TestEval:
         assert code == 4 and "non-finite" in err
         assert out == ""
 
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(b"pred,mos\n1.5,caf\xe9\n2.5,3\n")
+        with pytest.raises(errors.ParseError, match=f"{path}:2:"):
+            cli._read_column(str(path), 1)
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}:2:" in err
+
     def test_length_mismatch_exits_2(self, capsys, tmp_path):
         a = tmp_path / "pred.csv"
         b = tmp_path / "mos.csv"

@@ -46,6 +46,15 @@ class TestGenTrajectory:
         traj = gen_trajectory(spec, seed=3)
         assert traj.x[0] == 0.0 and traj.y[0] == 0.0 and traj.theta[0] == 0.0
 
+    def test_theta_noise_is_in_radians(self):
+        spec = ShakeSpec(components=[], noise_sigma=0.24, length=64)  # 0.03 x amplitude 8
+        traj = gen_trajectory(spec, seed=5)
+        # about sqrt(2) * 0.24 * 0.003 = 1e-3 rad; in pixels it was 0.34 rad
+        assert np.std(np.diff(traj.theta)) < 0.002
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(0.0, 0.24, 64), rng.normal(0.0, 0.24, 64)
+        assert np.array_equal(traj.x, x - x[0]) and np.array_equal(traj.y, y - y[0])
+
     def test_invalid_frequency(self):
         spec = ShakeSpec(components=[ShakeComponent(1.0, 40.0, 0.0, "x")], length=32)
         with pytest.raises(ValueError):
