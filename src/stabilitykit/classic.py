@@ -43,11 +43,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def itf(seq: FrameSequence) -> ItfResult:
-    """Interframe Transformation Fidelity: mean PSNR over adjacent luma pairs."""
+    """Interframe Transformation Fidelity: mean PSNR over adjacent luma pairs,
+    converted one frame at a time so no float copy of the whole video is made."""
     if len(seq) < 2:
         raise InsufficientFrames("ITF needs at least 2 frames", required=2)
-    lumas = to_luma(seq.frames)
-    pairs = [psnr(lumas[k], lumas[k + 1]) for k in range(len(seq) - 1)]
+    pairs, prev = [], to_luma(seq.frames[0])
+    for frame in seq.frames[1:]:
+        cur = to_luma(frame)
+        pairs.append(psnr(prev, cur))
+        prev = cur
     return ItfResult(score_db=float(np.mean(pairs)), per_pair_db=pairs)
 
 

@@ -224,7 +224,8 @@ def cmd_train(args) -> int:
     report: dict = {"checkpoint": str(args.out), "epochs": len(logs)}
     if n_val >= 5:
         pv, _, _, _ = model_mod._forward(params, matrix[val_idx])
-        report["validation"] = evaluate(pv, y[val_idx]).as_dict()
+        # n: the held-out rows these figures rest on, as few as 5
+        report["validation"] = dict(evaluate(pv, y[val_idx]).as_dict(), n=n_val)
     else:
         report["final_loss"] = logs[-1].loss
     _emit(report, None)

@@ -100,7 +100,24 @@ def flow_features(flows: list[FlowField]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SEMANTIC_RUN_FRAMES = 8  # frames per pass of _semantic_from_lumas
+
+
 def _semantic_from_lumas(lumas: np.ndarray) -> np.ndarray:
+    """Per-frame stats over a (T, H, W) luma stack, vectorized over runs of
+    _SEMANTIC_RUN_FRAMES frames to bound the float temporaries.
+
+    Each run is copied in the stack's own axis order (resize_float leaves T
+    as the fastest axis): a view of a few frames would touch every cache
+    line of the stack, and with the axis order kept each frame's reductions
+    add in the same order as over the whole stack, so no value changes."""
+    runs = range(0, len(lumas), _SEMANTIC_RUN_FRAMES)
+    return np.concatenate(
+        [_semantic_run(lumas[i : i + _SEMANTIC_RUN_FRAMES].copy(order="K")) for i in runs]
+    )
+
+
+def _semantic_run(lumas: np.ndarray) -> np.ndarray:
     """Vectorized per-frame stats over a (T, H, W) luma stack."""
     t, h, w = lumas.shape
     gy, gx = np.gradient(lumas, axis=(1, 2))

@@ -11,6 +11,7 @@ up front, e.g. with ffmpeg.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
@@ -30,7 +31,7 @@ from .errors import (
 )
 
 # BT.601 full-range RGB<->YUV. The decode side snaps to an exact preimage of
-# the encode side (see _yuv_to_rgb), which makes a 4:4:4 write->read->write
+# the encode side (see yuv_to_rgb), which makes a 4:4:4 write->read->write
 # cycle byte-lossless for any stream this module produced.
 _FWD = np.array(
     [
@@ -48,6 +49,10 @@ _SNAP_OFFSETS = np.array(
     [(dr, dg, db) for dr in (-1, 0, 1) for dg in (-1, 0, 1) for db in (-1, 0, 1)],
     dtype=np.int16,
 )
+# A float value this close to a .5 tie may round either way, depending on
+# the order of its operations: the margin of the chroma table's rounding
+# and re-encode checks.
+_TIE_EPS = 1e-9
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -60,30 +65,97 @@ def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
     return np.clip(_round_half_up(yuv), 0, 255).astype(np.uint8)
 
 
-def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
-    """Decode (..., 3) uint8 YUV to uint8 RGB.
+@functools.lru_cache(maxsize=None)
+def _chroma_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decode of each (U, V) pair, indexed by ``U * 256 + V``: the RGB
+    offsets from Y (uint8, modulo 256) and the Y range [lo, hi] of the
+    pixels they decode exactly.
 
-    When the rounded inverse does not re-encode to the source YUV, the
-    decoder searches the +-1 neighborhood for a value that does (one always
-    exists when the YUV came from an RGB encode).  Out-of-gamut YUV falls
-    back to the clipped rounded inverse.
-    """
-    shape = yuv.shape
-    flat = yuv.reshape(-1, 3)
-    rgb_f = (flat.astype(np.float64) - _OFF) @ _INV.T
+    The inverse is Y times (1, 1, 1) plus a chroma part, so for an integer Y
+    it rounds to Y plus the rounded chroma part, and re-encoding Y + d gives
+    back Y, U, V plus the encode of d alone.  A pair is covered when its
+    chroma part is no tie (``_TIE_EPS``) and the encode of d rounds to zero
+    with the same margin; [lo, hi] then holds the Ys for which no channel
+    clips, and is empty otherwise.  Elementwise arithmetic only: a BLAS
+    product may round differently with the batch size.  Built at the first
+    decode, not at import."""
+    uv = np.arange(65536)
+    u = (uv >> 8) - 128.0
+    v = (uv & 255) - 128.0
+    c = np.stack([u * _INV[k, 1] + v * _INV[k, 2] for k in range(3)], axis=1)
+    d = _round_half_up(c)
+    # what re-encoding Y + d adds to (Y, U, V)
+    err = np.stack([d[:, 0] * f[0] + d[:, 1] * f[1] + d[:, 2] * f[2] for f in _FWD], axis=1)
+    err -= np.stack([np.zeros_like(u), u, v], axis=1)
+    exact = np.all((np.abs(c - d) < 0.5 - _TIE_EPS) & (np.abs(err) < 0.5 - _TIE_EPS), axis=1)
+    lo = np.clip(-d.min(axis=1), 0, 255)
+    hi = np.clip(255 - d.max(axis=1), 0, 255)
+    lo[~exact], hi[~exact] = 255, 0
+    table = ((d % 256).astype(np.uint8), lo.astype(np.uint8), hi.astype(np.uint8))
+    for a in table:
+        a.flags.writeable = False  # shared by every decode in the process
+    return table
+
+
+def _snap_decode(yuv: np.ndarray) -> np.ndarray:
+    """Decode (n, 3) uint8 YUV pixel by pixel: of the rounded inverse and its
+    +-1 neighbours, the nearest to the float inverse whose encode is the
+    source YUV (one exists when the YUV came from an RGB encode, and it is
+    the rounded inverse itself unless that lies at a .5 tie).  Out-of-gamut
+    YUV falls back to the clipped rounded inverse."""
+    f = yuv.astype(np.float64) - _OFF
+    rgb_f = f[:, 0:1] * _INV[:, 0] + f[:, 1:2] * _INV[:, 1] + f[:, 2:3] * _INV[:, 2]
     rgb = np.clip(_round_half_up(rgb_f), 0, 255).astype(np.uint8)
-    bad = np.any(rgb_to_yuv(rgb) != flat, axis=1)
-    if np.any(bad):
-        idx = np.nonzero(bad)[0]
-        cand = rgb[idx, None, :].astype(np.int16) + _SNAP_OFFSETS[None, :, :]
-        cand = np.clip(cand, 0, 255).astype(np.uint8)
-        feasible = np.all(rgb_to_yuv(cand) == flat[idx, None, :], axis=2)
-        dist = np.sum((cand.astype(np.float64) - rgb_f[idx, None, :]) ** 2, axis=2)
-        dist[~feasible] = np.inf
-        pick = np.argmin(dist, axis=1)
-        has = feasible[np.arange(len(idx)), pick]
-        rgb[idx[has]] = cand[np.arange(len(idx))[has], pick[has]]
-    return rgb.reshape(shape)
+    cand = np.clip(rgb[:, None, :].astype(np.int16) + _SNAP_OFFSETS, 0, 255).astype(np.uint8)
+    feasible = np.all(rgb_to_yuv(cand) == yuv[:, None, :], axis=2)
+    dist = np.sum((cand - rgb_f[:, None, :]) ** 2, axis=2)
+    dist[~feasible] = np.inf
+    pick = np.argmin(dist, axis=1)
+    has = feasible[np.arange(len(yuv)), pick]
+    rgb[has] = cand[has, pick[has]]
+    return rgb
+
+
+def _decode_planes(y: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Decode a (H, W) Y plane and its (H/s, W/s) U and V planes (s = 1 for
+    4:4:4, 2 for 4:2:0) into ``out`` (H, W, 3) uint8 RGB.
+
+    The chroma table is looked up once per chroma sample and its offsets are
+    added to each of the s x s Ys that share it.  Pixels outside their
+    pair's exact Y range (out-of-gamut, clipping or tie pixels) are decoded
+    by ``_snap_decode``.  Each pixel's RGB depends on its own YUV alone."""
+    d, lo, hi = _chroma_table()
+    s = y.shape[0] // u.shape[0]
+    uv = u.astype(np.intp) << 8
+    uv |= v
+    d, lo, hi = d[uv], lo[uv], hi[uv]
+    for dy in range(s):
+        for dx in range(s):
+            ys, rgb = y[dy::s, dx::s], out[dy::s, dx::s]
+            # uint8 addition wraps modulo 256, so it is exact where Y + d is in range
+            np.add(ys[..., None], d, out=rgb)
+            miss = (ys < lo) | (ys > hi)
+            if miss.any():
+                rgb[miss] = _snap_decode(np.stack([ys[miss], u[miss], v[miss]], axis=1))
+
+
+def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
+    """Decode (..., 3) uint8 full-range YUV to uint8 RGB, each pixel to the
+    RGB whose encode is that YUV.
+
+    Pixels of a covered (U, V) pair in its exact Y range take Y plus the
+    pair's offsets from a table of all 65,536 pairs (``_chroma_table``).
+    The rest take the rounded inverse; when that does not re-encode to the
+    source YUV, the nearest +-1 neighbour that does (``_snap_decode``).
+    Where the float inverse lies within ``_TIE_EPS`` of a .5 tie, either
+    rounding may be taken; the result still re-encodes exactly whenever an
+    RGB in the snap search does.  The table is elementwise and the one BLAS
+    product encodes each pixel's 27 candidates as a block of their own, so
+    a pixel's RGB does not depend on the other pixels of the call."""
+    flat = np.ascontiguousarray(yuv).reshape(1, -1, 3)
+    out = np.empty(flat.shape, dtype=np.uint8)
+    _decode_planes(flat[..., 0], flat[..., 1], flat[..., 2], out)
+    return out.reshape(yuv.shape)
 
 
 @dataclass
@@ -147,7 +219,8 @@ def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(seq) - span + 1))
     indices = list(range(start, start + n * tau, tau))
-    return Clip(frames=seq.frames[indices].copy(), source_indices=indices, n=n, tau=tau)
+    # fancy indexing already copies
+    return Clip(frames=seq.frames[indices], source_indices=indices, n=n, tau=tau)
 
 
 def resize_float(stack: np.ndarray, w: int, h: int) -> np.ndarray:
@@ -224,7 +297,8 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, float, str]:
 
 
 def load_y4m(path: str | Path) -> FrameSequence:
-    """Decode a YUV4MPEG2 stream (4:2:0 or 4:4:4) into RGB frames."""
+    """Decode a YUV4MPEG2 stream (4:2:0 or 4:4:4) into RGB frames with
+    ``yuv_to_rgb``'s per-pixel rule; 4:2:0 chroma is shared by its 2x2 block."""
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
@@ -238,34 +312,32 @@ def load_y4m(path: str | Path) -> FrameSequence:
         c_w, c_h = width, height
     frame_size = width * height + 2 * c_w * c_h
 
-    frames = []
+    starts = []  # payload offsets; every frame is checked before any decode
     pos = nl + 1
-    index = 0
     while pos < len(data):
+        index = len(starts)
         marker_end = data.find(b"\n", pos)
         if marker_end < 0 or not data[pos:marker_end].startswith(b"FRAME"):
             raise ParseError(f"missing FRAME marker before frame {index}")
         pos = marker_end + 1
-        payload = data[pos : pos + frame_size]
-        if len(payload) < frame_size:
+        if len(data) - pos < frame_size:
             raise TruncatedError(
-                f"frame {index} truncated: expected {frame_size} bytes, got {len(payload)}"
+                f"frame {index} truncated: expected {frame_size} bytes, got {len(data) - pos}"
             )
-        y = np.frombuffer(payload, np.uint8, width * height).reshape(height, width)
-        u = np.frombuffer(payload, np.uint8, c_w * c_h, width * height).reshape(c_h, c_w)
-        v = np.frombuffer(
-            payload, np.uint8, c_w * c_h, width * height + c_w * c_h
-        ).reshape(c_h, c_w)
-        if colorspace == "420":
-            u = u.repeat(2, axis=0).repeat(2, axis=1)
-            v = v.repeat(2, axis=0).repeat(2, axis=1)
-        frames.append(yuv_to_rgb(np.stack([y, u, v], axis=-1)))
+        starts.append(pos)
         pos += frame_size
-        index += 1
-
-    if not frames:
+    if not starts:
         raise EmptyInput("Y4M stream contains no frames")
-    return FrameSequence(frames=np.stack(frames), fps=fps).validate()
+
+    frames = np.empty((len(starts), height, width, 3), dtype=np.uint8)
+    y_size, c_size = width * height, c_w * c_h
+    for out, start in zip(frames, starts):
+        yuv = np.frombuffer(data, np.uint8, frame_size, start)
+        y = yuv[:y_size].reshape(height, width)
+        u = yuv[y_size : y_size + c_size].reshape(c_h, c_w)
+        v = yuv[y_size + c_size :].reshape(c_h, c_w)
+        _decode_planes(y, u, v, out)
+    return FrameSequence(frames=frames, fps=fps).validate()
 
 
 def save_y4m(seq: FrameSequence, path: str | Path) -> None:

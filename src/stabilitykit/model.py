@@ -371,16 +371,23 @@ def predict_video(
     grid: int = 8,
     tau_b: int = feat.DEFAULT_TAU_B,
 ) -> float:
-    """Mean prediction over ``n_clips`` independently sampled clips."""
+    """Mean prediction over ``n_clips`` independently sampled clips.
+
+    Clips that start at the same frame are the same clip: each distinct
+    ``source_indices`` is featurized and scored once, and its score enters
+    the mean once per draw, so the mean is that of all ``n_clips`` scores."""
     if n_clips < 1:
         raise ConfigError(f"n_clips must be at least 1, got {n_clips}")
     rng = np.random.default_rng(seed)
     clip_seeds = rng.integers(0, 2**31, size=n_clips)
-    scores = []
+    scores, by_clip = [], {}
     for s in clip_seeds:
         clip = sample_clip(seq, n=n, tau=tau, seed=int(s))
-        bundle = feat.clip_features(clip, grid=grid, tau_b=tau_b)
-        scores.append(mlp_forward(params, feat.fuse(bundle).f))
+        key = tuple(clip.source_indices)
+        if key not in by_clip:
+            bundle = feat.clip_features(clip, grid=grid, tau_b=tau_b)
+            by_clip[key] = mlp_forward(params, feat.fuse(bundle).f)
+        scores.append(by_clip[key])
     return float(np.mean(scores))
 
 

@@ -12,6 +12,7 @@ center.  Motion estimation runs at native resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,7 @@ _LK_LEVELS = 3
 _LK_MAX_ITER = 30
 _LK_EPS = 0.01
 _LK_MAX_RESIDUAL = 25.0  # RMS gray levels over the window
-_GRID_RUN_POINTS = 2048  # most grid points per LK solve in _grid_track
+_RUN_POINTS = 2048  # most points per LK solve (_in_runs)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 _TAPS = np.arange(-_LK_WIN, _LK_WIN + 2)  # 16 integer taps span a 15-wide lerp
@@ -287,6 +288,15 @@ def _track(
     return new_pts, ok
 
 
+def _in_runs(solve, *rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``solve`` over runs of at most _RUN_POINTS rows of the arrays ``rows``,
+    its outputs concatenated.  _track rows are independent, so the split
+    bounds the working set without changing any result."""
+    starts = range(0, max(len(rows[0]), 1), _RUN_POINTS)  # an empty input still makes one call
+    parts = [solve(*(a[i : i + _RUN_POINTS] for a in rows)) for i in starts]
+    return tuple(np.concatenate(outs) for outs in zip(*parts))
+
+
 def _as_luma(frame: np.ndarray) -> np.ndarray:
     return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64, copy=False)
 
@@ -323,14 +333,7 @@ def _grid_track(lumas: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray, n
     pairs = len(pyr[0]) - 1
     src = np.repeat(np.arange(pairs), len(pts))
     all_pts = np.tile(pts, (pairs, 1))
-    # runs of whole pairs bound the working set; _track rows are independent,
-    # so the split does not change any result
-    run = max(1, _GRID_RUN_POINTS // len(pts)) * len(pts)
-    runs = [
-        _track(pyr, pyr, all_pts[i : i + run], src[i : i + run], src[i : i + run] + 1)
-        for i in range(0, len(src), run)
-    ]
-    new_pts, ok = (np.concatenate(parts) for parts in zip(*runs))
+    new_pts, ok = _in_runs(lambda p, s: _track(pyr, pyr, p, s, s + 1), all_pts, src)
     return pts, (new_pts - all_pts).reshape(pairs, len(pts), 2), ok.reshape(pairs, len(pts))
 
 
@@ -526,7 +529,7 @@ def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray,
     z0, a, t = np.concatenate(z0), np.array(a), np.array(t)
     tight = RansacParams(ransac.iters, min(ransac.inlier_px, 0.75), ransac.seed)
     for _ in range(2):
-        zw, z1, ok = _refine_track(lumas, pair, z0, a[pair], t[pair])
+        zw, z1, ok = _in_runs(partial(_refine_track, lumas), pair, z0, a[pair], t[pair])
         for k, rng in enumerate(rngs):
             sel = ok & (pair == k)
             if sel.sum() >= 2:
@@ -558,7 +561,7 @@ def _pair_motions(pyr: list[np.ndarray], model_kind: str, ransac: RansacParams) 
             corners.append(np.empty((0, 2)))
     src = np.repeat(np.arange(pairs), [len(c) for c in corners])
     pts = np.concatenate(corners)
-    new_pts, ok = _track(pyr, pyr, pts, src, src + 1)
+    new_pts, ok = _in_runs(lambda p, s: _track(pyr, pyr, p, s, s + 1), pts, src)
     params, fits = [], []
     for k in range(pairs):
         if k in failed:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import constant_sequence
 from stabilitykit.classic import freq_energy_ratio, itf, psnr, stability_score
 from stabilitykit.errors import DimensionMismatch, InsufficientFrames
-from stabilitykit.media import FrameSequence
+from stabilitykit.media import FrameSequence, to_luma
 from stabilitykit.motion import Trajectory
 from stabilitykit.synth import gen_jitter_ladder
 
@@ -58,6 +58,12 @@ class TestItf:
         assert result.per_pair_db[0] == 100.0
         assert result.per_pair_db[1] == pytest.approx(48.1308, abs=1e-4)
         assert result.score_db == pytest.approx((100.0 + 48.1308) / 2, abs=1e-4)
+
+    def test_pairs_equal_whole_stack_luma(self, rng):
+        frames = rng.integers(0, 256, (5, 24, 32, 3), dtype=np.uint8)
+        lumas = to_luma(frames)
+        want = [psnr(lumas[k], lumas[k + 1]) for k in range(4)]
+        assert itf(FrameSequence(frames=frames)).per_pair_db == want
 
     def test_single_frame(self):
         frames = np.zeros((1, 16, 16, 3), dtype=np.uint8)

@@ -5,6 +5,7 @@ import pytest
 
 from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
+from stabilitykit.features import FeatureDims, save_feature_cache
 from stabilitykit.media import FrameSequence, save_y4m
 from stabilitykit.synth import gen_dataset, write_dataset
 
@@ -175,6 +176,24 @@ class TestTrain:
         assert report["epochs"] == 3
         assert ckpt.is_file()
         assert log.read_text().splitlines()[0] == "epoch,loss,val_srocc"
+
+    def test_validation_block_reports_its_row_count(self, capsys, workspace, tmp_path):
+        # 14 rows from a warm cache: 6 held out (val_frac 0.4), 8 to train on
+        rows = workspace["manifest"].read_text().splitlines()
+        big = workspace["manifest"].parent / "big.csv"
+        big.write_text("\n".join(rows + [f"extra{i}," + rows[i + 1].split(",", 1)[1]
+                                         for i in range(2)]) + "\n")
+        cache = tmp_path / "features.bin"
+        matrix = np.random.default_rng(3).normal(size=(14, 288))
+        save_feature_cache(cache, matrix, FeatureDims(n=32, n_b=4, tau_b=8))
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 2, "val_frac": 0.4}))
+        code, out, err = run(
+            capsys, "train", str(big), "--out", str(tmp_path / "m.ckpt"),
+            "--config", str(cfg), "--cache", str(cache),
+        )
+        assert code == 0, err
+        assert json.loads(out)["validation"]["n"] == 6
 
     def test_tiny_manifest_exits_5(self, capsys, workspace, tmp_path):
         # keep the truncated manifest beside the videos: paths are relative

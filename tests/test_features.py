@@ -107,6 +107,11 @@ class TestSemanticFeatures:
         assert np.array_equal(feat.semantic_features(frames), feat.semantic_features(frames))
 
 
+    def test_runs_equal_whole_stack(self, rng):
+        lumas = resize_float(rng.uniform(0, 255, (32, 48, 64)), feat.SEMANTIC_SIZE, feat.SEMANTIC_SIZE)
+        assert 32 > feat._SEMANTIC_RUN_FRAMES
+        assert feat._semantic_from_lumas(lumas).tobytes() == feat._semantic_run(lumas).tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 96, 128), (2, 360, 640), (4, 17, 23), (1, 224, 224)])
     def test_semantic_resize_matches_old_core(self, rng, shape):
         lumas = rng.uniform(0, 255, size=shape)

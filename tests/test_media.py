@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,106 @@ def old_resize_stack(frames, w, h):
     bot = f[:, y1[:, None], x0[None, :]] * (1 - fx) + f[:, y1[:, None], x1[None, :]] * fx
     out = top * (1 - fy) + bot * fy
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def old_yuv_to_rgb(yuv):
+    """The per-pixel float decoder before the chroma table: a BLAS inverse,
+    its rounding, and a +-1 snap search where that does not re-encode.
+    Returns the RGB and the float inverse."""
+    flat = yuv.reshape(-1, 3)
+    rgb_f = (flat.astype(np.float64) - media._OFF) @ media._INV.T
+    rgb = np.clip(np.floor(rgb_f + 0.5), 0, 255).astype(np.uint8)
+    bad = np.any(media.rgb_to_yuv(rgb) != flat, axis=1)
+    if np.any(bad):
+        idx = np.nonzero(bad)[0]
+        cand = rgb[idx, None, :].astype(np.int16) + media._SNAP_OFFSETS[None, :, :]
+        cand = np.clip(cand, 0, 255).astype(np.uint8)
+        feasible = np.all(media.rgb_to_yuv(cand) == flat[idx, None, :], axis=2)
+        dist = np.sum((cand.astype(np.float64) - rgb_f[idx, None, :]) ** 2, axis=2)
+        dist[~feasible] = np.inf
+        pick = np.argmin(dist, axis=1)
+        has = feasible[np.arange(len(idx)), pick]
+        rgb[idx[has]] = cand[np.arange(len(idx))[has], pick[has]]
+    return rgb.reshape(yuv.shape), rgb_f.reshape(yuv.shape)
+
+
+def reencodes(rgb, yuv):
+    return np.all(media.rgb_to_yuv(rgb) == yuv, axis=-1)
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("luma", [0, 71, 128, 255])
+    def test_every_chroma_pair_matches_old_decoder(self, luma):
+        u, v = np.divmod(np.arange(65536), 256)
+        yuv = np.stack([np.full(65536, luma), u, v], axis=1).astype(np.uint8)
+        got = media.yuv_to_rgb(yuv)
+        want, rgb_f = old_yuv_to_rgb(yuv)
+        tie = np.any(np.abs(rgb_f - np.floor(rgb_f) - 0.5) < 1e-9, axis=1)
+        assert tie.any() and not tie.all()
+        same = np.all(got == want, axis=1)
+        assert same[~tie].all()
+        # at a .5 tie either rounding may be taken, and the result still
+        # re-encodes wherever the old decoder's did
+        assert reencodes(got, yuv)[tie & reencodes(want, yuv)].all()
+
+    def test_table_covers_only_exact_in_range_pixels(self):
+        d, lo, hi = media._chroma_table()
+        covered = lo <= hi
+        assert 0.1 < covered.mean() < 1.0
+        u, v = np.divmod(np.nonzero(covered)[0], 256)
+        for y in (lo[covered], hi[covered]):
+            yuv = np.stack([y, u, v], axis=1).astype(np.uint8)
+            rgb = y[:, None] + d[covered]  # uint8: offsets are stored modulo 256
+            assert reencodes(rgb, yuv).all()
+            assert np.array_equal(media.yuv_to_rgb(yuv), rgb)
+            want, _ = old_yuv_to_rgb(yuv)
+            assert np.array_equal(rgb, want)
+
+    def test_tie_pixel_decodes_alike_alone_and_in_a_batch(self):
+        # G's inverse is exactly Y + 18.5 here; the old decoder's BLAS product
+        # gave G = 90 alone and G = 89 inside a 65,536-row batch, both exact
+        pixel = np.array([71, 178, 78], dtype=np.uint8)
+        alone = media.yuv_to_rgb(pixel[None])[0]
+        batch = np.tile(pixel, (65536, 1))
+        batch[1::2] = np.random.default_rng(0).integers(0, 256, (32768, 3), dtype=np.uint8)
+        assert (media.yuv_to_rgb(batch)[::2] == alone).all()
+        assert alone[1] in (89, 90) and reencodes(alone, pixel)
+
+    def test_every_pixel_decodes_alike_alone_and_in_a_batch(self):
+        yuv = np.random.default_rng(5).integers(0, 256, (300, 3), dtype=np.uint8)
+        yuv[:100, 1:] = (178, 78)
+        yuv[100:150, 1] = 3  # B's inverse is Y - 221.5
+        alone = np.concatenate([media.yuv_to_rgb(p[None]) for p in yuv])
+        assert np.array_equal(alone, media.yuv_to_rgb(yuv))
+
+    @pytest.mark.parametrize("colorspace", [b"C444", b"C420jpeg"])
+    def test_load_y4m_matches_old_decoder(self, tmp_path, colorspace):
+        rng = np.random.default_rng(11)
+        w, h = 48, 32
+        sub = 2 if colorspace == b"C420jpeg" else 1
+        planes = []
+        for _ in range(3):
+            # half the stream in gamut (encoded RGB), half random YUV bytes
+            yuv = media.rgb_to_yuv(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+            yuv[h // 2 :] = rng.integers(0, 256, (h // 2, w, 3), dtype=np.uint8)
+            planes.append((yuv[..., 0].copy(), yuv[::sub, ::sub, 1].copy(), yuv[::sub, ::sub, 2].copy()))
+        path = tmp_path / "s.y4m"
+        path.write_bytes(y4m_bytes(planes, w, h, colorspace=colorspace))
+        got = media.load_y4m(path).frames
+        for frame, (y, u, v) in zip(got, planes):
+            full = np.stack([y, u.repeat(sub, 0).repeat(sub, 1), v.repeat(sub, 0).repeat(sub, 1)], -1)
+            assert np.array_equal(frame, old_yuv_to_rgb(full)[0])
+
+    def test_cli_import_leaves_table_unbuilt(self):
+        src = str(Path(media.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import stabilitykit.cli; "
+            "from stabilitykit import media; print(media._chroma_table.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestLoadY4m:

@@ -515,6 +515,29 @@ class TestPredictVideo:
         direct = m.mlp_forward(params, fuse(clip_features(clip, grid=6, tau_b=4)).f)
         assert one == pytest.approx(direct, abs=1e-12)
 
+    def test_each_distinct_clip_featurized_once(self, video, monkeypatch):
+        from stabilitykit import features
+        from stabilitykit.media import sample_clip
+
+        params = m.init_params(16 + 8 * 8 + 2 * 4, seed=0)
+        opts = dict(n=8, tau=2, grid=6, tau_b=4)
+        # a 20-frame video has 6 clip starts, so 12 draws repeat some clips
+        seeds = np.random.default_rng(4).integers(0, 2**31, size=12)
+        clips = [sample_clip(video.seq, n=8, tau=2, seed=int(s)) for s in seeds]
+        starts = {c.source_indices[0] for c in clips}
+        assert len(starts) < len(clips)
+        want = float(np.mean([
+            m.mlp_forward(params, features.fuse(features.clip_features(c, grid=6, tau_b=4)).f)
+            for c in clips
+        ]))
+        calls = []
+        clip_features = features.clip_features
+        monkeypatch.setattr(features, "clip_features",
+                            lambda clip, **k: calls.append(clip.source_indices[0]) or clip_features(clip, **k))
+        got = m.predict_video(params, video.seq, n_clips=12, seed=4, **opts)
+        assert sorted(calls) == sorted(starts)
+        assert got == want
+
     def test_too_short_video(self, video):
         params = m.init_params(288, seed=0)
         with pytest.raises(InsufficientFrames):

@@ -572,7 +572,7 @@ class TestLkEngine:
         finally:
             tracemalloc.stop()
         pairs = len(lumas) - 1
-        assert pairs * len(pts) > 2 * motion._GRID_RUN_POINTS  # the solve is split in three
+        assert pairs * len(pts) > 2 * motion._RUN_POINTS  # the solve is split in three
         pyr = motion._pyramid(lumas)
         src = np.repeat(np.arange(pairs), len(pts))
         all_pts = np.tile(pts, (pairs, 1))
@@ -703,6 +703,21 @@ class TestVideoTrajectory:
             monkeypatch.setattr(motion, "_TRAJ_RUN_PAIRS", pairs)
             runs[pairs] = [fields(mp) for mp in video_trajectory(seq, kind)[1]]
         assert runs[1] == runs[16] == runs[len(seq) - 1]
+
+    @pytest.mark.parametrize("kind", ["similarity", "homography"])
+    def test_point_cap_does_not_change_results(self, kind, monkeypatch):
+        seq, _ = shaky_video(86, count=8, size=(128, 96))
+        runs, solves = {}, []
+        track = motion._track
+        monkeypatch.setattr(motion, "_track", lambda *a, **k: solves.append(len(a[2])) or track(*a, **k))
+        for cap in (10**9, 7):
+            monkeypatch.setattr(motion, "_RUN_POINTS", cap)
+            solves.clear()
+            got = video_trajectory(seq, kind)[1]
+            runs[cap] = [fields(mp) for mp in got], [mp.h for mp in got], max(solves)
+        assert runs[7][2] == 7 < runs[10**9][2]
+        assert runs[7][0] == runs[10**9][0]
+        assert all(a is None and b is None or np.array_equal(a, b) for a, b in zip(runs[7][1], runs[10**9][1]))
 
     def test_two_frame_entry_equals_its_pair(self):
         seq, _ = shaky_video(85, count=6, size=(128, 96))
