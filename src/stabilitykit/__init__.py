@@ -10,7 +10,7 @@ from .classic import ItfResult, StabilityResult, freq_energy_ratio, itf, psnr, s
 from .errors import StabilityKitError
 from .evaluation import MetricReport, evaluate, krcc, logistic_fit, rmse, srocc
 from .features import FeatureBundle, FeatureDims, FusedFeature, clip_features, fuse
-from .media import Clip, FrameSequence, load_frame_dir, load_y4m, resize_bilinear, sample_clip, save_y4m, to_luma
+from .media import Clip, FrameSequence, load_frame_dir, load_y4m, sample_clip, save_y4m, to_luma
 from .model import ModelParams, TrainConfig, load_checkpoint, mlp_forward, predict_video, save_checkpoint, train
 from .mos import MosResult, RatingsTable, compute_mos, golden_check, reject_outlier_subjects, repeated_check, split_half
 from .motion import (

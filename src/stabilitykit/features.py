@@ -5,6 +5,12 @@ computes fixed statistics instead of a learned embedding, so only the
 regression head needs training.  Branch outputs are concatenated in flow,
 semantic, blur order; with the defaults (C_o=16, N=32, C_s=8, N_b=4, C_b=4)
 the fused vector has 16 + 32*8 + 4*4 = 288 coordinates.
+
+Flow runs on native-resolution luma.  The semantic and blur stats are taken
+one frame at a time from a C-ordered (N, 224, 224) stack of resized luma
+planes, so each frame's sums run pairwise over its own contiguous plane.
+Summed in another order (say, across a stack whose fastest axis is time),
+the semantic means and stds agree to within 1e-12 relative, not exactly.
 """
 
 from __future__ import annotations
@@ -100,57 +106,35 @@ def flow_features(flows: list[FlowField]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_SEMANTIC_RUN_FRAMES = 8  # frames per pass of _semantic_from_lumas
-
-
-def _semantic_from_lumas(lumas: np.ndarray) -> np.ndarray:
-    """Per-frame stats over a (T, H, W) luma stack, vectorized over runs of
-    _SEMANTIC_RUN_FRAMES frames to bound the float temporaries.
-
-    Each run is copied in the stack's own axis order (resize_float leaves T
-    as the fastest axis): a view of a few frames would touch every cache
-    line of the stack, and with the axis order kept each frame's reductions
-    add in the same order as over the whole stack, so no value changes."""
-    runs = range(0, len(lumas), _SEMANTIC_RUN_FRAMES)
-    return np.concatenate(
-        [_semantic_run(lumas[i : i + _SEMANTIC_RUN_FRAMES].copy(order="K")) for i in runs]
-    )
-
-
-def _semantic_run(lumas: np.ndarray) -> np.ndarray:
-    """Vectorized per-frame stats over a (T, H, W) luma stack."""
-    t, h, w = lumas.shape
-    gy, gx = np.gradient(lumas, axis=(1, 2))
+def _semantic_frame(luma: np.ndarray) -> np.ndarray:
+    """C_s = 8 stats of one luma plane: mean, std, mean gradient magnitude,
+    entropy of the magnitude-weighted 8-bin orientation histogram, and the
+    mean of each quadrant."""
+    h, w = luma.shape
+    gy, gx = np.gradient(luma)
     mag = np.hypot(gx, gy)
     ang = np.arctan2(gy, gx)
     bins = np.clip(((ang + np.pi) * (8 / (2 * np.pi))).astype(int), 0, 7)
-    flat = (np.arange(t)[:, None, None] * 8 + bins).ravel()
-    hist = np.bincount(flat, weights=mag.ravel(), minlength=t * 8).reshape(t, 8)
-    totals = hist.sum(axis=1)
-    p = hist / np.where(totals > 1e-12, totals, 1.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(p > 0, p * np.log(p), 0.0), axis=1)
-    ent[totals <= 1e-12] = 0.0
+    hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=8)
+    total = hist.sum()
+    ent = 0.0
+    if total > 1e-12:
+        p = hist / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = -np.sum(np.where(p > 0, p * np.log(p), 0.0))
     h2, w2 = h // 2, w // 2
-    cols = np.stack(
+    return np.array(
         [
-            lumas.mean(axis=(1, 2)),
-            lumas.std(axis=(1, 2)),
-            mag.mean(axis=(1, 2)),
+            luma.mean(),
+            luma.std(),
+            mag.mean(),
             ent,
-            lumas[:, :h2, :w2].mean(axis=(1, 2)),
-            lumas[:, :h2, w2:].mean(axis=(1, 2)),
-            lumas[:, h2:, :w2].mean(axis=(1, 2)),
-            lumas[:, h2:, w2:].mean(axis=(1, 2)),
-        ],
-        axis=1,
+            luma[:h2, :w2].mean(),
+            luma[:h2, w2:].mean(),
+            luma[h2:, :w2].mean(),
+            luma[h2:, w2:].mean(),
+        ]
     )
-    return cols.ravel()
-
-
-def semantic_features(frames: np.ndarray) -> np.ndarray:
-    """Per-frame statistics concatenated in temporal order -> N * C_s values."""
-    return _semantic_from_lumas(to_luma(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +177,6 @@ def blur_indices(n: int, tau_b: int) -> list[int]:
     return [k * tau_b - 1 for k in range(1, n // tau_b + 1)]
 
 
-def _blur_from_lumas(lumas: np.ndarray) -> np.ndarray:
-    return np.concatenate([_blur_frame(lumas[i]) for i in range(len(lumas))])
-
-
-def blur_features(frames: np.ndarray, tau_b: int = DEFAULT_TAU_B) -> np.ndarray:
-    """Sharpness measures on every tau_b-th frame -> N_b * C_b values."""
-    idx = blur_indices(len(frames), tau_b)
-    return _blur_from_lumas(to_luma(frames[idx]))
-
-
 # ---------------------------------------------------------------------------
 # Fusion and the full pipeline
 # ---------------------------------------------------------------------------
@@ -221,8 +195,10 @@ def fuse(bundle: FeatureBundle) -> FusedFeature:
 def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> FeatureBundle:
     """Extract all three branches from a clip.
 
-    Flow runs on native-resolution luma for sub-pixel precision; semantic and
-    blur statistics are computed on luma planes bilinearly resized to 224x224.
+    Flow runs on native-resolution luma for sub-pixel precision.  The
+    semantic stats of every frame and the blur stats of every tau_b-th frame
+    are computed one frame at a time on a C-ordered (N, 224, 224) stack of
+    bilinearly resized luma planes.
     """
     n = clip.n
     lumas = to_luma(clip.frames)
@@ -234,8 +210,8 @@ def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> Feat
     dims = FeatureDims(n=n, n_b=n // tau_b, tau_b=tau_b)
     return FeatureBundle(
         f_o=flow_features(flows),
-        f_s=_semantic_from_lumas(resized),
-        f_b=_blur_from_lumas(resized[blur_idx]),
+        f_s=np.concatenate([_semantic_frame(luma) for luma in resized]),
+        f_b=np.concatenate([_blur_frame(resized[i]) for i in blur_idx]),
         dims=dims,
     )
 

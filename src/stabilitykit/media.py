@@ -223,34 +223,37 @@ def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
     return Clip(frames=seq.frames[indices], source_indices=indices, n=n, tau=tau)
 
 
+def _lerp_gather(a: np.ndarray, i0: np.ndarray, i1: np.ndarray, f: np.ndarray,
+                 axis: int) -> np.ndarray:
+    """``a[i0] * (1 - f) + a[i1] * f`` along ``axis``, computed in place on
+    the first gather so only two arrays of the result's size are live."""
+    out = np.take(a, i0, axis=axis)
+    out *= 1 - f
+    hi = np.take(a, i1, axis=axis)
+    hi *= f
+    out += hi
+    return out
+
+
 def resize_float(stack: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Float64 bilinear resize of a (T, H, W, ...) stack on half-pixel-centered
-    coordinates (the sampling grid is computed once for the whole stack)."""
+    """Float64 bilinear resize of a (T, H, W) stack on half-pixel-centered
+    coordinates, returned C-contiguous (T, h, w).
+
+    Separable: each source row is lerped between its x0/x1 columns, then each
+    output row between the y0/y1 rows of that, so every value goes through the
+    same ``top * (1 - fy) + bot * fy`` arithmetic as the 2-D four-gather form."""
     if w < 1 or h < 1:
         raise ConfigError("target dimensions must be positive")
-    src_h, src_w = stack.shape[1:3]
+    stack = np.asarray(stack, dtype=np.float64)  # no copy for to_luma's output
+    src_h, src_w = stack.shape[1:]
     xs = np.clip((np.arange(w) + 0.5) * (src_w / w) - 0.5, 0.0, src_w - 1.0)
     ys = np.clip((np.arange(h) + 0.5) * (src_h / h) - 0.5, 0.0, src_h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, src_w - 1)
     y1 = np.minimum(y0 + 1, src_h - 1)
-    trailing = (1,) * (stack.ndim - 3)  # broadcast over channel axes
-    fx = (xs - x0).reshape(w, *trailing)
-    fy = (ys - y0).reshape(h, 1, *trailing)
-    top = stack[:, y0[:, None], x0[None, :]] * (1 - fx) + stack[:, y0[:, None], x1[None, :]] * fx
-    bot = stack[:, y1[:, None], x0[None, :]] * (1 - fx) + stack[:, y1[:, None], x1[None, :]] * fx
-    return top * (1 - fy) + bot * fy
-
-
-def resize_stack(frames: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Bilinear resize of a (T, H, W, 3) uint8 stack, rounded back to uint8."""
-    return np.clip(_round_half_up(resize_float(frames, w, h)), 0, 255).astype(np.uint8)
-
-
-def resize_bilinear(frame: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Resize one frame with bilinear interpolation (half-pixel centers)."""
-    return resize_stack(frame[None], w, h)[0]
+    rows = _lerp_gather(stack, x0, x1, xs - x0, axis=2)
+    return _lerp_gather(rows, y0, y1, (ys - y0)[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------

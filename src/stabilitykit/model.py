@@ -438,11 +438,21 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"checkpoint norm stats have shapes {norm_mean.shape} and "
             f"{norm_std.shape}, input_dim is {d}"
         )
+    # a non-finite weight or norm stat, or a zero norm_std, makes every
+    # prediction NaN, and the score report would not be strict JSON
+    if not (np.isfinite(norm_mean).all() and np.isfinite(norm_std).all()):
+        raise ParseError("checkpoint norm stats hold non-finite values")
+    if not (norm_std > 0).all():
+        raise ParseError("checkpoint norm_std must be positive")
     need = hid * d + hid + hid + 1
     have = len(data) // 4
     if have < need:
         raise TruncatedError(f"checkpoint weights truncated: {have} of {need} values")
-    blob = np.frombuffer(data, "<f4", need).astype(np.float64)
+    blob = np.frombuffer(data, "<f4", need)
+    # checked before the cast: casting a signalling NaN to float64 warns
+    if not np.isfinite(blob).all():
+        raise ParseError("checkpoint weights hold non-finite values")
+    blob = blob.astype(np.float64)
     w1 = blob[: hid * d].reshape(hid, d)
     b1 = blob[hid * d : hid * d + hid]
     w2 = blob[hid * d + hid : hid * d + 2 * hid]

@@ -259,9 +259,10 @@ def _track(
 
         converged[:] = False
         for _ in range(_LK_MAX_ITER):
-            rows, tmpl, gxs, gys, gxx, gxy, gyy, det = (
-                a[keep] for a in (rows, tmpl, gxs, gys, gxx, gxy, gyy, det)
-            )
+            if not keep.all():  # compacting by an all-true mask only copies
+                rows, tmpl, gxs, gys, gxx, gxy, gyy, det = (
+                    a[keep] for a in (rows, tmpl, gxs, gys, gxx, gxy, gyy, det)
+                )
             if len(rows) == 0:
                 break
             err = _windows(pyr_dst[lev], dst[rows], p_lev[rows] + d_lev[rows])

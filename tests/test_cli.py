@@ -117,6 +117,31 @@ class TestScore:
         assert code == 2 and "norm stats" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "field, at, value",
+        [("weights", "w2", 0x7FC00000), ("weights", "w2", 0x7F800001),
+         ("weights", "b2", 0x7F800000), ("norm_std", 5, 0.0), ("norm_std", 5, -1.0),
+         ("norm_std", 0, float("nan")), ("norm_mean", 0, float("inf"))],
+        ids=["nan-w2", "signalling-nan-w2", "inf-b2", "zero-std", "negative-std",
+             "nan-std", "inf-mean"],
+    )
+    def test_non_finite_checkpoint_exits_2(self, capsys, workspace, tmp_path, field, at, value):
+        ckpt = tmp_path / "model.ckpt"
+        params = model_mod.init_params(288, seed=0)
+        model_mod.save_checkpoint(params, ckpt)
+        header, blob = ckpt.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        if field == "weights":  # value is the f32 bit pattern
+            bits = np.frombuffer(blob, "<u4").copy()
+            bits[params.w1.size + params.b1.size if at == "w2" else -1] = value
+            blob = bits.tobytes()
+        else:
+            meta[field][at] = value
+        ckpt.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt))
+        assert code == 2 and "checkpoint" in err
+        assert out == ""
+
     def test_missing_model_exits_3(self, capsys, workspace):
         code, _, _ = run(
             capsys, "score", str(workspace["static"]),

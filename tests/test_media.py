@@ -358,34 +358,35 @@ class TestLuma:
 
 class TestResize:
     def test_identity_is_bitwise(self, rng):
-        frame = rng.integers(0, 256, size=(24, 17, 3), dtype=np.uint8)
-        assert np.array_equal(media.resize_bilinear(frame, 17, 24), frame)
+        frames = rng.integers(0, 256, size=(2, 24, 17), dtype=np.uint8)
+        assert np.array_equal(media.resize_float(frames, 17, 24), frames)
 
     def test_constant_preserved(self):
-        frame = np.full((10, 14, 3), 77, dtype=np.uint8)
+        frames = np.full((2, 10, 14), 77, dtype=np.uint8)
         for w, h in ((5, 5), (28, 20), (224, 224)):
-            assert np.all(media.resize_bilinear(frame, w, h) == 77)
+            assert np.all(media.resize_float(frames, w, h) == 77.0)
 
     def test_two_pixel_gradient(self):
-        frame = np.zeros((1, 2, 3), dtype=np.uint8)
-        frame[0, 1] = 255
-        row = media.resize_bilinear(frame, 4, 1)[0, :, 0].astype(int)
-        assert np.all(np.diff(row) >= 0)
+        frames = np.array([[[0, 255]]], dtype=np.uint8)
+        row = media.resize_float(frames, 4, 1)[0, 0]
         # half-pixel centers sample at -0.25, 0.25, 0.75, 1.25 (clamped)
-        assert list(row) == [0, 64, 191, 255]
+        assert list(row) == [0.0, 63.75, 191.25, 255.0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.integers(8, 40))
     def test_constant_preserved_property(self, seed, w, h):
         value = seed % 256
-        frame = np.full((11, 13, 3), value, dtype=np.uint8)
-        assert np.all(media.resize_bilinear(frame, w, h) == value)
+        frames = np.full((2, 11, 13), value, dtype=np.uint8)
+        assert np.all(media.resize_float(frames, w, h) == value)
 
     @pytest.mark.parametrize("size", [(17, 24), (5, 3), (40, 60), (224, 224), (1, 1)])
     def test_stack_matches_old_resize(self, rng, size):
+        """One channel at a time, rounded as the old RGB resize rounded."""
         frames = rng.integers(0, 256, size=(3, 24, 17, 3), dtype=np.uint8)
-        assert np.array_equal(media.resize_stack(frames, *size), old_resize_stack(frames, *size))
+        got = np.stack([media.resize_float(frames[..., c], *size) for c in range(3)], axis=-1)
+        got = np.clip(np.floor(got + 0.5), 0, 255).astype(np.uint8)
+        assert np.array_equal(got, old_resize_stack(frames, *size))
 
     def test_bad_size_is_config_error(self):
         with pytest.raises(ConfigError):
-            media.resize_stack(np.zeros((1, 4, 4, 3), dtype=np.uint8), 0, 4)
+            media.resize_float(np.zeros((1, 4, 4)), 0, 4)
