@@ -4,15 +4,19 @@ Classical baselines (ITF, frequency-domain Stability Score), a three-branch
 feature model with a trainable regression head, the SROCC/PLCC/KRCC/RMSE
 evaluation protocol, subjective-study MOS tooling, and a synthetic shaky
 video generator that makes all of it verifiable end to end.
+
+``clip_features`` returns one float64 vector per clip, the flow, semantic and
+blur branches in that order, and ``mlp_forward`` scores it; ``iter_dataset``
+yields seeded labeled videos one at a time.
 """
 
 from .classic import ItfResult, StabilityResult, freq_energy_ratio, itf, psnr, stability_score
 from .errors import StabilityKitError
 from .evaluation import MetricReport, evaluate, krcc, logistic_fit, rmse, srocc
-from .features import FeatureBundle, FeatureDims, FusedFeature, clip_features, fuse
+from .features import FeatureDims, clip_features
 from .media import Clip, FrameSequence, load_frame_dir, load_y4m, sample_clip, save_y4m, to_luma
 from .model import ModelParams, TrainConfig, load_checkpoint, mlp_forward, predict_video, save_checkpoint, train
-from .mos import MosResult, RatingsTable, compute_mos, golden_check, reject_outlier_subjects, repeated_check, split_half
+from .mos import MosResult, RatingsTable, compute_mos, reject_outlier_subjects, repeated_check, split_half
 from .motion import (
     FlowField,
     MotionParams,
@@ -25,6 +29,6 @@ from .motion import (
     track_lk,
     video_trajectory,
 )
-from .synth import LabeledVideo, ShakeComponent, ShakeSpec, gen_dataset, gen_trajectory, render_shaky
+from .synth import LabeledVideo, ShakeComponent, ShakeSpec, gen_trajectory, iter_dataset, render_shaky
 
 __version__ = "0.1.0"

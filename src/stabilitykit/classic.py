@@ -74,18 +74,11 @@ def freq_energy_ratio(path: np.ndarray, band: tuple[int, int] = LOW_BAND) -> flo
     return float(min(np.sum(power[lo : hi + 1]) / total, 1.0))
 
 
-def stability_score(
-    traj: Trajectory,
-    band: tuple[int, int] = LOW_BAND,
-    combine: str = "min",
-) -> StabilityResult:
-    """Liu-style stability: low-frequency energy ratio per axis, worst axis wins
-    (set ``combine="mean"`` to average instead)."""
+def stability_score(traj: Trajectory, band: tuple[int, int] = LOW_BAND) -> StabilityResult:
+    """Liu-style stability: low-frequency energy ratio per axis, worst axis wins."""
     components = {
         "x": freq_energy_ratio(traj.x, band),
         "y": freq_energy_ratio(traj.y, band),
         "theta": freq_energy_ratio(traj.theta, band),
     }
-    vals = list(components.values())
-    score = min(vals) if combine == "min" else float(np.mean(vals))
-    return StabilityResult(score=score, component_scores=components)
+    return StabilityResult(score=min(components.values()), component_scores=components)

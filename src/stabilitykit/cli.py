@@ -198,8 +198,7 @@ def cmd_train(args) -> int:
             seq = _load_video(str(path))
             clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
             clip = sample_clip(seq, n=opts["n"], tau=opts["tau"], seed=clip_seed)
-            bundle = feat.clip_features(clip, grid=opts["grid"], tau_b=opts["tau_b"])
-            vecs.append(feat.fuse(bundle).f)
+            vecs.append(feat.clip_features(clip, grid=opts["grid"], tau_b=opts["tau_b"]))
         matrix = np.stack(vecs)
         if cache_path:
             feat.save_feature_cache(cache_path, matrix, dims)

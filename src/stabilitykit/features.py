@@ -2,9 +2,10 @@
 
 Each branch mirrors the corresponding deep extractor's input contract but
 computes fixed statistics instead of a learned embedding, so only the
-regression head needs training.  Branch outputs are concatenated in flow,
-semantic, blur order; with the defaults (C_o=16, N=32, C_s=8, N_b=4, C_b=4)
-the fused vector has 16 + 32*8 + 4*4 = 288 coordinates.
+regression head needs training.  ``clip_features`` returns one float64
+vector, the branch outputs concatenated in flow, semantic, blur order; with
+the defaults (C_o=16, N=32, C_s=8, N_b=4, C_b=4) it has 16 + 32*8 + 4*4 = 288
+coordinates.
 
 Flow runs on native-resolution luma.  The semantic and blur stats are taken
 one frame at a time from a C-ordered (N, 224, 224) stack of resized luma
@@ -46,20 +47,6 @@ class FeatureDims:
     @property
     def dim(self) -> int:
         return self.c_o + self.n * self.c_s + self.n_b * self.c_b
-
-
-@dataclass
-class FeatureBundle:
-    f_o: np.ndarray
-    f_s: np.ndarray
-    f_b: np.ndarray
-    dims: FeatureDims
-
-
-@dataclass
-class FusedFeature:
-    f: np.ndarray
-    dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +143,16 @@ def _hf_energy_ratio(luma: np.ndarray) -> float:
     return float(np.clip((total - inside) / total, 0.0, 1.0))
 
 
-def _blur_frame(luma: np.ndarray) -> np.ndarray:
+def _blur_frame(luma: np.ndarray, grad_mean: float) -> np.ndarray:
+    """C_b = 4 stats of one luma plane; ``grad_mean`` is its mean gradient
+    magnitude, which the semantic branch has already computed."""
     lap = ndimage.convolve(luma, _LAPLACIAN, mode="reflect")
-    gy, gx = np.gradient(luma)
     sx = ndimage.sobel(luma, axis=1, mode="reflect")
     sy = ndimage.sobel(luma, axis=0, mode="reflect")
     return np.array(
         [
             float(lap.var()),
-            float(np.hypot(gx, gy).mean()),
+            float(grad_mean),
             _hf_energy_ratio(luma),
             float(np.mean(sx * sx + sy * sy)),  # Tenengrad
         ]
@@ -178,42 +166,26 @@ def blur_indices(n: int, tau_b: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Fusion and the full pipeline
+# The full pipeline
 # ---------------------------------------------------------------------------
 
 
-def fuse(bundle: FeatureBundle) -> FusedFeature:
-    """Plain concatenation (f_o, f_s, f_b); every coordinate is preserved."""
-    f = np.concatenate([bundle.f_o, bundle.f_s, bundle.f_b]).astype(np.float64)
-    if len(f) != bundle.dims.dim:
-        raise ConfigError(
-            f"bundle vectors total {len(f)}, dims say {bundle.dims.dim}"
-        )
-    return FusedFeature(f=f, dim=len(f))
-
-
-def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> FeatureBundle:
-    """Extract all three branches from a clip.
+def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> np.ndarray:
+    """The fused float64 feature vector of a clip: flow, semantic, blur.
 
     Flow runs on native-resolution luma for sub-pixel precision.  The
     semantic stats of every frame and the blur stats of every tau_b-th frame
     are computed one frame at a time on a C-ordered (N, 224, 224) stack of
     bilinearly resized luma planes.
     """
-    n = clip.n
     lumas = to_luma(clip.frames)
     # untrackable pairs (constant or pure-noise content) come back as zero
     # fields, keeping the feature vector finite for any valid clip
     flows = grid_flow_sequence(lumas, grid=grid)
     resized = resize_float(lumas, SEMANTIC_SIZE, SEMANTIC_SIZE)
-    blur_idx = blur_indices(n, tau_b)
-    dims = FeatureDims(n=n, n_b=n // tau_b, tau_b=tau_b)
-    return FeatureBundle(
-        f_o=flow_features(flows),
-        f_s=np.concatenate([_semantic_frame(luma) for luma in resized]),
-        f_b=np.concatenate([_blur_frame(resized[i]) for i in blur_idx]),
-        dims=dims,
-    )
+    semantic = np.stack([_semantic_frame(luma) for luma in resized])
+    blur = [_blur_frame(resized[i], semantic[i, 2]) for i in blur_indices(clip.n, tau_b)]
+    return np.concatenate([flow_features(flows), semantic.ravel(), *blur])
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,9 @@ def _read_pnm(path: Path) -> np.ndarray:
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"{path.name}: unsupported PNM magic {magic!r}")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as exc:
-        raise ParseError(f"{path.name}: non-numeric header field") from exc
+    if not all(re.fullmatch(rb"[0-9]+", t) for t in tokens[1:4]):
+        raise ParseError(f"{path.name}: header fields must be plain decimal integers")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise ParseError(f"{path.name}: only maxval 255 supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1

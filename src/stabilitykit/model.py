@@ -126,10 +126,8 @@ def _forward(params: ModelParams, x: np.ndarray):
     return pred, h, u, z
 
 
-def mlp_forward(params: ModelParams, f: np.ndarray | feat.FusedFeature) -> float:
+def mlp_forward(params: ModelParams, f: np.ndarray) -> float:
     """Predicted score for one fused feature vector."""
-    if isinstance(f, feat.FusedFeature):
-        f = f.f
     x = _as_matrix(params, f)
     pred, _, _, _ = _forward(params, x)
     return float(pred[0])
@@ -247,10 +245,6 @@ def backward(
 def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
     xs, ys = [], []
     for item, score in dataset:
-        if isinstance(item, feat.FeatureBundle):
-            item = feat.fuse(item).f
-        elif isinstance(item, feat.FusedFeature):
-            item = item.f
         xs.append(np.asarray(item, dtype=np.float64))
         ys.append(float(score))
     if not xs:
@@ -385,8 +379,7 @@ def predict_video(
         clip = sample_clip(seq, n=n, tau=tau, seed=int(s))
         key = tuple(clip.source_indices)
         if key not in by_clip:
-            bundle = feat.clip_features(clip, grid=grid, tau_b=tau_b)
-            by_clip[key] = mlp_forward(params, feat.fuse(bundle).f)
+            by_clip[key] = mlp_forward(params, feat.clip_features(clip, grid=grid, tau_b=tau_b))
         scores.append(by_clip[key])
     return float(np.mean(scores))
 
@@ -424,15 +417,14 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     header, data = load_f32_header(path, "checkpoint")
     if header.get("format") != _CKPT_FORMAT:
         raise ParseError(f"unknown checkpoint format {header.get('format')!r}")
+    d, hid = header.get("input_dim"), header.get("hidden")
+    if type(d) is not int or type(hid) is not int or d < 1 or hid < 1:
+        raise ParseError(f"bad checkpoint dims: input_dim {d!r}, hidden {hid!r}")
     try:
-        d = int(header["input_dim"])
-        hid = int(header["hidden"])
         norm_mean = np.array(header["norm_mean"], dtype=np.float64)
         norm_std = np.array(header["norm_std"], dtype=np.float64)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad checkpoint header: {exc}") from exc
-    if d < 1 or hid < 1:
-        raise ParseError(f"bad checkpoint dims: input_dim {d}, hidden {hid}")
     if norm_mean.shape != (d,) or norm_std.shape != (d,):
         raise ParseError(
             f"checkpoint norm stats have shapes {norm_mean.shape} and "

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DegenerateInput,
+    DimensionMismatch,
     EmptyAfterCleaning,
     EmptyInput,
     InsufficientData,
@@ -26,7 +28,6 @@ from .errors import (
 from .evaluation import rmse as _rmse
 from .evaluation import srocc as _srocc
 from .media import csv_rows
-from .errors import DegenerateInput, DimensionMismatch
 
 
 @dataclass
@@ -163,26 +164,6 @@ def reject_outlier_subjects(
 # ---------------------------------------------------------------------------
 # Per-subject reliability checks
 # ---------------------------------------------------------------------------
-
-GOLDEN_SROCC_THRESHOLD = 0.6
-
-
-@dataclass
-class GoldenCheckResult:
-    srocc: float
-    flagged: bool
-    threshold: float = GOLDEN_SROCC_THRESHOLD
-
-
-def golden_check(
-    subject_ratings,
-    golden_mos,
-    threshold: float = GOLDEN_SROCC_THRESHOLD,
-) -> GoldenCheckResult:
-    """Rank agreement between one subject and the golden-video consensus."""
-    value = _srocc(subject_ratings, golden_mos)
-    return GoldenCheckResult(srocc=value, flagged=value < threshold, threshold=threshold)
-
 
 def repeated_check(first, second) -> float:
     """RMSE between a subject's two ratings of the repeated videos."""

@@ -11,7 +11,7 @@ center.  Motion estimation runs at native resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -22,11 +22,10 @@ from .errors import (
     ConfigError,
     DegenerateScene,
     DimensionMismatch,
-    ParseError,
     TrackingFailure,
     UnderDetermined,
 )
-from .media import csv_rows, to_luma
+from .media import to_luma
 
 
 @dataclass
@@ -677,19 +676,3 @@ def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         fh.write("frame,x,y,theta\n")
         for i in range(traj.length):
             fh.write(f"{i},{traj.x[i]:.9g},{traj.y[i]:.9g},{traj.theta[i]:.9g}\n")
-
-
-def load_trajectory_csv(path: str | Path) -> Trajectory:
-    rows = [r for r in csv_rows(path, "ascii") if r]
-    if not rows or rows[0] != ["frame", "x", "y", "theta"]:
-        raise ParseError("bad trajectory CSV header")
-    cells = rows[1:]
-    if not cells:
-        raise ParseError("trajectory CSV has no rows")
-    if any(len(c) != 4 for c in cells):
-        raise ParseError("trajectory CSV rows need 4 fields")
-    try:
-        vals = np.array([[float(v) for v in c] for c in cells])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric trajectory CSV cell: {exc}") from exc
-    return Trajectory(x=vals[:, 1], y=vals[:, 2], theta=vals[:, 3])

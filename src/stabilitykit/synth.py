@@ -289,7 +289,8 @@ def iter_dataset(
     fps: float = 30.0,
     n_bases: int = 13,
 ):
-    """Yield LabeledVideo one at a time (memory-friendly form of gen_dataset).
+    """Yield ``count`` seeded LabeledVideo, one at a time, spanning the
+    amplitude ladder.
 
     Videos draw a base at random from a shared pool (``base_images`` if
     given, else ``n_bases`` procedural ones), so scene content stays
@@ -320,47 +321,6 @@ def iter_dataset(
         seq = render_shaky(base, traj, frame_size, fps=fps)
         score = gt_score_from_trajectory(traj, theta_lever_px=theta_lever)
         yield LabeledVideo(seq=seq, gt_trajectory=traj, gt_score=score, spec=spec)
-
-
-def gen_dataset(
-    count: int,
-    amplitude_ladder: tuple[float, ...] | list[float] | None = None,
-    base_images: list[np.ndarray] | None = None,
-    seed: int = 0,
-    **kwargs,
-) -> list[LabeledVideo]:
-    """Synthetic labeled videos spanning the amplitude ladder (seeded)."""
-    return list(iter_dataset(count, amplitude_ladder, base_images, seed, **kwargs))
-
-
-def gen_jitter_ladder(
-    amplitudes: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
-    seed: int = 7,
-    frequency: float = 20.0,
-    length: int = 64,
-    frame_size: tuple[int, int] = (128, 96),
-) -> list[LabeledVideo]:
-    """Fixed-base, fixed-frequency x-jitter ladder used for metric checks."""
-    specs = [
-        ShakeSpec(
-            components=[] if a == 0 else [ShakeComponent(a, frequency, 0.0, "x")],
-            noise_sigma=0.0,
-            length=length,
-        )
-        for a in amplitudes
-    ]
-    trajs = [gen_trajectory(s, seed=seed) for s in specs]
-    sizes = [required_base_size(t, frame_size) for t in trajs]
-    bw = max(s[0] for s in sizes)
-    bh = max(s[1] for s in sizes)
-    base = make_base(bw, bh, seed=seed)
-    out = []
-    theta_lever = (frame_size[0] + frame_size[1]) / 4.0
-    for spec, traj in zip(specs, trajs):
-        seq = render_shaky(base, traj, frame_size)
-        score = gt_score_from_trajectory(traj, theta_lever_px=theta_lever)
-        out.append(LabeledVideo(seq=seq, gt_trajectory=traj, gt_score=score, spec=spec))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,14 @@ from stabilitykit.classic import freq_energy_ratio, itf, psnr, stability_score
 from stabilitykit.errors import DimensionMismatch, InsufficientFrames
 from stabilitykit.media import FrameSequence, to_luma
 from stabilitykit.motion import Trajectory
-from stabilitykit.synth import gen_jitter_ladder
+from stabilitykit.synth import (
+    ShakeComponent,
+    ShakeSpec,
+    gen_trajectory,
+    make_base,
+    render_shaky,
+    required_base_size,
+)
 
 
 def sinusoid(length, bin_k, amplitude=1.0, phase=0.0):
@@ -77,8 +84,16 @@ class TestItf:
         assert fwd == pytest.approx(rev, abs=1e-12)
 
     def test_jitter_ladder_strictly_decreasing(self):
-        ladder = gen_jitter_ladder(amplitudes=(0.0, 2.0, 6.0), seed=5, length=32, frequency=12.0)
-        scores = [itf(lv.seq).score_db for lv in ladder]
+        # one base, x jitter at one frequency, rising amplitude
+        trajs = [
+            gen_trajectory(
+                ShakeSpec([ShakeComponent(a, 12.0, 0.0, "x")] if a else [], length=32), seed=5
+            )
+            for a in (0.0, 2.0, 6.0)
+        ]
+        bw, bh = np.max([required_base_size(t, (128, 96)) for t in trajs], axis=0)
+        base = make_base(int(bw), int(bh), seed=5)
+        scores = [itf(render_shaky(base, t, (128, 96))).score_db for t in trajs]
         assert scores[0] > scores[1] > scores[2]
 
 
@@ -128,12 +143,6 @@ class TestStabilityScore:
         traj = Trajectory(x=sinusoid(64, 2), y=sinusoid(64, 25), theta=np.zeros(64))
         result = stability_score(traj)
         assert result.score == result.component_scores["y"]
-
-    def test_mean_combiner(self):
-        traj = Trajectory(x=sinusoid(64, 2), y=sinusoid(64, 25), theta=np.zeros(64))
-        result = stability_score(traj, combine="mean")
-        vals = list(result.component_scores.values())
-        assert result.score == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))

@@ -7,7 +7,7 @@ from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
 from stabilitykit.features import FeatureDims, save_feature_cache
 from stabilitykit.media import FrameSequence, save_y4m
-from stabilitykit.synth import gen_dataset, write_dataset
+from stabilitykit.synth import iter_dataset, write_dataset
 
 
 def run(capsys, *argv):
@@ -28,9 +28,9 @@ def strict_json(text):
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
-    videos = gen_dataset(
+    videos = list(iter_dataset(
         12, amplitude_ladder=[0.0, 2.0, 5.0], seed=21, length=18, frame_size=(64, 64)
-    )
+    ))
     manifest = write_dataset(videos, root / "data")
     static = root / "data" / "synth_0000.y4m"  # amplitude 0 -> static
     shaky = root / "data" / "synth_0002.y4m"
@@ -441,6 +441,9 @@ EXIT_1_LEAKS = {
     "synth-ladder-string": (_SYNTH, {"ladder": "abc"}),
     "mos-not-utf8": (["mos", "{latin1}", "--out", "{tmp}/mos.csv"], None),
     "eval-not-utf8": (["eval", "{latin1}"], None),
+    "score-checkpoint-dim-1e400": (["score", "{shaky}", "--model", "{huge_dim_ckpt}"], None),
+    "score-pgm-width-negative": (["score", "{negative_pgm}"], None),
+    "trajectory-pgm-width-negative": (["trajectory", "{negative_pgm}", "{tmp}/t.csv"], None),
 }
 
 
@@ -454,8 +457,15 @@ class TestExitCodes:
             f"s{s},v{v},{(7 * s + 13 * v) % 100}\n" for s in range(5) for v in range(6)))
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes("pred,mos\n1,2\nd\u00e9j\u00e0,3\n".encode("latin-1"))
+        huge_dim_ckpt = tmp_path / "huge-dim.ckpt"
+        huge_dim_ckpt.write_bytes(ckpt.read_bytes().replace(b'"input_dim": 288', b'"input_dim": 1e400'))
+        negative_pgm = tmp_path / "frames"
+        negative_pgm.mkdir()
+        for name in ("a.pgm", "b.pgm"):
+            (negative_pgm / name).write_bytes(b"P5 -32 32 255\n" + bytes(32 * 32))
         return {"manifest": workspace["manifest"], "shaky": workspace["shaky"], "ckpt": ckpt,
-                "ratings": ratings, "latin1": latin1, "tmp": tmp_path}
+                "ratings": ratings, "latin1": latin1, "huge_dim_ckpt": huge_dim_ckpt,
+                "negative_pgm": negative_pgm, "tmp": tmp_path}
 
     @pytest.mark.parametrize("argv, config", EXIT_1_LEAKS.values(), ids=EXIT_1_LEAKS.keys())
     def test_former_exit_1_leak_exits_2(self, capsys, paths, argv, config):

@@ -6,8 +6,8 @@ import pytest
 from stabilitykit import features as feat
 from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError
 from stabilitykit.media import Clip, resize_float, sample_clip, to_luma
-from stabilitykit.motion import FlowField
-from stabilitykit.synth import gen_dataset, make_base
+from stabilitykit.motion import FlowField, grid_flow_sequence
+from stabilitykit.synth import iter_dataset
 
 
 def const_flow(u, v, size=8):
@@ -76,6 +76,13 @@ def old_semantic_run(lumas):
 
 def semantic_stack(lumas):
     return np.concatenate([feat._semantic_frame(luma) for luma in lumas])
+
+
+def blur_stats(luma):
+    """The blur stats of one plane, its gradient mean computed as the blur
+    branch did before it took the semantic branch's value."""
+    gy, gx = np.gradient(luma)
+    return feat._blur_frame(luma, np.hypot(gx, gy).mean())
 
 
 def old_cache_bytes(matrix, dims):
@@ -159,7 +166,7 @@ class TestSemanticFeatures:
         got = semantic_stack(new_resized)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         for old_frame, new_frame in zip(old_resized, new_resized):  # blur stays exact
-            assert feat._blur_frame(new_frame).tobytes() == feat._blur_frame(old_frame).tobytes()
+            assert blur_stats(new_frame).tobytes() == blur_stats(old_frame).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 96, 128), (2, 360, 640), (4, 17, 23), (1, 224, 224)])
     def test_semantic_resize_matches_old_core(self, rng, shape):
@@ -177,63 +184,49 @@ class TestBlurFeatures:
         from scipy import ndimage
 
         blurred = ndimage.convolve(sharp, kernel, mode="reflect")
-        f_sharp = feat._blur_frame(sharp)
-        f_blur = feat._blur_frame(blurred)
+        f_sharp = blur_stats(sharp)
+        f_blur = blur_stats(blurred)
         assert f_sharp[0] > f_blur[0]  # Laplacian variance
         assert f_sharp[1] > f_blur[1]  # gradient magnitude
         assert f_sharp[2] > f_blur[2]  # high-frequency ratio
         assert f_sharp[3] > f_blur[3]  # Tenengrad
 
     def test_constant_frame_all_zero(self):
-        assert np.all(feat._blur_frame(np.full((32, 32), 128.0)) == 0.0)
+        assert np.all(blur_stats(np.full((32, 32), 128.0)) == 0.0)
 
     def test_output_shape(self):
         assert feat.blur_indices(32, 8) == [7, 15, 23, 31]
-        assert feat._blur_frame(np.zeros((32, 32))).shape == (feat.C_B,)
+        assert blur_stats(np.zeros((32, 32))).shape == (feat.C_B,)
 
     def test_tau_b_must_divide(self):
         with pytest.raises(ConfigError):
             feat.blur_indices(10, 3)
 
 
-class TestFuse:
-    def make_bundle(self, f_o=None, f_s=None, f_b=None):
-        dims = feat.FeatureDims(n=32, n_b=4, tau_b=8)
-        return feat.FeatureBundle(
-            f_o=f_o if f_o is not None else np.zeros(16),
-            f_s=f_s if f_s is not None else np.zeros(256),
-            f_b=f_b if f_b is not None else np.zeros(16),
-            dims=dims,
-        )
-
-    def test_default_dimension_is_288(self):
-        fused = feat.fuse(self.make_bundle())
-        assert fused.dim == 288 == 16 + 32 * 8 + 4 * 4
-
-    def test_zero_bundle(self):
-        assert np.all(feat.fuse(self.make_bundle()).f == 0.0)
-
-    def test_ordering_preserved_exactly(self):
-        f_o = np.arange(1.0, 17.0)
-        fused = feat.fuse(self.make_bundle(f_o=f_o))
-        assert np.array_equal(fused.f[:16], f_o)
-        assert np.all(fused.f[16:] == 0.0)
-
-    def test_every_coordinate_preserved(self, rng):
-        f_o = rng.normal(size=16)
-        f_s = rng.normal(size=256)
-        f_b = rng.normal(size=16)
-        fused = feat.fuse(self.make_bundle(f_o, f_s, f_b))
-        assert np.array_equal(fused.f, np.concatenate([f_o, f_s, f_b]))
-
-
 class TestClipPipeline:
+    def test_fused_layout(self):
+        video = next(iter_dataset(10, amplitude_ladder=[2.0], seed=4, length=64,
+                                  frame_size=(64, 48)))
+        clip = sample_clip(video.seq, n=32, tau=2, seed=1)
+        fused = feat.clip_features(clip)
+        assert fused.dtype == np.float64
+        assert len(fused) == feat.FeatureDims().dim == 288
+        lumas = to_luma(clip.frames)
+        resized = resize_float(lumas, feat.SEMANTIC_SIZE, feat.SEMANTIC_SIZE)
+        flow = feat.flow_features(grid_flow_sequence(lumas, grid=8))
+        semantic = semantic_stack(resized)
+        blur = np.concatenate([blur_stats(resized[i]) for i in feat.blur_indices(32, 8)])
+        assert np.array_equal(fused[:16], flow)
+        assert np.array_equal(fused[16 : 16 + 32 * 8], semantic)
+        # bit-equal: the blur branch's gradient mean is the semantic one
+        assert fused[16 + 32 * 8 :].tobytes() == blur.tobytes()
+
     def test_clip_features_shapes_and_determinism(self):
-        videos = gen_dataset(10, amplitude_ladder=[2.0], seed=4, length=18,
-                             frame_size=(64, 48))
+        videos = list(iter_dataset(10, amplitude_ladder=[2.0], seed=4, length=18,
+                                   frame_size=(64, 48)))
         clip = sample_clip(videos[0].seq, n=8, tau=2, seed=1)
-        a = feat.fuse(feat.clip_features(clip, grid=6, tau_b=4)).f
-        b = feat.fuse(feat.clip_features(clip, grid=6, tau_b=4)).f
+        a = feat.clip_features(clip, grid=6, tau_b=4)
+        b = feat.clip_features(clip, grid=6, tau_b=4)
         assert a.shape == (16 + 8 * 8 + 2 * 4,)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
@@ -241,15 +234,15 @@ class TestClipPipeline:
     def test_constant_clip_is_finite(self):
         frames = gray_frames([90] * 8, width=64, height=48)
         clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
-        fused = feat.fuse(feat.clip_features(clip, grid=4, tau_b=4))
-        assert np.all(np.isfinite(fused.f))
-        assert np.all(fused.f[:16] == 0.0)  # untrackable pairs count as no motion
+        fused = feat.clip_features(clip, grid=4, tau_b=4)
+        assert np.all(np.isfinite(fused))
+        assert np.all(fused[:16] == 0.0)  # untrackable pairs count as no motion
 
     def test_noise_clip_is_finite(self, rng):
         frames = rng.integers(0, 256, (8, 48, 48, 3), dtype=np.uint8)
         clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
-        fused = feat.fuse(feat.clip_features(clip, grid=4, tau_b=4))
-        assert np.all(np.isfinite(fused.f))
+        fused = feat.clip_features(clip, grid=4, tau_b=4)
+        assert np.all(np.isfinite(fused))
 
 
 class TestCache:

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from stabilitykit.errors import (
     EmptyInput,
     InsufficientFrames,
     ParseError,
+    StabilityKitError,
     TruncatedError,
 )
 
@@ -282,6 +285,25 @@ class TestFrameDir:
         (tmp_path / "meta.json").write_text(meta)
         with pytest.raises(ParseError, match="meta.json"):
             media.load_frame_dir(tmp_path)
+
+    # any header must end in a library error or a sequence, never in another
+    # exception; the small integer tokens keep every allocation small
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([b"P5", b"P6"]) | st.binary(max_size=3),
+        st.lists(st.integers(-40, 40).map(b"%d".__mod__) | st.binary(max_size=5),
+                 min_size=2, max_size=2),
+        st.just(b"255") | st.binary(max_size=5),
+        st.sampled_from([b" ", b"\n", b"\t"]),
+        st.integers(0, 40 * 40 * 3),
+    )
+    def test_header_fuzz_raises_only_library_errors(self, magic, size, maxval, sep, payload):
+        data = sep.join([magic, *size, maxval]) + b"\n" + bytes(payload)
+        with tempfile.TemporaryDirectory() as root:
+            for name in ("a.pgm", "b.pgm"):
+                Path(root, name).write_bytes(data)
+            with contextlib.suppress(StabilityKitError):
+                media.load_frame_dir(root)
 
     def test_header_comments(self, tmp_path):
         arr = np.full((32, 32), 7, dtype=np.uint8)

@@ -1,6 +1,10 @@
+import contextlib
 import copy
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,10 @@ from stabilitykit.errors import (
     InsufficientData,
     InsufficientFrames,
     ParseError,
+    StabilityKitError,
     TruncatedError,
 )
-from stabilitykit.synth import gen_dataset
+from stabilitykit.synth import iter_dataset
 
 
 def toy_params(d=6, hidden=8, seed=0):
@@ -496,8 +501,8 @@ class TestTrainMatchesOldLoop:
 
 @pytest.fixture(scope="module")
 def video():
-    return gen_dataset(10, amplitude_ladder=[1.5], seed=8, length=20,
-                       frame_size=(64, 48))[0]
+    return next(iter_dataset(10, amplitude_ladder=[1.5], seed=8, length=20,
+                             frame_size=(64, 48)))
 
 
 class TestPredictVideo:
@@ -507,12 +512,12 @@ class TestPredictVideo:
         params = m.init_params(d, seed=0)
         one = m.predict_video(params, video.seq, n_clips=1, seed=3, n=8, tau=2,
                               grid=6, tau_b=4)
-        from stabilitykit.features import clip_features, fuse
+        from stabilitykit.features import clip_features
         from stabilitykit.media import sample_clip
 
         clip_seed = int(np.random.default_rng(3).integers(0, 2**31, size=1)[0])
         clip = sample_clip(video.seq, n=8, tau=2, seed=clip_seed)
-        direct = m.mlp_forward(params, fuse(clip_features(clip, grid=6, tau_b=4)).f)
+        direct = m.mlp_forward(params, clip_features(clip, grid=6, tau_b=4))
         assert one == pytest.approx(direct, abs=1e-12)
 
     def test_each_distinct_clip_featurized_once(self, video, monkeypatch):
@@ -527,7 +532,7 @@ class TestPredictVideo:
         starts = {c.source_indices[0] for c in clips}
         assert len(starts) < len(clips)
         want = float(np.mean([
-            m.mlp_forward(params, features.fuse(features.clip_features(c, grid=6, tau_b=4)).f)
+            m.mlp_forward(params, features.clip_features(c, grid=6, tau_b=4))
             for c in clips
         ]))
         calls = []
@@ -597,6 +602,27 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
         with pytest.raises(ParseError):
             m.load_checkpoint(path)
+
+    # every JSON type in every header field must end in a library error or a
+    # model; the small integer draws keep every allocation small
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ["input_dim", "hidden", "norm_mean", "norm_std"],
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-8, 8) | st.text(max_size=3)
+            | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
+            lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=3), inner),
+            max_leaves=8,
+        ),
+    )))
+    def test_header_fuzz_raises_only_library_errors(self, edits):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "model.ckpt")
+            m.save_checkpoint(toy_params(d=7, hidden=5), path)
+            header, blob = path.read_bytes().split(b"\n", 1)
+            path.write_bytes(json.dumps(dict(json.loads(header), **edits)).encode() + b"\n" + blob)
+            with contextlib.suppress(StabilityKitError):
+                m.load_checkpoint(path)
 
     def test_config_hash_pinned(self):
         # the value of the hand-written TrainConfig.as_dict before dataclasses.asdict

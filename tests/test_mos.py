@@ -132,30 +132,6 @@ class TestRejectOutliers:
         assert np.array_equal(a.mos, b.mos)
 
 
-class TestGoldenCheck:
-    def test_perfect_order(self):
-        golden = np.array([10.0, 30.0, 50.0, 70.0, 90.0])
-        result = mos.golden_check(golden + 3.0, golden)
-        assert result.srocc == pytest.approx(1.0, abs=1e-12)
-        assert not result.flagged
-
-    def test_reversed_order_flagged(self):
-        golden = np.array([10.0, 30.0, 50.0, 70.0, 90.0])
-        result = mos.golden_check(golden[::-1], golden)
-        assert result.srocc == pytest.approx(-1.0, abs=1e-12)
-        assert result.flagged
-
-    def test_honest_population_band(self):
-        # plausibility band for simulated honest raters (golden + sigma=5)
-        rng = np.random.default_rng(11)
-        golden = np.linspace(5, 95, 10)
-        values = []
-        for _ in range(200):
-            ratings = golden + rng.normal(0, 5.0, size=10)
-            values.append(mos.golden_check(ratings, golden).srocc)
-        assert 0.8 <= float(np.mean(values)) <= 1.0
-
-
 class TestRepeatedCheck:
     def test_identical(self):
         v = np.array([10.0, 50.0, 90.0])

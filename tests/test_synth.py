@@ -8,9 +8,9 @@ from stabilitykit.motion import Trajectory, estimate_motion
 from stabilitykit.synth import (
     ShakeComponent,
     ShakeSpec,
-    gen_dataset,
     gen_trajectory,
     gt_score_from_trajectory,
+    iter_dataset,
     load_manifest,
     make_base,
     render_shaky,
@@ -132,32 +132,32 @@ class TestGtScore:
 
 class TestGenDataset:
     def test_zero_amplitude_scores_100(self):
-        videos = gen_dataset(10, amplitude_ladder=[0.0], seed=1, length=24,
-                             frame_size=(64, 48))
+        videos = list(iter_dataset(10, amplitude_ladder=[0.0], seed=1, length=24,
+                                   frame_size=(64, 48)))
         assert all(v.gt_score == pytest.approx(100.0, abs=1e-9) for v in videos)
 
     def test_label_determinism(self):
         kw = dict(amplitude_ladder=[0.0, 2.0, 6.0], seed=9, length=24, frame_size=(48, 48))
-        a = [v.gt_score for v in gen_dataset(12, **kw)]
-        b = [v.gt_score for v in gen_dataset(12, **kw)]
+        a = [v.gt_score for v in iter_dataset(12, **kw)]
+        b = [v.gt_score for v in iter_dataset(12, **kw)]
         assert a == b
 
     def test_amplitude_monotone_on_average(self):
-        videos = gen_dataset(30, amplitude_ladder=[0.5, 8.0], seed=2, length=32,
-                             frame_size=(48, 48))
+        videos = list(iter_dataset(30, amplitude_ladder=[0.5, 8.0], seed=2, length=32,
+                                   frame_size=(48, 48)))
         small = np.mean([v.gt_score for v in videos[0::2]])
         large = np.mean([v.gt_score for v in videos[1::2]])
         assert small > large
 
     def test_count_floor(self):
         with pytest.raises(ValueError):
-            gen_dataset(5)
+            list(iter_dataset(5))
 
 
 class TestWriteDataset:
     def test_files_and_manifest(self, tmp_path):
-        videos = gen_dataset(10, amplitude_ladder=[0.0, 1.0], seed=3, length=24,
-                             frame_size=(48, 48))
+        videos = list(iter_dataset(10, amplitude_ladder=[0.0, 1.0], seed=3, length=24,
+                                   frame_size=(48, 48)))
         manifest = write_dataset(videos, tmp_path / "ds")
         rows = load_manifest(manifest)
         assert len(rows) == 10
