@@ -24,8 +24,8 @@ from . import synth as synth_mod
 from .classic import itf, stability_score
 from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingModel, ParseError, StabilityKitError
 from .evaluation import evaluate
-from .media import csv_rows, load_frame_dir, load_y4m, sample_clip
-from .motion import RansacParams, save_trajectory_csv, video_trajectory
+from .media import clip_span, csv_rows, load_frame_dir, load_y4m, sample_clip
+from .motion import RansacParams, check_grid, save_trajectory_csv, video_trajectory
 
 SEED_ENV_VAR = "STABILITYKIT_SEED"
 
@@ -117,17 +117,34 @@ def _clip_opts(cfg: dict, args) -> dict:
 _SCORE_KEYS = {"seed", "n", "tau", "grid", "tau_b", "n_clips", "model"}
 
 
+def _score_model(model_path: str, n_clips: int, opts: dict) -> model_mod.ModelParams:
+    """The checkpoint of ``score --model``, with the clip options checked
+    against it.  It runs before the video is decoded: a bad value would
+    otherwise surface only after the whole trajectory is estimated."""
+    if n_clips < 1:
+        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
+    clip_span(opts["n"], opts["tau"])
+    check_grid(opts["grid"])
+    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
+    if not Path(model_path).is_file():
+        raise MissingModel(f"model checkpoint not found: {model_path}")
+    params = model_mod.load_checkpoint(model_path)
+    dim = feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"]).dim
+    if dim != params.input_dim:
+        raise DimensionMismatch(f"the clip options give {dim} features, the model takes {params.input_dim}")
+    return params
+
+
 def cmd_score(args) -> int:
     cfg = _load_config(args.config, _SCORE_KEYS)
     seed = _resolve_seed(args.seed, cfg)
     model_path = _option(cfg, "model", "", args.model)
     n_clips = _option(cfg, "n_clips", 4, args.n_clips)
     opts = _clip_opts(cfg, args)
-    # checked before decoding: a bad value would otherwise surface only
-    # after the whole trajectory has been estimated
-    if model_path and n_clips < 1:
-        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
+    params = _score_model(model_path, n_clips, opts) if model_path else None
     seq = _load_video(args.video)
+    if params is not None:  # the clip span, before ITF and the trajectory
+        clip_span(opts["n"], opts["tau"], len(seq))
     itf_res = itf(seq)
     traj, _ = video_trajectory(seq, "similarity", RansacParams(seed=seed))
     stab = stability_score(traj)
@@ -135,10 +152,7 @@ def cmd_score(args) -> int:
         "itf_db": itf_res.score_db,
         "stability": dict(stab.component_scores, score=stab.score),
     }
-    if model_path:
-        if not Path(model_path).is_file():
-            raise MissingModel(f"model checkpoint not found: {model_path}")
-        params = model_mod.load_checkpoint(model_path)
+    if params is not None:
         report["prediction"] = model_mod.predict_video(
             params, seq, n_clips=n_clips, seed=seed, **opts
         )

@@ -99,7 +99,7 @@ def _semantic_frame(luma: np.ndarray) -> np.ndarray:
     mean of each quadrant."""
     h, w = luma.shape
     gy, gx = np.gradient(luma)
-    mag = np.hypot(gx, gy)
+    mag = np.sqrt(gx * gx + gy * gy)
     ang = np.arctan2(gy, gx)
     bins = np.clip(((ang + np.pi) * (8 / (2 * np.pi))).astype(int), 0, 7)
     hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=8)

@@ -2,16 +2,18 @@
 the header-plus-f32 container of checkpoints and feature caches, and the
 text decoding of CSV inputs.
 
-Frames are ``(H, W, 3)`` uint8 RGB arrays throughout the toolkit.  Only
-uncompressed sources are supported (YUV4MPEG2 streams and directories of
-binary PPM/PGM files); anything compressed is expected to be converted
-up front, e.g. with ffmpeg.
+Frames are ``(H, W)`` uint8 luma planes throughout the toolkit: every
+stage (ITF, trajectories, flow, semantic and blur features) reads
+intensity only.  A Y4M stream gives its Y planes, with chroma checked for
+length and skipped; a PPM frame is converted by the Rec.601 luma rule.
+Only uncompressed sources are supported (YUV4MPEG2 streams and
+directories of binary PPM/PGM files); anything compressed is expected to
+be converted up front, e.g. with ffmpeg.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import re
@@ -30,137 +32,14 @@ from .errors import (
     TruncatedError,
 )
 
-# BT.601 full-range RGB<->YUV. The decode side snaps to an exact preimage of
-# the encode side (see yuv_to_rgb), which makes a 4:4:4 write->read->write
-# cycle byte-lossless for any stream this module produced.
-_FWD = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168735891647856, -0.331264108352144, 0.5],
-        [0.5, -0.418687589158345, -0.081312410841655],
-    ]
-)
-_OFF = np.array([0.0, 128.0, 128.0])
-_INV = np.linalg.inv(_FWD)
-
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
-_SNAP_OFFSETS = np.array(
-    [(dr, dg, db) for dr in (-1, 0, 1) for dg in (-1, 0, 1) for db in (-1, 0, 1)],
-    dtype=np.int16,
-)
-# A float value this close to a .5 tie may round either way, depending on
-# the order of its operations: the margin of the chroma table's rounding
-# and re-encode checks.
-_TIE_EPS = 1e-9
-
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def rgb_to_yuv(rgb: np.ndarray) -> np.ndarray:
-    """Encode (..., 3) uint8 RGB to (..., 3) uint8 full-range YUV."""
-    yuv = rgb.astype(np.float64) @ _FWD.T + _OFF
-    return np.clip(_round_half_up(yuv), 0, 255).astype(np.uint8)
-
-
-@functools.lru_cache(maxsize=None)
-def _chroma_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The decode of each (U, V) pair, indexed by ``U * 256 + V``: the RGB
-    offsets from Y (uint8, modulo 256) and the Y range [lo, hi] of the
-    pixels they decode exactly.
-
-    The inverse is Y times (1, 1, 1) plus a chroma part, so for an integer Y
-    it rounds to Y plus the rounded chroma part, and re-encoding Y + d gives
-    back Y, U, V plus the encode of d alone.  A pair is covered when its
-    chroma part is no tie (``_TIE_EPS``) and the encode of d rounds to zero
-    with the same margin; [lo, hi] then holds the Ys for which no channel
-    clips, and is empty otherwise.  Elementwise arithmetic only: a BLAS
-    product may round differently with the batch size.  Built at the first
-    decode, not at import."""
-    uv = np.arange(65536)
-    u = (uv >> 8) - 128.0
-    v = (uv & 255) - 128.0
-    c = np.stack([u * _INV[k, 1] + v * _INV[k, 2] for k in range(3)], axis=1)
-    d = _round_half_up(c)
-    # what re-encoding Y + d adds to (Y, U, V)
-    err = np.stack([d[:, 0] * f[0] + d[:, 1] * f[1] + d[:, 2] * f[2] for f in _FWD], axis=1)
-    err -= np.stack([np.zeros_like(u), u, v], axis=1)
-    exact = np.all((np.abs(c - d) < 0.5 - _TIE_EPS) & (np.abs(err) < 0.5 - _TIE_EPS), axis=1)
-    lo = np.clip(-d.min(axis=1), 0, 255)
-    hi = np.clip(255 - d.max(axis=1), 0, 255)
-    lo[~exact], hi[~exact] = 255, 0
-    table = ((d % 256).astype(np.uint8), lo.astype(np.uint8), hi.astype(np.uint8))
-    for a in table:
-        a.flags.writeable = False  # shared by every decode in the process
-    return table
-
-
-def _snap_decode(yuv: np.ndarray) -> np.ndarray:
-    """Decode (n, 3) uint8 YUV pixel by pixel: of the rounded inverse and its
-    +-1 neighbours, the nearest to the float inverse whose encode is the
-    source YUV (one exists when the YUV came from an RGB encode, and it is
-    the rounded inverse itself unless that lies at a .5 tie).  Out-of-gamut
-    YUV falls back to the clipped rounded inverse."""
-    f = yuv.astype(np.float64) - _OFF
-    rgb_f = f[:, 0:1] * _INV[:, 0] + f[:, 1:2] * _INV[:, 1] + f[:, 2:3] * _INV[:, 2]
-    rgb = np.clip(_round_half_up(rgb_f), 0, 255).astype(np.uint8)
-    cand = np.clip(rgb[:, None, :].astype(np.int16) + _SNAP_OFFSETS, 0, 255).astype(np.uint8)
-    feasible = np.all(rgb_to_yuv(cand) == yuv[:, None, :], axis=2)
-    dist = np.sum((cand - rgb_f[:, None, :]) ** 2, axis=2)
-    dist[~feasible] = np.inf
-    pick = np.argmin(dist, axis=1)
-    has = feasible[np.arange(len(yuv)), pick]
-    rgb[has] = cand[has, pick[has]]
-    return rgb
-
-
-def _decode_planes(y: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """Decode a (H, W) Y plane and its (H/s, W/s) U and V planes (s = 1 for
-    4:4:4, 2 for 4:2:0) into ``out`` (H, W, 3) uint8 RGB.
-
-    The chroma table is looked up once per chroma sample and its offsets are
-    added to each of the s x s Ys that share it.  Pixels outside their
-    pair's exact Y range (out-of-gamut, clipping or tie pixels) are decoded
-    by ``_snap_decode``.  Each pixel's RGB depends on its own YUV alone."""
-    d, lo, hi = _chroma_table()
-    s = y.shape[0] // u.shape[0]
-    uv = u.astype(np.intp) << 8
-    uv |= v
-    d, lo, hi = d[uv], lo[uv], hi[uv]
-    for dy in range(s):
-        for dx in range(s):
-            ys, rgb = y[dy::s, dx::s], out[dy::s, dx::s]
-            # uint8 addition wraps modulo 256, so it is exact where Y + d is in range
-            np.add(ys[..., None], d, out=rgb)
-            miss = (ys < lo) | (ys > hi)
-            if miss.any():
-                rgb[miss] = _snap_decode(np.stack([ys[miss], u[miss], v[miss]], axis=1))
-
-
-def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
-    """Decode (..., 3) uint8 full-range YUV to uint8 RGB, each pixel to the
-    RGB whose encode is that YUV.
-
-    Pixels of a covered (U, V) pair in its exact Y range take Y plus the
-    pair's offsets from a table of all 65,536 pairs (``_chroma_table``).
-    The rest take the rounded inverse; when that does not re-encode to the
-    source YUV, the nearest +-1 neighbour that does (``_snap_decode``).
-    Where the float inverse lies within ``_TIE_EPS`` of a .5 tie, either
-    rounding may be taken; the result still re-encodes exactly whenever an
-    RGB in the snap search does.  The table is elementwise and the one BLAS
-    product encodes each pixel's 27 candidates as a block of their own, so
-    a pixel's RGB does not depend on the other pixels of the call."""
-    flat = np.ascontiguousarray(yuv).reshape(1, -1, 3)
-    out = np.empty(flat.shape, dtype=np.uint8)
-    _decode_planes(flat[..., 0], flat[..., 1], flat[..., 2], out)
-    return out.reshape(yuv.shape)
-
-
 @dataclass
 class FrameSequence:
-    """Decoded video: ``frames`` is (T, H, W, 3) uint8, plus a frame rate."""
+    """Decoded video: ``frames`` is (T, H, W) uint8 luma, plus a frame rate."""
 
     frames: np.ndarray
     fps: float = 30.0
@@ -177,8 +56,8 @@ class FrameSequence:
         return self.frames.shape[2]
 
     def validate(self) -> "FrameSequence":
-        if self.frames.ndim != 4 or self.frames.shape[3] != 3:
-            raise DimensionMismatch("frames must be (T, H, W, 3)")
+        if self.frames.ndim != 3:
+            raise DimensionMismatch("frames must be (T, H, W)")
         if self.frames.dtype != np.uint8:
             raise DimensionMismatch("frames must be uint8")
         if len(self) < 2:
@@ -192,7 +71,8 @@ class FrameSequence:
 
 @dataclass
 class Clip:
-    """N frames sampled from a sequence at a constant stride."""
+    """N frames sampled from a sequence at a constant stride: ``frames`` is
+    (N, H, W) uint8 luma."""
 
     frames: np.ndarray
     source_indices: list[int]
@@ -200,22 +80,31 @@ class Clip:
     tau: int
 
 
-def to_luma(frame: np.ndarray) -> np.ndarray:
-    """Rec.601 luma of uint8 RGB, float64 in [0, 255]: Y = 0.299 R + 0.587 G + 0.114 B."""
-    # uint8 times a Python float is already float64: no float copy of the RGB
-    return frame[..., 0] * 0.299 + frame[..., 1] * 0.587 + frame[..., 2] * 0.114
+def to_luma(frames: np.ndarray) -> np.ndarray:
+    """Float64 luma of uint8 luma frames (a plane or a stack), in [0, 255]:
+    the one entry from stored frames to the float planes every stage reads.
+    A float64 input is returned as is."""
+    return np.asarray(frames, dtype=np.float64)
+
+
+def clip_span(n: int, tau: int, have: int | None = None) -> int:
+    """The frames an ``n``-frame clip of stride ``tau`` spans.  Raises
+    ConfigError unless n >= 2 and tau >= 1, and InsufficientFrames when
+    ``have`` frames are given and are fewer."""
+    if n < 2 or tau < 1:
+        raise ConfigError(f"need n >= 2 and tau >= 1, got n={n}, tau={tau}")
+    span = (n - 1) * tau + 1
+    if have is not None and have < span:
+        raise InsufficientFrames(
+            f"need {span} frames for n={n}, tau={tau}, have {have}",
+            required=span,
+        )
+    return span
 
 
 def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
     """Sample an ``n``-frame clip with stride ``tau``; start drawn from ``seed``."""
-    if n < 2 or tau < 1:
-        raise ConfigError(f"need n >= 2 and tau >= 1, got n={n}, tau={tau}")
-    span = (n - 1) * tau + 1
-    if len(seq) < span:
-        raise InsufficientFrames(
-            f"need {span} frames for n={n}, tau={tau}, have {len(seq)}",
-            required=span,
-        )
+    span = clip_span(n, tau, len(seq))
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(seq) - span + 1))
     indices = list(range(start, start + n * tau, tau))
@@ -274,12 +163,13 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, float, str]:
         if not tok:
             continue
         tag, rest = tok[:1], tok[1:].decode("ascii", "replace")
+        # at most 9 digits: int() refuses 4300, and a long rate overflows float division
         if tag in (b"W", b"H"):
-            if not re.fullmatch(r"\d+", rest):
+            if not re.fullmatch(r"\d{1,9}", rest):
                 raise ParseError(f"bad frame size field {tag.decode()}{rest}")
             width, height = (int(rest), height) if tag == b"W" else (width, int(rest))
         elif tag == b"F":
-            m = re.fullmatch(r"(\d+):(\d+)", rest)
+            m = re.fullmatch(r"(\d{1,9}):(\d{1,9})", rest)
             if not m or int(m.group(2)) == 0:
                 raise ParseError(f"bad frame rate field F{rest}")
             fps = int(m.group(1)) / int(m.group(2))
@@ -300,8 +190,10 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, float, str]:
 
 
 def load_y4m(path: str | Path) -> FrameSequence:
-    """Decode a YUV4MPEG2 stream (4:2:0 or 4:4:4) into RGB frames with
-    ``yuv_to_rgb``'s per-pixel rule; 4:2:0 chroma is shared by its 2x2 block."""
+    """Read the Y planes of a YUV4MPEG2 stream (4:2:0 or 4:4:4) as luma
+    frames.  Every frame's marker and full Y + U + V length are checked
+    before any is copied, so a stream cut inside its chroma still raises
+    ``TruncatedError``; the chroma itself is never read."""
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
@@ -332,29 +224,25 @@ def load_y4m(path: str | Path) -> FrameSequence:
     if not starts:
         raise EmptyInput("Y4M stream contains no frames")
 
-    frames = np.empty((len(starts), height, width, 3), dtype=np.uint8)
-    y_size, c_size = width * height, c_w * c_h
+    frames = np.empty((len(starts), height, width), dtype=np.uint8)
     for out, start in zip(frames, starts):
-        yuv = np.frombuffer(data, np.uint8, frame_size, start)
-        y = yuv[:y_size].reshape(height, width)
-        u = yuv[y_size : y_size + c_size].reshape(c_h, c_w)
-        v = yuv[y_size + c_size :].reshape(c_h, c_w)
-        _decode_planes(y, u, v, out)
+        out[...] = np.frombuffer(data, np.uint8, width * height, start).reshape(height, width)
     return FrameSequence(frames=frames, fps=fps).validate()
 
 
 def save_y4m(seq: FrameSequence, path: str | Path) -> None:
-    """Write a 4:4:4 full-range YUV4MPEG2 stream."""
+    """Write the luma frames as a 4:4:4 full-range YUV4MPEG2 stream: each
+    frame's Y plane, then U and V planes of neutral 128 (4:4:4, so any frame
+    size can be written)."""
     rate = Fraction(seq.fps).limit_denominator(65536)
     header = f"YUV4MPEG2 W{seq.width} H{seq.height} F{rate.numerator}:{rate.denominator} Ip A1:1 C444\n"
+    chroma = bytes([128]) * (2 * seq.width * seq.height)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for frame in seq.frames:
-            yuv = rgb_to_yuv(frame)
             fh.write(b"FRAME\n")
-            fh.write(yuv[..., 0].tobytes())
-            fh.write(yuv[..., 1].tobytes())
-            fh.write(yuv[..., 2].tobytes())
+            fh.write(frame.tobytes())
+            fh.write(chroma)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +275,8 @@ def _read_pnm(path: Path) -> np.ndarray:
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"{path.name}: unsupported PNM magic {magic!r}")
-    if not all(re.fullmatch(rb"[0-9]+", t) for t in tokens[1:4]):
+    # at most 9 digits, as in a Y4M header: int() refuses 4300
+    if not all(re.fullmatch(rb"[0-9]{1,9}", t) for t in tokens[1:4]):
         raise ParseError(f"{path.name}: header fields must be plain decimal integers")
     width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
@@ -397,14 +286,25 @@ def _read_pnm(path: Path) -> np.ndarray:
     raw = data[pos : pos + need]
     if len(raw) < need:
         raise TruncatedError(f"{path.name}: expected {need} pixel bytes, got {len(raw)}")
-    arr = np.frombuffer(raw, np.uint8).reshape(height, width, channels)
     if channels == 1:
-        arr = np.repeat(arr, 3, axis=2)
-    return arr.copy()
+        return np.frombuffer(raw, np.uint8).reshape(height, width).copy()
+    return _rgb_luma(np.frombuffer(raw, np.uint8).reshape(height, width, 3))
+
+
+def _rgb_luma(rgb: np.ndarray) -> np.ndarray:
+    """Rec.601 luma of (..., 3) uint8 RGB, rounded half up to uint8:
+    floor(0.299 R + 0.587 G + 0.114 B + 0.5), one pixel at a time in this
+    operation order, so a pixel's luma does not depend on the others."""
+    f = rgb.astype(np.float64)
+    y = f[..., 0] * 0.299 + f[..., 1] * 0.587 + f[..., 2] * 0.114
+    # white sums to exactly 255.0, so the rounding stays in uint8 range
+    return _round_half_up(y).astype(np.uint8)
 
 
 def load_frame_dir(path: str | Path) -> FrameSequence:
-    """Load a directory of PPM/PGM frames, lexicographic name order.
+    """Load a directory of PPM/PGM frames, lexicographic name order.  A PGM
+    frame is the luma plane as stored; a PPM frame is converted with
+    ``_rgb_luma``.
 
     A ``meta.json`` sidecar may provide ``{"fps": <number>}``; default 30.
     """

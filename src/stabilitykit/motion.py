@@ -297,10 +297,6 @@ def _in_runs(solve, *rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(outs) for outs in zip(*parts))
 
 
-def _as_luma(frame: np.ndarray) -> np.ndarray:
-    return to_luma(frame) if frame.ndim == 3 else frame.astype(np.float64, copy=False)
-
-
 def track_lk(
     prev: np.ndarray, nxt: np.ndarray, points: np.ndarray
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -319,11 +315,16 @@ def track_lk(
     ]
 
 
+def check_grid(grid: int) -> None:
+    """Raise ConfigError unless the flow grid size is in [4, 32]."""
+    if not 4 <= grid <= 32:
+        raise ConfigError(f"grid must be in [4, 32], got {grid}")
+
+
 def _grid_track(lumas: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the grid-cell centres over all T-1 adjacent pairs of a (T, H, W)
     luma stack in one solve; returns (pts (n, 2), disp (T-1, n, 2), ok (T-1, n))."""
-    if not 4 <= grid <= 32:
-        raise ConfigError(f"grid must be in [4, 32], got {grid}")
+    check_grid(grid)
     pyr = _pyramid(lumas)
     h, w = pyr[0].shape[1:]
     cx = (np.arange(grid) + 0.5) * (w / grid)
@@ -350,11 +351,12 @@ def _grid_field(pts: np.ndarray, disp: np.ndarray, ok: np.ndarray, grid: int) ->
 
 
 def grid_flow(prev_frame: np.ndarray, next_frame: np.ndarray, grid: int = 8) -> FlowField:
-    """LK flow seeded at grid-cell centers; failed cells take the nearest
-    successful neighbor's displacement."""
+    """LK flow seeded at grid-cell centers of two (H, W) luma planes (uint8
+    frames or float); failed cells take the nearest successful neighbor's
+    displacement."""
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
-    pts, disp, ok = _grid_track(np.stack([_as_luma(prev_frame), _as_luma(next_frame)]), grid)
+    pts, disp, ok = _grid_track(to_luma(np.stack([prev_frame, next_frame])), grid)
     if not ok.any():
         raise TrackingFailure("flow failed in every grid cell")
     return _grid_field(pts, disp[0], ok[0], grid)
@@ -609,14 +611,14 @@ def estimate_motion(prev_frame: np.ndarray, next_frame: np.ndarray, model_kind: 
                     ransac: RansacParams | None = None) -> MotionParams:
     """Corner matching + seeded RANSAC fit of the requested motion model.
 
-    Frames are RGB (H, W, 3) or luma planes (H, W).  This is the
+    Frames are (H, W) luma planes, uint8 frames or float.  This is the
     ``video_trajectory`` engine on a two-frame stack, so it equals that pair
     of a trajectory.  Every model draws all ``ransac.iters`` hypotheses up
     front and scores them in one vectorized pass; ties go to the earliest.
     """
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
-    pyr = _pyramid(np.stack([_as_luma(prev_frame), _as_luma(next_frame)]))
+    pyr = _pyramid(to_luma(np.stack([prev_frame, next_frame])))
     return _pair_motions(pyr, model_kind, ransac or RansacParams())[0]
 
 

@@ -161,13 +161,13 @@ def required_base_size(
 def render_shaky(
     base: np.ndarray, traj: Trajectory, out_size: tuple[int, int], fps: float = 30.0
 ) -> FrameSequence:
-    """Warp ``base`` along ``traj``; frame t+1 is frame t translated by the
-    path increment and rotated about the frame center by the angle increment."""
+    """Warp the gray (H, W) ``base`` along ``traj`` into luma frames; frame
+    t+1 is frame t translated by the path increment and rotated about the
+    frame center by the angle increment."""
     w, h = out_size
     if w < 16 or h < 16:
         raise ConfigError("output size must be at least 16x16")
-    gray = base.ndim == 2
-    bh, bw = base.shape[:2]
+    bh, bw = base.shape
     c_out = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
     c_base = np.array([(bw - 1) / 2.0, (bh - 1) / 2.0])
     offset = c_base - c_out
@@ -176,7 +176,7 @@ def render_shaky(
     corners = np.array([[0.0, 0.0, 1], [w - 1.0, 0.0, 1], [0.0, h - 1.0, 1], [w - 1.0, h - 1.0, 1]]).T
 
     base_f = base.astype(np.float64)
-    frames = np.empty((traj.length, h, w, 3), dtype=np.uint8)
+    frames = np.empty((traj.length, h, w), dtype=np.uint8)
     for t, g in enumerate(_pose_chain(traj, c_out)):
         cq = (g @ corners)[:2].T + offset
         if (cq.min() < 0.0) or (cq[:, 0].max() > bw - 1.0) or (cq[:, 1].max() > bh - 1.0):
@@ -186,14 +186,8 @@ def render_shaky(
             )
         qx = g[0, 0] * xs + g[0, 1] * ys + g[0, 2] + offset[0]
         qy = g[1, 0] * xs + g[1, 1] * ys + g[1, 2] + offset[1]
-        if gray:
-            plane = ndimage.map_coordinates(base_f, [qy, qx], order=1, mode="nearest")
-            plane = np.clip(_round_half_up(plane), 0, 255).astype(np.uint8)
-            frames[t] = plane[..., None]
-        else:
-            for ch in range(3):
-                plane = ndimage.map_coordinates(base_f[..., ch], [qy, qx], order=1, mode="nearest")
-                frames[t, ..., ch] = np.clip(_round_half_up(plane), 0, 255).astype(np.uint8)
+        plane = ndimage.map_coordinates(base_f, [qy, qx], order=1, mode="nearest")
+        frames[t] = np.clip(_round_half_up(plane), 0, 255)
     return FrameSequence(frames=frames, fps=fps).validate()
 
 

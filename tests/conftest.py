@@ -6,9 +6,8 @@ from stabilitykit.synth import make_base
 
 
 def textured_frame(seed: int = 0, width: int = 96, height: int = 96) -> np.ndarray:
-    """RGB frame with plenty of corners (gray texture replicated)."""
-    gray = make_base(width, height, seed=seed)
-    return np.repeat(gray[..., None], 3, axis=2)
+    """uint8 luma frame with plenty of corners."""
+    return make_base(width, height, seed=seed)
 
 
 def textured_plane(seed: int = 0, width: int = 96, height: int = 96) -> np.ndarray:
@@ -16,7 +15,7 @@ def textured_plane(seed: int = 0, width: int = 96, height: int = 96) -> np.ndarr
 
 
 def constant_sequence(value: int = 80, count: int = 3, width: int = 32, height: int = 32) -> FrameSequence:
-    frames = np.full((count, height, width, 3), value, dtype=np.uint8)
+    frames = np.full((count, height, width), value, dtype=np.uint8)
     return FrameSequence(frames=frames)
 
 

@@ -59,7 +59,7 @@ class TestItf:
         assert itf(constant_sequence(count=10)).score_db == 100.0
 
     def test_mixed_pairs_average(self):
-        frames = np.full((3, 16, 16, 3), 100, dtype=np.uint8)
+        frames = np.full((3, 16, 16), 100, dtype=np.uint8)
         frames[2] += 1  # second pair differs by exactly 1 gray level in luma
         result = itf(FrameSequence(frames=frames))
         assert result.per_pair_db[0] == 100.0
@@ -67,18 +67,18 @@ class TestItf:
         assert result.score_db == pytest.approx((100.0 + 48.1308) / 2, abs=1e-4)
 
     def test_pairs_equal_whole_stack_luma(self, rng):
-        frames = rng.integers(0, 256, (5, 24, 32, 3), dtype=np.uint8)
+        frames = rng.integers(0, 256, (5, 24, 32), dtype=np.uint8)
         lumas = to_luma(frames)
         want = [psnr(lumas[k], lumas[k + 1]) for k in range(4)]
         assert itf(FrameSequence(frames=frames)).per_pair_db == want
 
     def test_single_frame(self):
-        frames = np.zeros((1, 16, 16, 3), dtype=np.uint8)
+        frames = np.zeros((1, 16, 16), dtype=np.uint8)
         with pytest.raises(InsufficientFrames):
             itf(FrameSequence(frames=frames))
 
     def test_temporal_reversal_invariance(self, rng):
-        frames = rng.integers(0, 256, (6, 16, 16, 3), dtype=np.uint8)
+        frames = rng.integers(0, 256, (6, 16, 16), dtype=np.uint8)
         fwd = itf(FrameSequence(frames=frames)).score_db
         rev = itf(FrameSequence(frames=frames[::-1].copy())).score_db
         assert fwd == pytest.approx(rev, abs=1e-12)

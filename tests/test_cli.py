@@ -36,7 +36,7 @@ def workspace(tmp_path_factory):
     shaky = root / "data" / "synth_0002.y4m"
     flat_path = root / "flat.y4m"
     save_y4m(
-        FrameSequence(frames=np.full((18, 32, 32, 3), 128, dtype=np.uint8)), flat_path
+        FrameSequence(frames=np.full((18, 32, 32), 128, dtype=np.uint8)), flat_path
     )
     return {"root": root, "manifest": manifest, "static": static, "shaky": shaky,
             "flat": flat_path}
@@ -66,30 +66,50 @@ class TestScore:
         code, _, _ = run(capsys, "score", str(workspace["flat"]))
         assert code == 4
 
-    @pytest.mark.parametrize("n_clips", ["0", "-2"])
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["--n-clips", "0"], "n_clips", id="0"),
+        pytest.param(["--n-clips", "-2"], "n_clips", id="-2"),
+        pytest.param(["--n", "1"], "n >= 2", id="n-1"),
+        pytest.param(["--tau", "0"], "tau >= 1", id="tau-0"),
+        pytest.param(["--grid", "3"], "grid", id="grid-3"),
+        pytest.param(["--grid", "33"], "grid", id="grid-33"),
+        pytest.param(["--tau-b", "3"], "tau_b", id="tau-b-3"),
+        pytest.param(["--n", "16"], "the model takes 288", id="dim-of-n-16"),
+    ])
     def test_no_clips_exits_2_before_decoding(self, capsys, workspace, tmp_path,
-                                              monkeypatch, n_clips):
+                                              monkeypatch, argv, name):
         ckpt = tmp_path / "model.ckpt"
         model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
-
-        def no_decode(path):
-            raise AssertionError("video decoded before the options were checked")
-
-        monkeypatch.setattr(cli, "_load_video", no_decode)
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
         code, out, err = run(
-            capsys, "score", str(workspace["static"]), "--model", str(ckpt),
-            "--n-clips", n_clips,
+            capsys, "score", str(workspace["static"]), "--model", str(ckpt), *argv,
         )
-        assert code == 2 and "n_clips" in err
+        assert code == 2 and name in err
         assert out == ""
+        assert decoded == []
+
+    def test_short_video_exits_5_before_trajectory(self, capsys, workspace, tmp_path,
+                                                   monkeypatch):
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        called = []
+        monkeypatch.setattr(cli, "itf", called.append)
+        monkeypatch.setattr(cli, "video_trajectory", called.append)
+        # the 18-frame video is shorter than the default clip span of 63
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt))
+        assert code == 5 and "need 63 frames" in err
+        assert out == ""
+        assert called == []
 
     @pytest.mark.parametrize("flag, want", [([], 1), (["--n-clips", "3"], 3)])
     def test_n_clips_flag_overrides_config(self, capsys, workspace, tmp_path, monkeypatch,
                                            flag, want):
+        # n = 8 spans 15 of the 18 frames; the model takes its 84 features
         ckpt = tmp_path / "model.ckpt"
-        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+        model_mod.save_checkpoint(model_mod.init_params(FeatureDims(n=8, n_b=1).dim, seed=0), ckpt)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_clips": 1}))
+        cfg.write_text(json.dumps({"n_clips": 1, "n": 8}))
         seen = []
         monkeypatch.setattr(model_mod, "predict_video",
                             lambda *args, n_clips, **kwargs: seen.append(n_clips) or 0.0)

@@ -15,9 +15,7 @@ def const_flow(u, v, size=8):
 
 
 def gray_frames(values, width=32, height=32):
-    return np.stack(
-        [np.full((height, width, 3), v, dtype=np.uint8) for v in values]
-    )
+    return np.stack([np.full((height, width), v, dtype=np.uint8) for v in values])
 
 
 def old_resize_lumas(lumas, size):
@@ -140,7 +138,7 @@ class TestSemanticFeatures:
             assert out[k * 8] == pytest.approx(k * 8.0, abs=1e-9)
 
     def test_vertical_edge_blocks(self):
-        frame = np.zeros((32, 32, 3), dtype=np.uint8)
+        frame = np.zeros((32, 32), dtype=np.uint8)
         frame[:, 16:] = 255
         tl, tr, bl, br = feat._semantic_frame(to_luma(frame))[4:8]
         assert tl == pytest.approx(0.0, abs=1.0)
@@ -149,7 +147,7 @@ class TestSemanticFeatures:
         assert br == pytest.approx(255.0, abs=1.0)
 
     def test_deterministic(self, rng):
-        lumas = to_luma(rng.integers(0, 256, (4, 24, 24, 3), dtype=np.uint8))
+        lumas = to_luma(rng.integers(0, 256, (4, 24, 24), dtype=np.uint8))
         assert np.array_equal(semantic_stack(lumas), semantic_stack(lumas))
 
     # Each frame's sums now run pairwise over its own contiguous plane, not
@@ -158,7 +156,7 @@ class TestSemanticFeatures:
     @pytest.mark.parametrize("shape", [(16, 96, 128), (9, 360, 640)],
                              ids=["upsampled", "downsampled"])
     def test_per_frame_matches_run_oracle(self, rng, shape):
-        lumas = to_luma(rng.integers(0, 256, shape + (3,), dtype=np.uint8))
+        lumas = to_luma(rng.integers(0, 256, shape, dtype=np.uint8))
         lumas[:, : shape[1] // 3] = 40.0  # a flat band: zero-gradient pixels
         old_resized = old_resize_lumas(lumas, feat.SEMANTIC_SIZE)
         want = old_semantic_runs(old_resized)
@@ -239,7 +237,7 @@ class TestClipPipeline:
         assert np.all(fused[:16] == 0.0)  # untrackable pairs count as no motion
 
     def test_noise_clip_is_finite(self, rng):
-        frames = rng.integers(0, 256, (8, 48, 48, 3), dtype=np.uint8)
+        frames = rng.integers(0, 256, (8, 48, 48), dtype=np.uint8)
         clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
         fused = feat.clip_features(clip, grid=4, tau_b=4)
         assert np.all(np.isfinite(fused))

@@ -1,7 +1,6 @@
 import contextlib
 import json
-import subprocess
-import sys
+import math
 import tempfile
 from pathlib import Path
 
@@ -55,106 +54,6 @@ def old_resize_stack(frames, w, h):
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
-def old_yuv_to_rgb(yuv):
-    """The per-pixel float decoder before the chroma table: a BLAS inverse,
-    its rounding, and a +-1 snap search where that does not re-encode.
-    Returns the RGB and the float inverse."""
-    flat = yuv.reshape(-1, 3)
-    rgb_f = (flat.astype(np.float64) - media._OFF) @ media._INV.T
-    rgb = np.clip(np.floor(rgb_f + 0.5), 0, 255).astype(np.uint8)
-    bad = np.any(media.rgb_to_yuv(rgb) != flat, axis=1)
-    if np.any(bad):
-        idx = np.nonzero(bad)[0]
-        cand = rgb[idx, None, :].astype(np.int16) + media._SNAP_OFFSETS[None, :, :]
-        cand = np.clip(cand, 0, 255).astype(np.uint8)
-        feasible = np.all(media.rgb_to_yuv(cand) == flat[idx, None, :], axis=2)
-        dist = np.sum((cand.astype(np.float64) - rgb_f[idx, None, :]) ** 2, axis=2)
-        dist[~feasible] = np.inf
-        pick = np.argmin(dist, axis=1)
-        has = feasible[np.arange(len(idx)), pick]
-        rgb[idx[has]] = cand[np.arange(len(idx))[has], pick[has]]
-    return rgb.reshape(yuv.shape), rgb_f.reshape(yuv.shape)
-
-
-def reencodes(rgb, yuv):
-    return np.all(media.rgb_to_yuv(rgb) == yuv, axis=-1)
-
-
-class TestDecoder:
-    @pytest.mark.parametrize("luma", [0, 71, 128, 255])
-    def test_every_chroma_pair_matches_old_decoder(self, luma):
-        u, v = np.divmod(np.arange(65536), 256)
-        yuv = np.stack([np.full(65536, luma), u, v], axis=1).astype(np.uint8)
-        got = media.yuv_to_rgb(yuv)
-        want, rgb_f = old_yuv_to_rgb(yuv)
-        tie = np.any(np.abs(rgb_f - np.floor(rgb_f) - 0.5) < 1e-9, axis=1)
-        assert tie.any() and not tie.all()
-        same = np.all(got == want, axis=1)
-        assert same[~tie].all()
-        # at a .5 tie either rounding may be taken, and the result still
-        # re-encodes wherever the old decoder's did
-        assert reencodes(got, yuv)[tie & reencodes(want, yuv)].all()
-
-    def test_table_covers_only_exact_in_range_pixels(self):
-        d, lo, hi = media._chroma_table()
-        covered = lo <= hi
-        assert 0.1 < covered.mean() < 1.0
-        u, v = np.divmod(np.nonzero(covered)[0], 256)
-        for y in (lo[covered], hi[covered]):
-            yuv = np.stack([y, u, v], axis=1).astype(np.uint8)
-            rgb = y[:, None] + d[covered]  # uint8: offsets are stored modulo 256
-            assert reencodes(rgb, yuv).all()
-            assert np.array_equal(media.yuv_to_rgb(yuv), rgb)
-            want, _ = old_yuv_to_rgb(yuv)
-            assert np.array_equal(rgb, want)
-
-    def test_tie_pixel_decodes_alike_alone_and_in_a_batch(self):
-        # G's inverse is exactly Y + 18.5 here; the old decoder's BLAS product
-        # gave G = 90 alone and G = 89 inside a 65,536-row batch, both exact
-        pixel = np.array([71, 178, 78], dtype=np.uint8)
-        alone = media.yuv_to_rgb(pixel[None])[0]
-        batch = np.tile(pixel, (65536, 1))
-        batch[1::2] = np.random.default_rng(0).integers(0, 256, (32768, 3), dtype=np.uint8)
-        assert (media.yuv_to_rgb(batch)[::2] == alone).all()
-        assert alone[1] in (89, 90) and reencodes(alone, pixel)
-
-    def test_every_pixel_decodes_alike_alone_and_in_a_batch(self):
-        yuv = np.random.default_rng(5).integers(0, 256, (300, 3), dtype=np.uint8)
-        yuv[:100, 1:] = (178, 78)
-        yuv[100:150, 1] = 3  # B's inverse is Y - 221.5
-        alone = np.concatenate([media.yuv_to_rgb(p[None]) for p in yuv])
-        assert np.array_equal(alone, media.yuv_to_rgb(yuv))
-
-    @pytest.mark.parametrize("colorspace", [b"C444", b"C420jpeg"])
-    def test_load_y4m_matches_old_decoder(self, tmp_path, colorspace):
-        rng = np.random.default_rng(11)
-        w, h = 48, 32
-        sub = 2 if colorspace == b"C420jpeg" else 1
-        planes = []
-        for _ in range(3):
-            # half the stream in gamut (encoded RGB), half random YUV bytes
-            yuv = media.rgb_to_yuv(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
-            yuv[h // 2 :] = rng.integers(0, 256, (h // 2, w, 3), dtype=np.uint8)
-            planes.append((yuv[..., 0].copy(), yuv[::sub, ::sub, 1].copy(), yuv[::sub, ::sub, 2].copy()))
-        path = tmp_path / "s.y4m"
-        path.write_bytes(y4m_bytes(planes, w, h, colorspace=colorspace))
-        got = media.load_y4m(path).frames
-        for frame, (y, u, v) in zip(got, planes):
-            full = np.stack([y, u.repeat(sub, 0).repeat(sub, 1), v.repeat(sub, 0).repeat(sub, 1)], -1)
-            assert np.array_equal(frame, old_yuv_to_rgb(full)[0])
-
-    def test_cli_import_leaves_table_unbuilt(self):
-        src = str(Path(media.__file__).resolve().parents[1])
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import stabilitykit.cli; "
-            "from stabilitykit import media; print(media._chroma_table.cache_info().currsize)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "0"
-
-
 class TestLoadY4m:
     def test_neutral_gray(self, tmp_path):
         seq = media.load_y4m(gray_stream(tmp_path))
@@ -199,34 +98,100 @@ class TestLoadY4m:
         with pytest.raises(ParseError, match="colorspace"):
             media.load_y4m(p)
 
-    def test_420_chroma_upsampled(self, tmp_path):
+    def test_420_chroma_ignored(self, tmp_path):
         y = np.full((16, 16), 90, dtype=np.uint8)
         c = np.full((8, 8), 140, dtype=np.uint8)
         p = tmp_path / "c420.y4m"
         p.write_bytes(y4m_bytes([(y, c, c)] * 2, 16, 16, colorspace=b"C420jpeg"))
         seq = media.load_y4m(p)
-        # uniform color: every pixel decodes identically
-        assert len(np.unique(seq.frames.reshape(-1, 3), axis=0)) == 1
+        assert seq.frames.shape == (2, 16, 16)
+        assert np.all(seq.frames == 90)
+
+    @pytest.mark.parametrize("colorspace, width, height",
+                             [(b"C444", 33, 17), (b"C420jpeg", 48, 32)], ids=["C444", "C420jpeg"])
+    def test_frames_are_the_y_planes(self, tmp_path, colorspace, width, height):
+        rng = np.random.default_rng(11)
+        sub = 2 if colorspace == b"C420jpeg" else 1
+        planes = [
+            tuple(rng.integers(0, 256, shape, dtype=np.uint8)
+                  for shape in ((height, width), (height // sub, width // sub), (height // sub, width // sub)))
+            for _ in range(3)
+        ]
+        p = tmp_path / "s.y4m"
+        p.write_bytes(y4m_bytes(planes, width, height, colorspace=colorspace))
+        frames = media.load_y4m(p).frames
+        assert frames.dtype == np.uint8 and frames.shape == (3, height, width)
+        for frame, (y, _, _) in zip(frames, planes):
+            assert frame.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 63])
+    def test_cut_inside_last_v_plane_is_truncated(self, tmp_path, cut):
+        y = np.zeros((16, 16), dtype=np.uint8)
+        c = np.zeros((8, 8), dtype=np.uint8)  # 64-byte V plane
+        data = y4m_bytes([(y, c, c)] * 3, 16, 16, colorspace=b"C420jpeg")
+        p = tmp_path / "cut.y4m"
+        p.write_bytes(data[:-cut])
+        with pytest.raises(TruncatedError, match="frame 2"):
+            media.load_y4m(p)
+
+    # any header and payload must end in a library error or a sequence,
+    # never in another exception; the sizes keep every allocation small
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.just(b"YUV4MPEG2") | st.binary(max_size=9),
+        st.lists(
+            st.integers(-4, 40).map(lambda v: b"W%d" % v)
+            | st.integers(-4, 40).map(lambda v: b"H%d" % v)
+            | st.integers(1, 400).map(lambda n: b"F" + b"9" * n + b":1")
+            | st.integers(1, 5000).map(lambda n: b"W" + b"7" * n)
+            | st.sampled_from([b"C420jpeg", b"C420", b"C444", b"C422", b"Cmono", b"Ip", b""])
+            | st.binary(max_size=6),
+            max_size=7,
+        ),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from([b"FRAME", b"FRAME Ixy", b"FRAM", b""]),
+                           st.integers(0, 3 * 40 * 40)), max_size=3),
+    )
+    def test_header_and_payload_fuzz_raises_only_library_errors(self, magic, tokens, newline,
+                                                                frames):
+        data = b" ".join([magic, *tokens]) + (b"\n" if newline else b"")
+        data += b"".join(marker + b"\n" + bytes(size) for marker, size in frames)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "f.y4m")
+            path.write_bytes(data)
+            with contextlib.suppress(StabilityKitError):
+                seq = media.load_y4m(path)
+                assert seq.frames.ndim == 3 and seq.frames.dtype == np.uint8
 
     def test_reemit_is_byte_identical(self, tmp_path, rng):
-        frames = rng.integers(0, 256, size=(4, 24, 32, 3), dtype=np.uint8)
+        frames = rng.integers(0, 256, size=(4, 24, 33), dtype=np.uint8)
         first = tmp_path / "a.y4m"
         second = tmp_path / "b.y4m"
         media.save_y4m(media.FrameSequence(frames=frames), first)
-        media.save_y4m(media.load_y4m(first), second)
+        seq = media.load_y4m(first)
+        assert np.array_equal(seq.frames, frames)
+        media.save_y4m(seq, second)
         assert first.read_bytes() == second.read_bytes()
+        # after each Y plane come U and V planes of neutral 128
+        payload = first.read_bytes().split(b"\n", 1)[1]
+        size = 6 + 3 * 24 * 33
+        for t, frame in enumerate(frames):
+            block = payload[t * size : (t + 1) * size]
+            assert block == b"FRAME\n" + frame.tobytes() + bytes([128]) * (2 * 24 * 33)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_reemit_byte_identical_property(self, tmp_path_factory, seed):
         tmp = tmp_path_factory.mktemp("y4m")
         frames = np.random.default_rng(seed).integers(
-            0, 256, size=(2, 16, 16, 3), dtype=np.uint8
+            0, 256, size=(2, 16, 16), dtype=np.uint8
         )
         first = tmp / "a.y4m"
         second = tmp / "b.y4m"
         media.save_y4m(media.FrameSequence(frames=frames), first)
-        media.save_y4m(media.load_y4m(first), second)
+        seq = media.load_y4m(first)
+        assert np.array_equal(seq.frames, frames)
+        media.save_y4m(seq, second)
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -245,7 +210,7 @@ class TestFrameDir:
             write_ppm(tmp_path / f"f{i:03d}.ppm", arr)
         seq = media.load_frame_dir(tmp_path)
         assert len(seq) == 8
-        assert [int(f[0, 0, 0]) for f in seq.frames] == [i * 10 for i in range(8)]
+        assert [int(f[0, 0]) for f in seq.frames] == [i * 10 for i in range(8)]
 
     def test_mixed_dimensions(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((32, 32, 3), dtype=np.uint8))
@@ -253,12 +218,29 @@ class TestFrameDir:
         with pytest.raises(DimensionMismatch):
             media.load_frame_dir(tmp_path)
 
-    def test_pgm_replicated_to_rgb(self, tmp_path):
-        arr = np.full((32, 32), 200, dtype=np.uint8)
-        write_pgm(tmp_path / "a.pgm", arr)
-        write_pgm(tmp_path / "b.pgm", arr)
+    def test_pgm_used_as_is(self, tmp_path, rng):
+        arrs = rng.integers(0, 256, (2, 17, 32), dtype=np.uint8)
+        write_pgm(tmp_path / "a.pgm", arrs[0])
+        write_pgm(tmp_path / "b.pgm", arrs[1])
         seq = media.load_frame_dir(tmp_path)
-        assert np.all(seq.frames == 200)
+        assert seq.frames.shape == (2, 17, 32)
+        assert seq.frames.tobytes() == arrs.tobytes()
+
+    def test_ppm_luma_is_per_pixel(self, tmp_path, rng):
+        rgb = rng.integers(0, 256, (2, 16, 20, 3), dtype=np.uint8)
+        # exact .5 ties of 0.299 R + 0.587 G + 0.114 B, and one just above
+        rgb[0, 0, :3] = [(0, 0, 250), (6, 0, 129), (3, 3, 253)]
+        rgb[1, 5, 7] = (255, 255, 255)
+        write_ppm(tmp_path / "a.ppm", rgb[0])
+        write_ppm(tmp_path / "b.ppm", rgb[1])
+        got = media.load_frame_dir(tmp_path).frames
+        want = [[[math.floor(r * 0.299 + g * 0.587 + b * 0.114 + 0.5) for r, g, b in row.tolist()]
+                 for row in frame] for frame in rgb]
+        assert got.tolist() == want
+        assert got[0, 0, :3].tolist() == [29, 17, 32]
+        alone = [[[media._rgb_luma(px[None, None])[0, 0] for px in row] for row in frame]
+                 for frame in rgb]
+        assert got.tolist() == np.array(alone).tolist()
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(EmptyInput):
@@ -287,11 +269,13 @@ class TestFrameDir:
             media.load_frame_dir(tmp_path)
 
     # any header must end in a library error or a sequence, never in another
-    # exception; the small integer tokens keep every allocation small
+    # exception; the small integer tokens keep every allocation small, and a
+    # few overlong ones check the 9-digit bound
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from([b"P5", b"P6"]) | st.binary(max_size=3),
-        st.lists(st.integers(-40, 40).map(b"%d".__mod__) | st.binary(max_size=5),
+        st.lists(st.integers(-40, 40).map(b"%d".__mod__) | st.binary(max_size=5)
+                 | st.integers(1, 5000).map(lambda n: b"7" * n),
                  min_size=2, max_size=2),
         st.just(b"255") | st.binary(max_size=5),
         st.sampled_from([b" ", b"\n", b"\t"]),
@@ -315,8 +299,8 @@ class TestFrameDir:
 
 class TestSampleClip:
     def _seq(self, count):
-        frames = np.zeros((count, 16, 16, 3), dtype=np.uint8)
-        frames[:, 0, 0, 0] = np.arange(count) % 256
+        frames = np.zeros((count, 16, 16), dtype=np.uint8)
+        frames[:, 0, 0] = np.arange(count) % 256
         return media.FrameSequence(frames=frames)
 
     def test_unique_valid_start(self):
@@ -348,34 +332,31 @@ class TestSampleClip:
 
 class TestLuma:
     def test_white(self):
-        frame = np.full((4, 4, 3), 255, dtype=np.uint8)
+        frame = np.full((4, 4), 255, dtype=np.uint8)
         assert np.all(media.to_luma(frame) == 255.0)
 
     def test_pure_red(self):
+        # the PPM rule: floor(0.299 * 255 + 0.5)
         frame = np.zeros((2, 2, 3), dtype=np.uint8)
         frame[..., 0] = 255
-        assert media.to_luma(frame)[0, 0] == pytest.approx(76.245, abs=1e-9)
+        assert np.all(media._rgb_luma(frame) == 76)
 
     def test_black(self):
-        assert np.all(media.to_luma(np.zeros((3, 3, 3), dtype=np.uint8)) == 0.0)
+        assert np.all(media.to_luma(np.zeros((3, 3), dtype=np.uint8)) == 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_range(self, seed):
-        frame = np.random.default_rng(seed).integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-        luma = media.to_luma(frame)
+        rgb = np.random.default_rng(seed).integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+        luma = media.to_luma(media._rgb_luma(rgb))
         assert luma.min() >= 0.0 and luma.max() <= 255.0
 
-
     def test_no_float_copy_matches_astype_form(self, rng):
-        # uint8 times a Python float is float64 under NEP 50 and under the
-        # value-based rules of numpy 1.x alike
-        frames = rng.integers(0, 256, size=(4, 19, 23, 3), dtype=np.uint8)
-        f = frames.astype(np.float64)
-        want = f[..., 0] * 0.299 + f[..., 1] * 0.587 + f[..., 2] * 0.114
+        frames = rng.integers(0, 256, size=(4, 19, 23), dtype=np.uint8)
         got = media.to_luma(frames)
         assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == frames.astype(np.float64).tobytes()
+        assert media.to_luma(got) is got  # float64 planes are not copied again
 
 
 class TestResize:

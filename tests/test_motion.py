@@ -66,8 +66,9 @@ def shift_pair(seed=0, shift=(3, 0), size=(128, 96)):
     return prev, nxt
 
 
-def to_rgb(plane):
-    return np.repeat(plane.astype(np.uint8)[..., None], 3, axis=2)
+def to_frame(plane):
+    """A float plane of whole gray levels as a stored uint8 luma frame."""
+    return plane.astype(np.uint8)
 
 
 def loop_homography_dlt(p0, p1):
@@ -323,7 +324,7 @@ class TestEstimateMotion:
 
     def test_known_vertical_shift(self):
         prev, nxt = shift_pair(seed=8, shift=(0, 5))
-        mp = estimate_motion(to_rgb(prev), to_rgb(nxt), "similarity")
+        mp = estimate_motion(to_frame(prev), to_frame(nxt), "similarity")
         assert mp.dy == pytest.approx(5.0, abs=0.25)
         assert mp.dx == pytest.approx(0.0, abs=0.25)
 
@@ -340,7 +341,7 @@ class TestEstimateMotion:
     def test_all_models_collapse_on_pure_translation(self):
         prev, nxt = shift_pair(seed=11, shift=(4, -2))
         for kind in ("translation", "similarity", "homography"):
-            mp = estimate_motion(to_rgb(prev), to_rgb(nxt), kind)
+            mp = estimate_motion(to_frame(prev), to_frame(nxt), kind)
             assert mp.dx == pytest.approx(4.0, abs=0.25), kind
             assert mp.dy == pytest.approx(-2.0, abs=0.25), kind
 
@@ -364,7 +365,7 @@ class TestEstimateMotion:
 
     def test_grid_flow_agrees_with_estimate(self):
         prev, nxt = shift_pair(seed=15, shift=(3, 0))
-        mp = estimate_motion(to_rgb(prev), to_rgb(nxt), "translation")
+        mp = estimate_motion(to_frame(prev), to_frame(nxt), "translation")
         flow = grid_flow(prev, nxt)
         assert abs(float(np.mean(flow.u)) - mp.dx) <= 0.5
         assert abs(float(np.mean(flow.v)) - mp.dy) <= 0.5
@@ -757,7 +758,7 @@ class TestVideoTrajectory:
         seq, _ = shaky_video(87, count=20, size=(112, 96))
         pixels = []
         to_luma = motion.to_luma
-        monkeypatch.setattr(motion, "to_luma", lambda f: pixels.append(f.size // 3) or to_luma(f))
+        monkeypatch.setattr(motion, "to_luma", lambda f: pixels.append(f.size) or to_luma(f))
         video_trajectory(seq, "homography")
         assert sum(pixels) == len(seq) * 112 * 96
 

@@ -69,7 +69,7 @@ class TestRenderShaky:
         for t in range(1, 4):
             assert np.array_equal(seq.frames[t], seq.frames[0])
         crop = base[12:60, 16:80]  # centered crop for even margins
-        assert np.array_equal(seq.frames[0][..., 0], crop)
+        assert np.array_equal(seq.frames[0], crop)
 
     def test_shift_recovered_by_estimator(self):
         base = make_base(160, 130, seed=4)
