@@ -6,8 +6,10 @@ evaluation protocol, subjective-study MOS tooling, and a synthetic shaky
 video generator that makes all of it verifiable end to end.
 
 ``clip_features`` returns one float64 vector per clip, the flow, semantic and
-blur branches in that order, and ``mlp_forward`` scores it; ``iter_dataset``
-yields seeded labeled videos one at a time.
+blur branches in that order; ``train`` fits the head to a matrix of such
+vectors and their target scores, and ``mlp_forward`` scores one vector.
+``reject_outlier_subjects`` turns a ratings table into MOS, and
+``iter_dataset`` yields seeded labeled videos one at a time.
 """
 
 from .classic import ItfResult, StabilityResult, freq_energy_ratio, itf, psnr, stability_score
@@ -16,7 +18,7 @@ from .evaluation import MetricReport, evaluate, krcc, logistic_fit, rmse, srocc
 from .features import FeatureDims, clip_features
 from .media import Clip, FrameSequence, load_frame_dir, load_y4m, sample_clip, save_y4m, to_luma
 from .model import ModelParams, TrainConfig, load_checkpoint, mlp_forward, predict_video, save_checkpoint, train
-from .mos import MosResult, RatingsTable, compute_mos, reject_outlier_subjects, repeated_check, split_half
+from .mos import MosResult, RatingsTable, compute_mos, reject_outlier_subjects
 from .motion import (
     FlowField,
     MotionParams,
@@ -25,7 +27,6 @@ from .motion import (
     accumulate_trajectory,
     detect_corners,
     estimate_motion,
-    grid_flow,
     track_lk,
     video_trajectory,
 )

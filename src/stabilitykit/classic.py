@@ -55,8 +55,8 @@ def itf(seq: FrameSequence) -> ItfResult:
     return ItfResult(score_db=float(np.mean(pairs)), per_pair_db=pairs)
 
 
-def freq_energy_ratio(path: np.ndarray, band: tuple[int, int] = LOW_BAND) -> float:
-    """Share of non-DC spectral energy inside ``band`` (inclusive bin range).
+def freq_energy_ratio(path: np.ndarray) -> float:
+    """Share of non-DC spectral energy inside ``LOW_BAND`` (inclusive bin range).
 
     A path with (numerically) zero non-DC energy is motionless and scores 1.
     """
@@ -68,17 +68,15 @@ def freq_energy_ratio(path: np.ndarray, band: tuple[int, int] = LOW_BAND) -> flo
     total = float(np.sum(power[1:]))  # bins 1..floor(M/2), DC excluded
     if total < ZERO_ENERGY_EPS:
         return 1.0
-    lo, hi = band
-    lo = max(lo, 1)
-    hi = min(hi, m // 2)
+    lo, hi = LOW_BAND  # m >= 16, so the band lies inside bins 1..m // 2
     return float(min(np.sum(power[lo : hi + 1]) / total, 1.0))
 
 
-def stability_score(traj: Trajectory, band: tuple[int, int] = LOW_BAND) -> StabilityResult:
+def stability_score(traj: Trajectory) -> StabilityResult:
     """Liu-style stability: low-frequency energy ratio per axis, worst axis wins."""
     components = {
-        "x": freq_energy_ratio(traj.x, band),
-        "y": freq_energy_ratio(traj.y, band),
-        "theta": freq_energy_ratio(traj.theta, band),
+        "x": freq_energy_ratio(traj.x),
+        "y": freq_energy_ratio(traj.y),
+        "theta": freq_energy_ratio(traj.theta),
     }
     return StabilityResult(score=min(components.values()), component_scores=components)

@@ -114,22 +114,29 @@ def _clip_opts(cfg: dict, args) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _clip_dims(opts: dict) -> feat.FeatureDims:
+    """The feature dims of the clip options, after checking ``n``/``tau``,
+    ``grid`` and ``tau_b`` (which must divide ``n``).  Commands call it before
+    decoding any video: a bad value would otherwise surface only after the
+    first one is decoded, or after the whole trajectory is estimated."""
+    clip_span(opts["n"], opts["tau"])
+    check_grid(opts["grid"])
+    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
+    return feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"])
+
+
 _SCORE_KEYS = {"seed", "n", "tau", "grid", "tau_b", "n_clips", "model"}
 
 
 def _score_model(model_path: str, n_clips: int, opts: dict) -> model_mod.ModelParams:
     """The checkpoint of ``score --model``, with the clip options checked
-    against it.  It runs before the video is decoded: a bad value would
-    otherwise surface only after the whole trajectory is estimated."""
+    against it, before the video is decoded."""
     if n_clips < 1:
         raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
-    clip_span(opts["n"], opts["tau"])
-    check_grid(opts["grid"])
-    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
+    dim = _clip_dims(opts).dim
     if not Path(model_path).is_file():
         raise MissingModel(f"model checkpoint not found: {model_path}")
     params = model_mod.load_checkpoint(model_path)
-    dim = feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"]).dim
     if dim != params.input_dim:
         raise DimensionMismatch(f"the clip options give {dim} features, the model takes {params.input_dim}")
     return params
@@ -197,9 +204,7 @@ def cmd_train(args) -> int:
     if not rows:
         raise EmptyInput("manifest has no rows")
 
-    # blur_indices rejects a tau_b that does not divide n
-    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
-    dims = feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"])
+    dims = _clip_dims(opts)
     cache_path = Path(args.cache) if args.cache else None
     matrix = None
     if cache_path and cache_path.is_file():
@@ -213,12 +218,10 @@ def cmd_train(args) -> int:
             clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
             clip = sample_clip(seq, n=opts["n"], tau=opts["tau"], seed=clip_seed)
             vecs.append(feat.clip_features(clip, grid=opts["grid"], tau_b=opts["tau_b"]))
-        matrix = np.stack(vecs)
+        # train on the f32-rounded values the cache holds
+        matrix = np.stack(vecs).astype("<f4").astype(np.float64)
         if cache_path:
             feat.save_feature_cache(cache_path, matrix, dims)
-            matrix, _ = feat.load_feature_cache(cache_path)  # train on f32-rounded values
-        else:
-            matrix = matrix.astype("<f4").astype(np.float64)
 
     y = np.array([score for _, _, score in rows])
     perm = np.random.default_rng(seed).permutation(len(rows))
@@ -226,10 +229,9 @@ def cmd_train(args) -> int:
     if n_val < 3:  # rank correlation needs 3 points; tiny sets train on all
         n_val = 0
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train_set = list(zip(matrix[train_idx], y[train_idx]))
-    val_set = list(zip(matrix[val_idx], y[val_idx])) if n_val else None
+    val = (matrix[val_idx], y[val_idx]) if n_val else None
 
-    params, logs = model_mod.train(train_set, tc, val_set)
+    params, logs = model_mod.train(matrix[train_idx], y[train_idx], tc, val)
     model_mod.save_checkpoint(params, args.out, tc)
     if args.log:
         model_mod.save_training_log(logs, args.log)
@@ -246,15 +248,16 @@ def cmd_train(args) -> int:
 
 
 def _read_column(path: str, column: int = 0) -> list[float]:
-    reader = csv_rows(path, "utf-8")
-    vals = []
-    for i, parts in enumerate(row for row in reader if row):
+    vals, first = [], True
+    for line, parts in csv_rows(path, "utf-8"):
+        if not parts:
+            continue
         try:
             vals.append(float(parts[column]))
         except (IndexError, ValueError):
-            if i == 0:
-                continue  # header
-            raise ParseError(f"{path}:{reader.line_num}: cannot read column {column}")
+            if not first:  # only the first non-empty row may be a header
+                raise ParseError(f"{path}:{line}: cannot read column {column}")
+        first = False
     return vals
 
 

@@ -76,11 +76,6 @@ class InsufficientData(StabilityKitError):
     exit_code = 5
 
 
-class DegenerateBatch(StabilityKitError):
-    """Batch statistics are undefined (e.g. constant target scores)."""
-    exit_code = 4
-
-
 class DegenerateInput(StabilityKitError):
     """Statistic undefined for this input (e.g. constant vector)."""
     exit_code = 4

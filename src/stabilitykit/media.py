@@ -345,10 +345,13 @@ def save_f32(path: str | Path, header: dict, values: np.ndarray) -> None:
 
 
 def csv_rows(path: str | Path, encoding: str):
-    """A ``csv.reader`` over the file decoded as ``encoding``.
+    """Yield ``(line, row)`` for each row of the CSV file decoded as
+    ``encoding``; ``line`` is the reader's line number after the row.
 
     The whole file is decoded first, so a byte that does not decode raises
-    ``ParseError`` naming its own line, counted from the file's bytes.
+    ``ParseError`` naming its own line, counted from the file's bytes.  A row
+    the csv module rejects (say, a field over its size limit) raises
+    ``ParseError`` naming the line it ended on.
     """
     data = Path(path).read_bytes()
     try:
@@ -356,7 +359,12 @@ def csv_rows(path: str | Path, encoding: str):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: {exc}") from exc
-    return csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def load_f32_header(path: str | Path, kind: str) -> tuple[dict, bytes]:

@@ -8,7 +8,8 @@ gradients are computed analytically through both batch-level loss terms.
 During training the parameters, their gradient and Adam's two moments are
 each one flat float64 vector in checkpoint order (``w1`` row-major, ``b1``,
 ``w2``, ``b2``); ``w1``, ``b1``, ``w2`` and ``b2`` are views into it, so one
-Adam step is a few in-place ufuncs over whole vectors.
+Adam step is a few in-place ufuncs over whole vectors.  ``train`` takes
+the stacked float64 feature matrix and its target vector.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateBatch,
     DegenerateInput,
     DimensionMismatch,
     InsufficientData,
     ParseError,
     TruncatedError,
 )
-from .evaluation import _pair
 from .media import FrameSequence, load_f32_header, sample_clip, save_f32
 from . import features as feat
 
@@ -138,47 +137,16 @@ def mlp_forward(params: ModelParams, f: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_vectors(
-    pred: np.ndarray, mos: np.ndarray, varied_targets: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    pred, mos = _pair(pred, mos, 2)
-    if varied_targets:
-        b = mos - mos.mean()
-        if float(b @ b) < _EPS_VAR:
-            raise DegenerateBatch("constant target scores: correlation undefined")
-    return pred, mos
-
-
-def plcc_loss(pred: np.ndarray, mos: np.ndarray) -> float:
-    """(1 - r) / 2 with Pearson r; a constant prediction defines r = 0."""
-    return _loss_terms(*_check_vectors(pred, mos, varied_targets=True), 0.0)[0]
-
-
-def rank_loss(pred: np.ndarray, mos: np.ndarray) -> float:
-    """Pairwise hinge with MOS-difference margins, normalized by n^2."""
-    return _loss_terms(*_check_vectors(pred, mos), 0.0)[1]
-
-
-def loss_total(pred: np.ndarray, mos: np.ndarray, lambda_rank: float) -> float:
-    return _loss_and_grad_wrt_pred(*_check_vectors(pred, mos, varied_targets=True), lambda_rank)[0]
-
-
-def _loss_and_grad_wrt_pred(
-    pred: np.ndarray, mos: np.ndarray, lambda_rank: float
-) -> tuple[float, np.ndarray]:
-    """Degenerate-tolerant loss + d(loss)/d(pred) used inside training."""
-    plcc_term, rank_term, grad = _loss_terms(pred, mos, lambda_rank)
-    return plcc_term + lambda_rank * rank_term, grad
-
-
 def _loss_terms(
     pred: np.ndarray, mos: np.ndarray, lambda_rank: float
 ) -> tuple[float, float, np.ndarray]:
-    """The PLCC term, the rank term and d(PLCC + lambda_rank * rank)/d(pred).
+    """The PLCC term, the rank term and d(PLCC + lambda_rank * rank)/d(pred);
+    ``backward`` forms the training loss ``plcc + lambda_rank * rank``.
 
-    Constant targets zero the correlation term's gradient; a constant
-    prediction contributes PLCC term 0.5 with zero gradient (the limit is
-    direction-free)."""
+    The PLCC term is (1 - r) / 2 with Pearson r; constant targets or a
+    constant prediction make it 0.5 with zero gradient (the limit is
+    direction-free).  The rank term is the pairwise hinge with
+    MOS-difference margins, normalized by n^2."""
     n = len(pred)
     b = mos - mos.mean()
     sbb = float(b @ b)
@@ -224,7 +192,8 @@ def backward(
     if len(mos) < 2:
         raise DimensionMismatch("a batch needs at least 2 samples")
     pred, h, u, z = _forward(params, x)
-    loss, dpred = _loss_and_grad_wrt_pred(pred, mos, lambda_rank)
+    plcc_term, rank_term, dpred = _loss_terms(pred, mos, lambda_rank)
+    loss = plcc_term + lambda_rank * rank_term
     if out is None:
         out = np.empty(params.w1.size + 2 * len(params.b1) + 1)
     g = _on_flat(params, out)
@@ -242,26 +211,19 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
-def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    for item, score in dataset:
-        xs.append(np.asarray(item, dtype=np.float64))
-        ys.append(float(score))
-    if not xs:
-        raise InsufficientData("the dataset is empty")
-    return np.stack(xs), np.array(ys)
-
-
 def _cosine_factor(step: int, total: int) -> float:
     return 0.5 * (1.0 + np.cos(np.pi * step / max(total, 1)))
 
 
 def train(
-    dataset,
+    x: np.ndarray,
+    y: np.ndarray,
     cfg: TrainConfig,
-    val_dataset=None,
+    val: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ModelParams, list[EpochLog]]:
-    """Adam (b1=0.9, b2=0.999, eps=1e-8) with per-epoch seeded shuffling.
+    """Fit the head to the float64 (rows, D) feature matrix ``x`` and the
+    target vector ``y``: Adam (b1=0.9, b2=0.999, eps=1e-8) with per-epoch
+    seeded shuffling.  ``val`` is an optional ``(x_val, y_val)`` pair.
 
     The parameters, their gradient and the two Adam moments are flat
     vectors, and each step updates them with in-place ufuncs in the
@@ -274,7 +236,10 @@ def train(
     """
     from .evaluation import srocc  # resolved per call, so a wrapped srocc is the one used
 
-    x, y = _stack_dataset(dataset)
+    if len(y) != len(x):
+        raise DimensionMismatch(f"{len(x)} feature rows but {len(y)} target scores")
+    if len(x) == 0:
+        raise InsufficientData("the dataset is empty")
     if len(x) < 2 * cfg.batch_size:
         raise InsufficientData(
             f"need at least {2 * cfg.batch_size} samples, have {len(x)}"
@@ -291,9 +256,7 @@ def train(
     theta = _flat(params)
     params = _on_flat(params, theta)
 
-    xv = yv = None
-    if val_dataset is not None:
-        xv, yv = _stack_dataset(val_dataset)
+    xv, yv = val if val is not None else (None, None)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     grad, m, v, upd, tmp = (np.zeros_like(theta) for _ in range(5))

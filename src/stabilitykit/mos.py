@@ -1,6 +1,8 @@
 """Subjective-study aggregation and quality control.
 
-Ratings live in a subjects x videos matrix with NaN for missing entries.
+Ratings live in a subjects x videos matrix with NaN for missing entries;
+a subject's first rating of a video enters it, and a repeated presentation
+(a later row, whatever its optional ``session`` column) is dropped.
 Cleaning follows a single pass: a rating is an outlier when it deviates
 from its video's mean by strictly more than two (population) standard
 deviations, and a subject is rejected when outliers exceed 5% of the
@@ -15,18 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyAfterCleaning,
-    EmptyInput,
-    InsufficientData,
-    InsufficientRatings,
-    ParseError,
-)
-from .evaluation import rmse as _rmse
-from .evaluation import srocc as _srocc
+from .errors import ConfigError, EmptyAfterCleaning, EmptyInput, InsufficientRatings, ParseError
 from .media import csv_rows
 
 
@@ -35,14 +26,13 @@ class RatingsTable:
     subjects: list[str]
     videos: list[str]
     scores: np.ndarray  # (S, V) float with NaN for missing
-    records: list[tuple] = field(default_factory=list)
 
     @classmethod
     def from_records(cls, records) -> "RatingsTable":
         """records: iterable of (subject, video, score) or (..., session).
 
         The first rating per (subject, video) enters the matrix; later ones
-        (repeated-video presentations) stay available in ``records``.
+        (repeated-video presentations) are dropped.
         """
         records = [tuple(r) for r in records]
         if not records:
@@ -66,26 +56,22 @@ class RatingsTable:
                 raise ParseError(f"rating {val} outside [0, 100]")
             if np.isnan(scores[s, v]):
                 scores[s, v] = val
-        return cls(subjects=subjects, videos=videos, scores=scores, records=records)
+        return cls(subjects=subjects, videos=videos, scores=scores)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RatingsTable":
         """CSV columns: subject_id,video_id,score[,session]; header optional."""
         rows = []
-        reader = csv_rows(path, "utf-8")
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    float(row[2])
-                except (IndexError, ValueError):
-                    if rows:
-                        raise ParseError(f"bad ratings row: {row}")
-                    continue  # header line
-                rows.append(tuple(row[:4]))
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        for _, row in csv_rows(path, "utf-8"):
+            if not row:
+                continue
+            try:
+                float(row[2])
+            except (IndexError, ValueError):
+                if rows:
+                    raise ParseError(f"bad ratings row: {row}")
+                continue  # header line
+            rows.append(tuple(row[:4]))
         return cls.from_records(rows)
 
 
@@ -159,50 +145,6 @@ def reject_outlier_subjects(
         s for s, r in zip(table.subjects, rejected_mask) if r
     ]
     return result
-
-
-# ---------------------------------------------------------------------------
-# Per-subject reliability checks
-# ---------------------------------------------------------------------------
-
-def repeated_check(first, second) -> float:
-    """RMSE between a subject's two ratings of the repeated videos."""
-    first = np.asarray(first, dtype=np.float64).ravel()
-    second = np.asarray(second, dtype=np.float64).ravel()
-    if first.shape != second.shape or len(first) < 2:
-        raise DimensionMismatch("repeated check needs two equal vectors of length >= 2")
-    return _rmse(first, second)
-
-
-def split_half(table: RatingsTable, n: int, repeats: int, seed: int) -> float:
-    """Mean SROCC between MOS vectors of two disjoint random n-subject groups
-    over their commonly rated videos, averaged over ``repeats`` draws."""
-    if n < 1 or repeats < 1:
-        raise ConfigError("n and repeats must be positive")
-    n_subj = len(table.subjects)
-    if n_subj < 2 * n:
-        raise InsufficientData(f"need {2 * n} subjects, have {n_subj}")
-    rng = np.random.default_rng(seed)
-    present = ~np.isnan(table.scores)
-    filled = np.where(present, table.scores, 0.0)
-    values = []
-    for _ in range(repeats):
-        pick = rng.choice(n_subj, size=2 * n, replace=False)
-        ga, gb = pick[:n], pick[n:]
-        ca = present[ga].sum(axis=0)
-        cb = present[gb].sum(axis=0)
-        common = (ca > 0) & (cb > 0)
-        if common.sum() < 3:
-            continue
-        ma = filled[ga].sum(axis=0)[common] / ca[common]
-        mb = filled[gb].sum(axis=0)[common] / cb[common]
-        try:
-            values.append(_srocc(ma, mb))
-        except DegenerateInput:
-            continue
-    if not values:
-        raise InsufficientData("no split produced a defined SROCC")
-    return float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

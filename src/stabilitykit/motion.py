@@ -3,7 +3,7 @@ dense grid flow, and camera trajectories.
 
 ``video_trajectory`` and ``grid_flow_sequence`` build one pyramid stack per
 run of frames and track every adjacent pair of it in one LK solve
-(``_track``); ``estimate_motion`` and ``grid_flow`` run them on two frames.
+(``_track``); ``estimate_motion`` runs the same engine on two frames.
 
 Coordinates are (x, y) in pixels with the origin at the top-left pixel
 center.  Motion estimation runs at native resolution.
@@ -350,22 +350,11 @@ def _grid_field(pts: np.ndarray, disp: np.ndarray, ok: np.ndarray, grid: int) ->
     return FlowField(grid, grid, disp[:, 0].reshape(grid, grid), disp[:, 1].reshape(grid, grid))
 
 
-def grid_flow(prev_frame: np.ndarray, next_frame: np.ndarray, grid: int = 8) -> FlowField:
-    """LK flow seeded at grid-cell centers of two (H, W) luma planes (uint8
-    frames or float); failed cells take the nearest successful neighbor's
-    displacement."""
-    if prev_frame.shape != next_frame.shape:
-        raise DimensionMismatch("frames must share dimensions")
-    pts, disp, ok = _grid_track(to_luma(np.stack([prev_frame, next_frame])), grid)
-    if not ok.any():
-        raise TrackingFailure("flow failed in every grid cell")
-    return _grid_field(pts, disp[0], ok[0], grid)
-
-
 def grid_flow_sequence(lumas: np.ndarray, grid: int = 8) -> list[FlowField]:
-    """grid_flow over every adjacent pair of a (T, H, W) luma stack, all
-    pairs tracked in one solve; a pair where every cell fails (constant or
-    pure-noise content) gives a zero field."""
+    """LK flow seeded at the grid-cell centres of every adjacent pair of a
+    (T, H, W) luma stack, all pairs tracked in one solve.  Failed cells take
+    the nearest successful cell's displacement, and a pair where every cell
+    fails (constant or pure-noise content) gives a zero field."""
     pts, disp, ok = _grid_track(lumas, grid)
     return [_grid_field(pts, dp, k, grid) for dp, k in zip(disp, ok)]
 

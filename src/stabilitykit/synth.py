@@ -142,9 +142,10 @@ def _pose_chain(traj: Trajectory, out_center: np.ndarray) -> list[np.ndarray]:
     return maps
 
 
-def required_base_size(
-    traj: Trajectory, out_size: tuple[int, int], pad: int = 4
-) -> tuple[int, int]:
+BASE_PAD = 4  # px of base beyond the farthest sample on each side
+
+
+def required_base_size(traj: Trajectory, out_size: tuple[int, int]) -> tuple[int, int]:
     """Smallest base (width, height) that keeps every sample in bounds."""
     w, h = out_size
     c = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
@@ -153,8 +154,8 @@ def required_base_size(
     for g in _pose_chain(traj, c):
         q = (g @ corners)[:2].T - c
         reach = np.maximum(reach, np.abs(q).max(axis=0))
-    need_w = int(2 * (np.ceil(reach[0]) + pad)) + w
-    need_h = int(2 * (np.ceil(reach[1]) + pad)) + h
+    need_w = int(2 * (np.ceil(reach[0]) + BASE_PAD)) + w
+    need_h = int(2 * (np.ceil(reach[1]) + BASE_PAD)) + h
     return need_w, need_h
 
 
@@ -199,25 +200,21 @@ GT_ALPHA = 0.35  # score decay per pixel of high-frequency RMS
 GT_HF_START_BIN = 6  # complements the low-frequency band (bins 1..5)
 
 
-def gt_score_from_trajectory(
-    traj: Trajectory,
-    alpha: float = GT_ALPHA,
-    hf_start_bin: int = GT_HF_START_BIN,
-    theta_lever_px: float = 50.0,
-) -> float:
-    """Label 100*exp(-alpha * RMS_hf): high-frequency displacement RMS after
-    dropping DFT bins below ``hf_start_bin``; rotation enters via a lever arm."""
+def gt_score_from_trajectory(traj: Trajectory, theta_lever_px: float = 50.0) -> float:
+    """Label 100*exp(-GT_ALPHA * RMS_hf): high-frequency displacement RMS
+    after dropping DFT bins below ``GT_HF_START_BIN``; rotation enters via a
+    lever arm."""
 
     def highpass(path: np.ndarray) -> np.ndarray:
         spec = np.fft.rfft(path)
-        spec[: min(hf_start_bin, len(spec))] = 0.0
+        spec[: min(GT_HF_START_BIN, len(spec))] = 0.0
         return np.fft.irfft(spec, n=len(path))
 
     hx = highpass(traj.x)
     hy = highpass(traj.y)
     ht = highpass(traj.theta) * theta_lever_px
     rms = float(np.sqrt(np.mean(hx * hx + hy * hy + ht * ht)))
-    return 100.0 * float(np.exp(-alpha * rms))
+    return 100.0 * float(np.exp(-GT_ALPHA * rms))
 
 
 def _random_spec(rng: np.random.Generator, amplitude: float, length: int) -> ShakeSpec:
@@ -250,6 +247,7 @@ def _random_spec(rng: np.random.Generator, amplitude: float, length: int) -> Sha
 
 
 DEFAULT_LADDER = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
+N_BASES = 13  # size of the shared base pool of a dataset
 
 
 def base_pool(
@@ -276,28 +274,24 @@ def base_pool(
 def iter_dataset(
     count: int,
     amplitude_ladder: tuple[float, ...] | list[float] | None = None,
-    base_images: list[np.ndarray] | None = None,
     seed: int = 0,
     length: int = 72,
     frame_size: tuple[int, int] = (128, 96),
     fps: float = 30.0,
-    n_bases: int = 13,
 ):
     """Yield ``count`` seeded LabeledVideo, one at a time, spanning the
     amplitude ladder.
 
-    Videos draw a base at random from a shared pool (``base_images`` if
-    given, else ``n_bases`` procedural ones), so scene content stays
-    uninformative about the jitter level.
+    Videos draw a base at random from a shared pool of ``N_BASES``
+    procedural ones, so scene content stays uninformative about the jitter
+    level.
     """
     if count < 10:
         raise ConfigError("a dataset needs at least 10 videos")
     ladder = list(amplitude_ladder if amplitude_ladder is not None else DEFAULT_LADDER)
     root = np.random.SeedSequence(seed)
     theta_lever = (frame_size[0] + frame_size[1]) / 4.0
-    pool = base_images
-    if pool is None:
-        pool = base_pool(n_bases, frame_size, max(ladder), seed)
+    pool = base_pool(N_BASES, frame_size, max(ladder), seed)
     for i in range(count):
         child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(i,))
         rng = np.random.default_rng(child)
@@ -322,7 +316,7 @@ def iter_dataset(
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(videos, out_dir: str | Path, prefix: str = "synth") -> Path:
+def write_dataset(videos, out_dir: str | Path) -> Path:
     """Write Y4M files, per-video spec JSON, and a manifest CSV; returns the
     manifest path.  ``videos`` may be any iterable of LabeledVideo."""
     out = Path(out_dir)
@@ -332,7 +326,7 @@ def write_dataset(videos, out_dir: str | Path, prefix: str = "synth") -> Path:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["video_id", "path", "gt_score"])
         for i, lv in enumerate(videos):
-            vid = f"{prefix}_{i:04d}"
+            vid = f"synth_{i:04d}"
             save_y4m(lv.seq, out / f"{vid}.y4m")
             meta = {
                 "video_id": vid,
@@ -358,21 +352,17 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path, float]]:
     """Rows of (video_id, absolute path, gt_score)."""
     p = Path(path)
     rows = []
-    reader = csv_rows(p, "ascii")
-    try:
-        for row in reader:
-            if not row or row[0] == "video_id":
-                continue
-            where = f"{p}:{reader.line_num}"
-            if len(row) < 3:
-                raise ParseError(f"{where}: need 3 fields, have {len(row)}")
-            try:
-                score = float(row[2])
-            except ValueError:
-                raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
-            if not np.isfinite(score):
-                raise ParseError(f"{where}: non-finite score {row[2]!r}")
-            rows.append((row[0], (p.parent / row[1]).resolve(), score))
-    except csv.Error as exc:
-        raise ParseError(f"{p}:{reader.line_num}: {exc}") from exc
+    for line, row in csv_rows(p, "ascii"):
+        if not row or row[0] == "video_id":
+            continue
+        where = f"{p}:{line}"
+        if len(row) < 3:
+            raise ParseError(f"{where}: need 3 fields, have {len(row)}")
+        try:
+            score = float(row[2])
+        except ValueError:
+            raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
+        if not np.isfinite(score):
+            raise ParseError(f"{where}: non-finite score {row[2]!r}")
+        rows.append((row[0], (p.parent / row[1]).resolve(), score))
     return rows

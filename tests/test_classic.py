@@ -103,11 +103,11 @@ class TestFreqEnergyRatio:
 
     def test_sinusoid_inside_band(self):
         path = sinusoid(64, bin_k=3)
-        assert freq_energy_ratio(path, band=(1, 5)) == pytest.approx(1.0, abs=1e-12)
+        assert freq_energy_ratio(path) == pytest.approx(1.0, abs=1e-12)
 
     def test_sinusoid_outside_band(self):
         path = sinusoid(64, bin_k=20)
-        assert freq_energy_ratio(path, band=(1, 5)) == pytest.approx(0.0, abs=1e-9)
+        assert freq_energy_ratio(path) == pytest.approx(0.0, abs=1e-9)
 
     def test_too_short(self):
         with pytest.raises(InsufficientFrames):

@@ -222,6 +222,38 @@ class TestTrain:
         assert ckpt.is_file()
         assert log.read_text().splitlines()[0] == "epoch,loss,val_srocc"
 
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["--grid", "3"], "grid", id="grid-3"),
+        pytest.param(["--grid", "33"], "grid", id="grid-33"),
+        pytest.param(["--tau", "0"], "tau >= 1", id="tau-0"),
+    ])
+    def test_bad_clip_option_exits_2_before_decoding(self, capsys, workspace, tmp_path,
+                                                     monkeypatch, argv, name):
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        code, out, err = run(
+            capsys, "train", str(workspace["manifest"]), "--out", str(tmp_path / "m.ckpt"), *argv,
+        )
+        assert code == 2 and name in err
+        assert out == ""
+        assert decoded == []
+
+    def test_cache_leaves_the_checkpoint_unchanged(self, capsys, workspace, tmp_path):
+        # every run trains on the f32-rounded features: extracted without a
+        # cache, extracted and written to one, and read back from it
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 3, "n": 8, "tau": 2, "tau_b": 4, "grid": 6}))
+        cache = tmp_path / "features.bin"
+        ckpts = []
+        for extra in ([], ["--cache", str(cache)], ["--cache", str(cache)]):
+            ckpts.append(tmp_path / f"m{len(ckpts)}.ckpt")
+            code, _, err = run(
+                capsys, "train", str(workspace["manifest"]), "--out", str(ckpts[-1]),
+                "--config", str(cfg), *extra,
+            )
+            assert code == 0, err
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes() == ckpts[2].read_bytes()
+
     def test_validation_block_reports_its_row_count(self, capsys, workspace, tmp_path):
         # 14 rows from a warm cache: 6 held out (val_frac 0.4), 8 to train on
         rows = workspace["manifest"].read_text().splitlines()
@@ -346,6 +378,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert f"{path}:2:" in err
 
+    def test_only_the_first_row_may_be_a_header(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("\npred,mos\n1.5,2\n\nx,3\n")
+        assert cli._read_column(str(path), 1) == [2.0, 3.0]
+        with pytest.raises(errors.ParseError, match=f"{path}:5: cannot read column 0"):
+            cli._read_column(str(path), 0)
+
     def test_length_mismatch_exits_2(self, capsys, tmp_path):
         a = tmp_path / "pred.csv"
         b = tmp_path / "mos.csv"
@@ -461,6 +500,8 @@ EXIT_1_LEAKS = {
     "synth-ladder-string": (_SYNTH, {"ladder": "abc"}),
     "mos-not-utf8": (["mos", "{latin1}", "--out", "{tmp}/mos.csv"], None),
     "eval-not-utf8": (["eval", "{latin1}"], None),
+    "eval-field-too-large": (["eval", "{big_field}"], None),
+    "eval-mos-field-too-large": (["eval", "{preds}", "{big_field}"], None),
     "score-checkpoint-dim-1e400": (["score", "{shaky}", "--model", "{huge_dim_ckpt}"], None),
     "score-pgm-width-negative": (["score", "{negative_pgm}"], None),
     "trajectory-pgm-width-negative": (["trajectory", "{negative_pgm}", "{tmp}/t.csv"], None),
@@ -477,6 +518,10 @@ class TestExitCodes:
             f"s{s},v{v},{(7 * s + 13 * v) % 100}\n" for s in range(5) for v in range(6)))
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes("pred,mos\n1,2\nd\u00e9j\u00e0,3\n".encode("latin-1"))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("pred\n1\n2\n3\n")
+        big_field = tmp_path / "big-field.csv"  # over the csv module's 131072-character limit
+        big_field.write_text("pred,mos\n1,2\n" + "9" * 200_000 + ",3\n")
         huge_dim_ckpt = tmp_path / "huge-dim.ckpt"
         huge_dim_ckpt.write_bytes(ckpt.read_bytes().replace(b'"input_dim": 288', b'"input_dim": 1e400'))
         negative_pgm = tmp_path / "frames"
@@ -484,7 +529,8 @@ class TestExitCodes:
         for name in ("a.pgm", "b.pgm"):
             (negative_pgm / name).write_bytes(b"P5 -32 32 255\n" + bytes(32 * 32))
         return {"manifest": workspace["manifest"], "shaky": workspace["shaky"], "ckpt": ckpt,
-                "ratings": ratings, "latin1": latin1, "huge_dim_ckpt": huge_dim_ckpt,
+                "ratings": ratings, "latin1": latin1, "preds": preds, "big_field": big_field,
+                "huge_dim_ckpt": huge_dim_ckpt,
                 "negative_pgm": negative_pgm, "tmp": tmp_path}
 
     @pytest.mark.parametrize("argv, config", EXIT_1_LEAKS.values(), ids=EXIT_1_LEAKS.keys())
@@ -535,6 +581,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("kind", ["ratings", "manifest"])
+    def test_oversized_field_names_its_line(self, capsys, tmp_path, kind):
+        # the shared CSV reader maps the csv module's errors for every command
+        header = {"ratings": "subject_id,video_id,score", "manifest": "video_id,path,gt_score"}[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header}\n" + "1," * 2 + "9" * 200_000 + "\n")
+        argv = {"ratings": ["mos", str(path), "--out", str(tmp_path / "mos.csv")],
+                "manifest": ["train", str(path), "--out", str(tmp_path / "m.ckpt")]}[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {path}:2: field larger than field limit")
+        assert err.count("\n") == 1 and out == ""
+
     def test_every_row_held_out_exits_5(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(_SMALL_CLIPS, val_frac=0.99)))
@@ -550,7 +609,6 @@ DOCUMENTED_EXIT_CODES = {
     "EmptyInput": 2, "ConfigError": 2, "MarginError": 2,
     "MissingModel": 3,
     "DegenerateScene": 4, "TrackingFailure": 4, "UnderDetermined": 4, "DegenerateInput": 4,
-    "DegenerateBatch": 4,
     "InsufficientFrames": 5, "InsufficientData": 5, "InsufficientRatings": 5,
     "EmptyAfterCleaning": 5,
 }

