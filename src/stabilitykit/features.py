@@ -211,6 +211,8 @@ def load_feature_cache(path: str | Path) -> tuple[np.ndarray, FeatureDims]:
         raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
     count = fields.pop("count")
     dims = FeatureDims(**fields)
+    if dims.dim == 0:  # zero-width rows would let any count through
+        raise ParseError("feature cache rows have no values")
     expect = count * dims.dim * 4
     if len(blob) < expect:
         raise ParseError(f"feature cache truncated: {len(blob)} < {expect} bytes")

@@ -192,41 +192,43 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, float, str]:
 def load_y4m(path: str | Path) -> FrameSequence:
     """Read the Y planes of a YUV4MPEG2 stream (4:2:0 or 4:4:4) as luma
     frames.  Every frame's marker and full Y + U + V length are checked
-    before any is copied, so a stream cut inside its chroma still raises
-    ``TruncatedError``; the chroma itself is never read."""
-    data = Path(path).read_bytes()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise ParseError("no Y4M header line")
-    width, height, fps, colorspace = _parse_y4m_header(data[:nl])
-    if colorspace == "420":
-        if width % 2 or height % 2:
+    against the file size before any is copied, so a stream cut inside its
+    chroma still raises ``TruncatedError``.  Of a seekable file only the
+    header, the frame markers and the Y planes are read; the chroma is skipped."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe: held whole, so it is checked before any copy too
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ParseError("no Y4M header line")
+        width, height, fps, colorspace = _parse_y4m_header(line[:-1])
+        if colorspace == "420" and (width % 2 or height % 2):
             raise ParseError("4:2:0 stream with odd dimensions")
-        c_w, c_h = width // 2, height // 2
-    else:
-        c_w, c_h = width, height
-    frame_size = width * height + 2 * c_w * c_h
+        frame_size = width * height * 3 // (1 if colorspace == "444" else 2)  # Y, U and V planes
 
-    starts = []  # payload offsets; every frame is checked before any decode
-    pos = nl + 1
-    while pos < len(data):
-        index = len(starts)
-        marker_end = data.find(b"\n", pos)
-        if marker_end < 0 or not data[pos:marker_end].startswith(b"FRAME"):
-            raise ParseError(f"missing FRAME marker before frame {index}")
-        pos = marker_end + 1
-        if len(data) - pos < frame_size:
-            raise TruncatedError(
-                f"frame {index} truncated: expected {frame_size} bytes, got {len(data) - pos}"
-            )
-        starts.append(pos)
-        pos += frame_size
-    if not starts:
-        raise EmptyInput("Y4M stream contains no frames")
+        starts = []  # payload offsets; every frame is checked before any copy
+        pos = len(line)
+        while pos < size:
+            index = len(starts)
+            marker = fh.readline()
+            if not marker.endswith(b"\n") or not marker.startswith(b"FRAME"):
+                raise ParseError(f"missing FRAME marker before frame {index}")
+            pos += len(marker)
+            if size - pos < frame_size:
+                raise TruncatedError(
+                    f"frame {index} truncated: expected {frame_size} bytes, got {size - pos}"
+                )
+            starts.append(pos)
+            pos = fh.seek(pos + frame_size)
+        if not starts:
+            raise EmptyInput("Y4M stream contains no frames")
 
-    frames = np.empty((len(starts), height, width), dtype=np.uint8)
-    for out, start in zip(frames, starts):
-        out[...] = np.frombuffer(data, np.uint8, width * height, start).reshape(height, width)
+        frames = np.empty((len(starts), height, width), dtype=np.uint8)
+        for out, start in zip(frames, starts):
+            fh.seek(start)
+            fh.readinto(out)
     return FrameSequence(frames=frames, fps=fps).validate()
 
 

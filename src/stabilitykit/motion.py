@@ -5,6 +5,10 @@ dense grid flow, and camera trajectories.
 run of frames and track every adjacent pair of it in one LK solve
 (``_track``); ``estimate_motion`` runs the same engine on two frames.
 
+An LK template and its gradients come from one edge-clamped 18x18 gather per
+point, lerped to 17x17 samples at the point's fractional offset: the template
+is the central 15x15 and the gradients its central differences (``_templates``).
+
 Coordinates are (x, y) in pixels with the origin at the top-left pixel
 center.  Motion estimation runs at native resolution.
 """
@@ -152,6 +156,7 @@ _RUN_POINTS = 2048  # most points per LK solve (_in_runs)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 _TAPS = np.arange(-_LK_WIN, _LK_WIN + 2)  # 16 integer taps span a 15-wide lerp
+_TMPL_TAPS = np.arange(-_LK_WIN - 1, _LK_WIN + 3)  # 18 span a 17-wide lerp: 15 and a border
 
 
 def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
@@ -168,19 +173,40 @@ def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Edge-clamped bilinear 15x15 windows centred on xy (n, 2) in the planes
-    ``stack[frame]``, as (n, 225).  All taps of a window share one fractional
-    offset, so one 16x16 gather per point is lerped along x, then y."""
-    _, h, w = stack.shape
+def _tap_grid(xy: np.ndarray, taps: np.ndarray, w: int, h: int) -> tuple[np.ndarray, ...]:
+    """Edge-clamped integer tap columns ix (n, k) and rows iy (n, k) around
+    xy (n, 2), and xy's fractional offsets fx, fy (n,)."""
     base = np.floor(xy)
     fx, fy = (xy - base).T
     # clipped only where every tap already clamps to the same edge pixel
     base = np.clip(base, -_LK_WIN - 2, max(h, w) + _LK_WIN).astype(np.intp)
-    ix = np.clip(base[:, 0:1] + _TAPS, 0, w - 1)
-    iy = np.clip(base[:, 1:2] + _TAPS, 0, h - 1)
+    return np.clip(base[:, 0:1] + taps, 0, w - 1), np.clip(base[:, 1:2] + taps, 0, h - 1), fx, fy
+
+
+def _gather(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """(n, k-1, k-1) bilinear samples at xy (n, 2) in the planes ``stack[frame]``:
+    one gather of the k x k edge-clamped pixels at ``taps``, lerped by xy's offset."""
+    _, h, w = stack.shape
+    ix, iy, fx, fy = _tap_grid(xy, taps, w, h)
     flat = (frame[:, None, None] * h + iy[:, :, None]) * w + ix[:, None, :]
-    return _lerp(stack.ravel().take(flat), fx, fy).reshape(len(xy), (2 * _LK_WIN + 1) ** 2)
+    return _lerp(stack.ravel().take(flat), fx, fy)
+
+
+def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Edge-clamped bilinear 15x15 windows centred on xy (n, 2), as (n, 225)."""
+    return _gather(stack, frame, xy, _TAPS).reshape(len(xy), (2 * _LK_WIN + 1) ** 2)
+
+
+def _derivs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Templates (the central 15x15) of n (17, 17) blocks and their x, y central differences."""
+    grads = (s[:, 1:-1, 1:-1], (s[:, 1:-1, 2:] - s[:, 1:-1, :-2]) / 2.0, (s[:, 2:, 1:-1] - s[:, :-2, 1:-1]) / 2.0)
+    return tuple(g.reshape(len(s), (2 * _LK_WIN + 1) ** 2) for g in grads)
+
+
+def _templates(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """LK templates at xy (n, 2) in ``stack[frame]`` and their x, y gradients,
+    (n, 225) each; the templates equal ``_windows`` of the same points bit for bit."""
+    return _derivs(_gather(stack, frame, xy, _TMPL_TAPS))
 
 
 def _lerp(p: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -214,8 +240,10 @@ def _track(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pyramidal LK of pts (n, 2) from frame src[i] of the pyr_src stacks to
     frame dst[i] of pyr_dst (both default to frame 0); returns (new_pts, ok).
-    ``warped`` gives each point's own level-0 template and x, y gradients,
-    (n, 225) each, in place of pyr_src's, and skips the coarser levels.
+    At each level one ``_templates`` call gives every template and gradient:
+    an edge-clamped 18x18 gather, lerped, then central differences.  ``warped``
+    gives each point's own level-0 template and x, y gradients, (n, 225) each,
+    in place of pyr_src's, and skips the coarser levels.
 
     All points of all frame pairs share one set of arrays, and a point leaves
     them once it converges.  Rows never mix, so a point's result does not
@@ -238,17 +266,8 @@ def _track(
         if warped is not None:
             tmpl, gxs, gys = (a[rows] for a in warped)
         else:
-            tmpl = _windows(pyr_src[lev], src[rows], p_lev[rows])
-            gxs = np.empty_like(tmpl)
-            gys = np.empty_like(tmpl)
-            # gradients one source frame at a time: a (T, h, w) stack of them
-            # would double the pyramid's memory
-            for s in np.unique(src[rows]):
-                sel = src[rows] == s
-                gy, gx = np.gradient(pyr_src[lev][s])
-                at = np.zeros(int(sel.sum()), dtype=np.intp)
-                gxs[sel] = _windows(gx[None], at, p_lev[rows[sel]])
-                gys[sel] = _windows(gy[None], at, p_lev[rows[sel]])
+            tmpl, gxs, gys = _templates(pyr_src[lev], src[rows], p_lev[rows])
+        rows0, tmpl0 = rows, tmpl  # after the loop: level 0's, for the residual check
         gxx = np.sum(gxs * gxs, axis=1)
         gxy = np.sum(gxs * gys, axis=1)
         gyy = np.sum(gys * gys, axis=1)
@@ -283,8 +302,8 @@ def _track(
     ok &= converged & _win_inside(new_pts, w, h)
     rows = np.nonzero(ok)[0]
     cur = _windows(pyr_dst[0], dst[rows], new_pts[rows])
-    tmpl = warped[0][rows] if warped is not None else _windows(pyr_src[0], src[rows], pts[rows])
-    ok[rows] = np.sqrt(np.mean((cur - tmpl) ** 2, axis=1)) <= _LK_MAX_RESIDUAL
+    cur -= tmpl0[np.searchsorted(rows0, rows)]  # ok only loses rows after level 0 starts
+    ok[rows] = np.sqrt(np.mean(cur**2, axis=1)) <= _LK_MAX_RESIDUAL
     return new_pts, ok
 
 
@@ -399,9 +418,6 @@ def _ransac_similarity(
     return a, t, float(best.mean())
 
 
-_WARP_TAPS = np.arange(-_LK_WIN - 1, _LK_WIN + 3)  # 18 integer taps span a 17-wide lerp
-
-
 def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Edge-clamped bilinear samples of the planes ``stack[frame]`` at (x, y),
     frame broadcast to their shape; each sample lerps its own 2x2 block."""
@@ -420,22 +436,17 @@ def _refine_track(lumas: np.ndarray, src: np.ndarray, z0: np.ndarray, a: np.ndar
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-track corners z0 (complex) of frames src into frames src + 1 from
     zw = a z0 + t, against the source warped by z -> a z + t.  Of that warped
-    frame only the 18x18 pixels around zw are made, then lerped to zw like
-    _windows: a 15x15 template and, by central differences, its gradients.
-    Level 0 only: the model predicts each inlier to within the RANSAC
-    threshold.  Returns (zw, z1, ok)."""
+    frame only the 18x18 pixels around zw are made, then lerped to zw and
+    differenced by ``_derivs``, the tail of ``_templates``.  Level 0 only: the
+    model predicts each inlier to within the RANSAC threshold.  Returns (zw, z1, ok)."""
     _, h, w = lumas.shape
     zw = a * z0 + t
     pw = np.stack([zw.real, zw.imag], axis=1)
-    base = np.floor(pw)
-    qx = np.clip(base[:, 0:1] + _WARP_TAPS, 0, w - 1)
-    qy = np.clip(base[:, 1:2] + _WARP_TAPS, 0, h - 1)
+    qx, qy, fx, fy = _tap_grid(pw, _TMPL_TAPS, w, h)
     ainv = 1.0 / a[:, None, None]
     q = ainv * (qx[:, None, :] + 1j * qy[:, :, None]) - t[:, None, None] * ainv
-    s = _lerp(_sample(lumas, src[:, None, None], q.real, q.imag), *(pw - base).T)
-    warped = (s[:, 1:-1, 1:-1], (s[:, 1:-1, 2:] - s[:, 1:-1, :-2]) / 2.0,
-              (s[:, 2:, 1:-1] - s[:, :-2, 1:-1]) / 2.0)
-    new, ok = _track([lumas], [lumas], pw, src, src + 1, tuple(g.reshape(len(pw), -1) for g in warped))
+    warped = _derivs(_lerp(_sample(lumas, src[:, None, None], q.real, q.imag), fx, fy))
+    new, ok = _track([lumas], [lumas], pw, src, src + 1, warped)
     return zw, new[:, 0] + 1j * new[:, 1], ok
 
 
@@ -484,7 +495,8 @@ def _ransac_homography(
     """
     h_cand, valid = _homography_dlt(p0[samples], p1[samples])
     q = np.c_[p0, np.ones(len(p0))] @ h_cand.transpose(0, 2, 1)
-    err = np.linalg.norm(q[..., :2] / q[..., 2:3] - p1, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a match sent to infinity is no inlier
+        err = np.linalg.norm(q[..., :2] / q[..., 2:3] - p1, axis=2)
     inl = err <= inlier_px
     counts = np.where(valid, inl.sum(axis=1), -1)
     best = _ransac_pick(counts)

@@ -364,5 +364,7 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path, float]]:
             raise ParseError(f"{where}: non-numeric score {row[2]!r}") from None
         if not np.isfinite(score):
             raise ParseError(f"{where}: non-finite score {row[2]!r}")
+        if "\0" in row[1]:  # no path holds one, and resolve() raises ValueError on it
+            raise ParseError(f"{where}: NUL in video path {row[1]!r}")
         rows.append((row[0], (p.parent / row[1]).resolve(), score))
     return rows

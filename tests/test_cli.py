@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import csv_bytes, shaky_video
 from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
 from stabilitykit.features import FeatureDims, save_feature_cache
@@ -204,6 +213,19 @@ class TestTrajectory:
         )
         assert code == 4
 
+    def test_homography_writes_nothing_to_stderr(self, tmp_path):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        save_y4m(shaky_video(303, count=16)[0], tmp_path / "v.y4m")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from stabilitykit.cli import main; sys.exit(main(sys.argv[2:]))"
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code, src, "trajectory", str(tmp_path / "v.y4m"),
+             str(tmp_path / "t.csv"), "--model-kind", "homography"],
+            capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert strict_json(out.stdout)["frames"] == 16
+
 
 class TestTrain:
     def test_end_to_end(self, capsys, workspace, tmp_path):
@@ -392,6 +414,41 @@ class TestEval:
         b.write_text("1\n2\n3\n4\n5\n6\n")
         code, _, _ = run(capsys, "eval", str(a), str(b))
         assert code == 2
+
+
+# rows the commands accept, beside csv_bytes, so that some runs succeed
+_PAIRS = st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=12).map(
+    lambda rows: "".join(f"{a!r},{b!r}\n" for a, b in rows).encode())
+_RATINGS = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy"), st.floats(0, 100)),
+                    min_size=3, max_size=12).map(
+    lambda rows: "".join(f"s{s},v{v},{r!r}\n" for s, v, r in rows).encode())
+
+
+class TestCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_bytes, st.sampled_from([0, 1]))
+    def test_eval_columns_raise_only_library_errors(self, data, column):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "pred.csv")
+            path.write_bytes(data)
+            with contextlib.suppress(errors.StabilityKitError):
+                assert all(isinstance(v, float) for v in cli._read_column(str(path), column))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["eval", "eval2", "mos"]), csv_bytes | _PAIRS | _RATINGS,
+           csv_bytes | _PAIRS)
+    def test_cli_exits_documented_code_with_strict_json(self, command, first, second):
+        with tempfile.TemporaryDirectory() as root:
+            a, b = Path(root, "a.csv"), Path(root, "b.csv")
+            a.write_bytes(first)
+            b.write_bytes(second)
+            argv = {"eval": ["eval", str(a)], "eval2": ["eval", str(a), str(b)],
+                    "mos": ["mos", str(a), "--out", str(b)]}[command]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        assert code in {0, 2, 3, 4, 5}
+        assert strict_json(out.getvalue()) if code == 0 else out.getvalue() == ""
 
 
 class TestMos:

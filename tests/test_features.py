@@ -1,10 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabilitykit import features as feat
-from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError
+from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError, StabilityKitError
 from stabilitykit.media import Clip, resize_float, sample_clip, to_luma
 from stabilitykit.motion import FlowField, grid_flow_sequence
 from stabilitykit.synth import iter_dataset
@@ -269,15 +273,37 @@ class TestCache:
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": -1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": -8, "n_b": 2, "tau_b": 4, "count": 1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": true}',
+         b'{"c_o": 0, "c_s": 0, "c_b": 0, "n": 0, "n_b": 0, "tau_b": 0, "count": 4611686018427387904}',
          b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
         ids=["list", "string", "float-count", "string-count", "negative-count", "negative-dim",
-             "bool-count", "not-utf8", "nested-too-deep"],
+             "bool-count", "zero-width", "not-utf8", "nested-too-deep"],
     )
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "features.bin"
         path.write_bytes(header + b"\n" + bytes(4 * 200))
         with pytest.raises(ParseError):
             feat.load_feature_cache(path)
+
+    # any JSON value in any header field, any payload, or bytes with no
+    # structure at all, must end in a library error or a matrix
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.fixed_dictionaries(dict(dict.fromkeys(["c_o", "c_s", "c_b", "n", "n_b", "tau_b"], st.integers(0, 4)),
+                                   count=st.integers(0, 9) | st.integers(2**62, 2**70))),
+        st.fixed_dictionaries({}, optional=dict.fromkeys(
+            ["c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count"],
+            st.integers(-2**70, 2**70) | st.booleans() | st.none() | st.floats()
+            | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=3))),
+    ).map(lambda h: json.dumps(h).encode() + b"\n") | st.binary(max_size=40), st.binary(max_size=400))
+    def test_fuzz_raises_only_library_errors(self, header, payload):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "features.bin")
+            path.write_bytes(header + payload)
+            try:
+                matrix, dims = feat.load_feature_cache(path)
+            except StabilityKitError:
+                return
+            assert matrix.shape[1] == dims.dim > 0 and np.isfinite(matrix).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row(self, tmp_path, rng, bad):

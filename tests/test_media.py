@@ -1,7 +1,10 @@
 import contextlib
 import json
 import math
+import os
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,34 @@ class TestLoadY4m:
         p.write_bytes(data[:-cut])
         with pytest.raises(TruncatedError, match="frame 2"):
             media.load_y4m(p)
+
+    def test_holds_only_the_luma(self, tmp_path):
+        rng = np.random.default_rng(12)
+        y = rng.integers(0, 256, (8, 360, 640), dtype=np.uint8)
+        c = rng.integers(0, 256, (180, 320), dtype=np.uint8)
+        p = tmp_path / "big.y4m"
+        p.write_bytes(y4m_bytes([(plane, c, c) for plane in y], 640, 360, colorspace=b"C420jpeg"))
+        tracemalloc.start()
+        try:
+            frames = media.load_y4m(p).frames
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(frames, y)
+        # the stream is 1.5x the luma; holding it whole would peak near 2.5x
+        assert peak < 1.2 * y.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        data = gray_stream(tmp_path, value=77).read_bytes()
+        fifo = tmp_path / "pipe.y4m"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        seq = media.load_y4m(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert seq.frames.shape == (3, 48, 64) and np.all(seq.frames == 77)
 
     # any header and payload must end in a library error or a sequence,
     # never in another exception; the sizes keep every allocation small

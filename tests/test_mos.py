@@ -1,8 +1,14 @@
+import contextlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import csv_bytes
 from stabilitykit import mos
-from stabilitykit.errors import EmptyAfterCleaning, InsufficientRatings, ParseError
+from stabilitykit.errors import EmptyAfterCleaning, InsufficientRatings, ParseError, StabilityKitError
 
 
 def table_from_matrix(matrix, subjects=None, videos=None):
@@ -150,3 +156,13 @@ class TestCsvIo:
             [("s0", "v0", 10.0, "1"), ("s0", "v0", 30.0, "2"), ("s1", "v0", 20.0, "1")]
         )
         assert table.scores[0, 0] == 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_bytes)
+    def test_fuzz_raises_only_library_errors(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "ratings.csv")
+            path.write_bytes(data)
+            with contextlib.suppress(StabilityKitError):
+                table = mos.RatingsTable.from_csv(path)
+                assert table.scores.shape == (len(table.subjects), len(table.videos))

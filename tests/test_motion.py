@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import textured_frame, textured_plane
+from conftest import shaky_video, textured_frame, textured_plane
 from stabilitykit import motion
 from stabilitykit.errors import (
     ConfigError,
@@ -184,14 +185,14 @@ def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_res
     for lev in range(len(pyr_p) - 1, -1, -1):
         scale = 2.0**lev
         p_img, n_img = pyr_p[lev], pyr_n[lev]
-        gy, gx = np.gradient(p_img)
         p_lev = pts / scale
         d_lev = d / scale
         tx = p_lev[:, 0:1] + WIN_X[None, :]
         ty = p_lev[:, 1:2] + WIN_Y[None, :]
         tmpl = oracle_sample(p_img, tx, ty)
-        gxs = oracle_sample(gx, tx, ty)
-        gys = oracle_sample(gy, tx, ty)
+        # central differences of samples one tap away, each sampled alone
+        gxs = (oracle_sample(p_img, tx + 1.0, ty) - oracle_sample(p_img, tx - 1.0, ty)) / 2.0
+        gys = (oracle_sample(p_img, tx, ty + 1.0) - oracle_sample(p_img, tx, ty - 1.0)) / 2.0
         gxx = np.sum(gxs * gxs, axis=1)
         gxy = np.sum(gxs * gys, axis=1)
         gyy = np.sum(gys * gys, axis=1)
@@ -471,20 +472,11 @@ class TestGridFlow:
             pair_flow(plane, plane, grid=33)
 
 
-# The engine lerps one 16x16 gather per window with a single fractional
-# offset, where the oracle rounds each tap's position on its own; the worst
-# difference measured on these inputs is 1.3e-13 px.
+# The engine lerps one 16x16 gather per window (18x18 per template, whose
+# gradients are central differences of the lerped samples) with a single
+# fractional offset, where the oracle rounds each tap's position on its own;
+# the worst difference measured on these inputs is 1.3e-13 px.
 LK_TOL_PX = 1e-9
-
-
-def shaky_video(seed, count=6, size=(128, 96)):
-    """A rendered textured scene under seeded translation and rotation
-    jitter, and its ground-truth path."""
-    rng = np.random.default_rng(seed)
-    steps = rng.normal(0.0, [1.5, 1.5, 0.004], size=(count - 1, 3))
-    path = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
-    traj = Trajectory(x=path[:, 0], y=path[:, 1], theta=path[:, 2])
-    return render_shaky(textured_frame(seed, size[0] + 48, size[1] + 48), traj, size), traj
 
 
 def shaky_lumas(seed, count=6, size=(128, 96)):
@@ -504,15 +496,31 @@ def assert_matches_oracle(prev, nxt, pts):
     return ok
 
 
+EDGE_XS = [-40.0, -9.5, -7.2, -1.0, -0.25, 0.0, 0.5, 12.3, 30.9, 31.0, 31.5, 35.7, 38.2, 60.0]
+EDGE_YS = [-30.0, -8.1, -0.6, 0.0, 9.75, 22.5, 23.0, 26.4, 30.2, 45.0]
+
+
 class TestLkEngine:
     def test_windows_match_per_tap_gather(self):
         plane = textured_plane(4, 32, 24)
-        xs = [-40.0, -9.5, -7.2, -1.0, -0.25, 0.0, 0.5, 12.3, 30.9, 31.0, 31.5, 35.7, 38.2, 60.0]
-        ys = [-30.0, -8.1, -0.6, 0.0, 9.75, 22.5, 23.0, 26.4, 30.2, 45.0]
-        xy = np.array([(x, y) for x in xs for y in ys])
+        xy = np.array([(x, y) for x in EDGE_XS for y in EDGE_YS])
         got = motion._windows(plane[None], np.zeros(len(xy), dtype=np.intp), xy)
         want = oracle_sample(plane, xy[:, 0:1] + WIN_X, xy[:, 1:2] + WIN_Y)
         assert np.abs(got - want).max() <= 1e-9
+
+    def test_templates_are_windows_and_tap_differences(self):
+        planes = np.stack([textured_plane(4, 32, 24), textured_plane(5, 32, 24)])
+        xy = np.array([(x, y) for x in EDGE_XS for y in EDGE_YS])
+        frame = np.arange(len(xy)) % 2
+        tmpl, gx, gy = motion._templates(planes, frame, xy)
+        # _track's residual check reuses the level-0 templates as the windows
+        assert np.array_equal(tmpl, motion._windows(planes, frame, xy))
+        for k, plane in enumerate(planes):
+            tx, ty = xy[frame == k, 0:1] + WIN_X, xy[frame == k, 1:2] + WIN_Y
+            want_x = (oracle_sample(plane, tx + 1.0, ty) - oracle_sample(plane, tx - 1.0, ty)) / 2.0
+            want_y = (oracle_sample(plane, tx, ty + 1.0) - oracle_sample(plane, tx, ty - 1.0)) / 2.0
+            assert np.abs(gx[frame == k] - want_x).max() <= 1e-9
+            assert np.abs(gy[frame == k] - want_y).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_corners_match_oracle(self, seed):
@@ -768,6 +776,22 @@ class TestVideoTrajectory:
         seq.frames[0] = 128
         with pytest.raises(DegenerateScene):
             video_trajectory(seq, "similarity")
+
+    # (median, max) path error in px over seeds 300-311 before the templates
+    # came from one 18x18 gather (similarity 0.0422, 0.1108; homography
+    # 0.0583, 0.0826), plus 0.01 px on the median and 0.02 px on the max
+    @pytest.mark.parametrize("kind, median_px, max_px", [
+        ("similarity", 0.0422 + 0.01, 0.1108 + 0.02),
+        ("homography", 0.0583 + 0.01, 0.0826 + 0.02),
+    ], ids=["similarity", "homography"])
+    def test_ground_truth_error_on_fresh_seeds(self, kind, median_px, max_px):
+        errs = []
+        for seed in range(300, 312):
+            seq, truth = shaky_video(seed, count=16, size=(128, 96))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # seed 303 sends a RANSAC match to infinity
+                errs.append(path_error(video_trajectory(seq, kind)[1], truth))
+        assert np.median(errs) <= median_px and max(errs) <= max_px
 
 
 class TestTrajectory:

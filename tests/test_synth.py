@@ -1,9 +1,14 @@
+import contextlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from stabilitykit.errors import MarginError
+from conftest import csv_bytes
+from stabilitykit.errors import MarginError, ParseError, StabilityKitError
 from stabilitykit.motion import Trajectory, estimate_motion
 from stabilitykit.synth import (
     ShakeComponent,
@@ -167,3 +172,18 @@ class TestWriteDataset:
             assert meta["video_id"] == vid
             assert meta["gt_score"] == pytest.approx(score, abs=1e-5)
         assert len(list((tmp_path / "ds").glob("*.y4m"))) == 10
+
+    def test_nul_in_video_path_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"video_id,path,gt_score\nv0,a\0b.y4m,0.5\n")
+        with pytest.raises(ParseError, match=f"{path}:2: NUL"):
+            load_manifest(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_bytes)
+    def test_manifest_fuzz_raises_only_library_errors(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root, "manifest.csv")
+            path.write_bytes(data)
+            with contextlib.suppress(StabilityKitError):
+                assert all(np.isfinite(score) for _, _, score in load_manifest(path))
