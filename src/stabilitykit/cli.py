@@ -224,9 +224,11 @@ def cmd_train(args) -> int:
             feat.save_feature_cache(cache_path, matrix, dims)
 
     y = np.array([score for _, _, score in rows])
+    # held-out rows are only scored: the head trains to its last epoch, and
+    # fewer rows than evaluate needs (5) are not held out at all
     perm = np.random.default_rng(seed).permutation(len(rows))
     n_val = int(round(val_frac * len(rows)))
-    if n_val < 3:  # rank correlation needs 3 points; tiny sets train on all
+    if n_val < 5:
         n_val = 0
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     val = (matrix[val_idx], y[val_idx]) if n_val else None
@@ -237,7 +239,7 @@ def cmd_train(args) -> int:
         model_mod.save_training_log(logs, args.log)
 
     report: dict = {"checkpoint": str(args.out), "epochs": len(logs)}
-    if n_val >= 5:
+    if n_val:
         pv, _, _, _ = model_mod._forward(params, matrix[val_idx])
         # n: the held-out rows these figures rest on, as few as 5
         report["validation"] = dict(evaluate(pv, y[val_idx]).as_dict(), n=n_val)
@@ -270,7 +272,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_MOS_KEYS = {"seed", "outlier_sigma", "max_outlier_frac", "denominator"}
+_MOS_KEYS = {"outlier_sigma", "max_outlier_frac", "denominator"}
 
 
 def cmd_mos(args) -> int:
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mos", help="MOS aggregation with outlier-subject rejection")
     p.add_argument("ratings", help="CSV: subject_id,video_id,score[,session]")
     p.add_argument("--out", required=True, help="MOS CSV output path")
-    common(p)
+    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_mos)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic shaky-video dataset")

@@ -54,36 +54,22 @@ class FeatureDims:
 # ---------------------------------------------------------------------------
 
 
-def _field_stats(field: FlowField, prev: FlowField | None) -> np.ndarray:
-    """8 stats per field; temporal deltas are zero for the first field."""
-    u, v = field.u, field.v
-    mag = np.hypot(u, v)
-    if prev is None:
-        dmu = 0.0
-        dmv = 0.0
-    else:
-        dmu = float(np.mean(np.abs(u - prev.u)))
-        dmv = float(np.mean(np.abs(v - prev.v)))
-    return np.array(
-        [
-            float(np.mean(u)),
-            float(np.mean(v)),
-            float(np.std(u)),
-            float(np.std(v)),
-            float(np.mean(mag)),
-            float(np.std(mag)),
-            dmu,
-            dmv,
-        ]
-    )
-
-
 def flow_features(flows: list[FlowField]) -> np.ndarray:
-    """Temporal mean and std of the per-field stats -> C_o = 16 values."""
+    """Temporal mean and std of 8 per-field stats -> C_o = 16 values.
+
+    The stats of a field are the mean and std of u, of v and of the
+    magnitude, then the mean absolute change of u and of v from the
+    previous field (0 for the first field)."""
     if len(flows) < 2:
         raise InsufficientFrames("flow branch needs at least 2 flow fields", required=2)
+    u = np.stack([f.u for f in flows])
+    v = np.stack([f.v for f in flows])
+    mag = np.hypot(u, v)
+    du, dv = (np.abs(np.diff(a, axis=0, prepend=a[:1])) for a in (u, v))  # 0 for the first
     stats = np.stack(
-        [_field_stats(f, flows[i - 1] if i else None) for i, f in enumerate(flows)]
+        [u.mean(axis=(1, 2)), v.mean(axis=(1, 2)), u.std(axis=(1, 2)), v.std(axis=(1, 2)),
+         mag.mean(axis=(1, 2)), mag.std(axis=(1, 2)), du.mean(axis=(1, 2)), dv.mean(axis=(1, 2))],
+        axis=1,
     )
     return np.concatenate([stats.mean(axis=0), stats.std(axis=0)])
 

@@ -4,6 +4,9 @@ A two-layer MLP (128 hidden units, 1 output) regresses the fused clip
 feature to a stability score.  Training minimizes a correlation loss plus a
 weighted pairwise rank hinge, with Adam under a cosine learning-rate decay;
 gradients are computed analytically through both batch-level loss terms.
+The head trains to its last epoch.  Validation rows are only scored (each
+epoch's SROCC is logged) and never choose the parameters, so a figure
+reported on them is not biased by selection on the same rows.
 
 During training the parameters, their gradient and Adam's two moments are
 each one flat float64 vector in checkpoint order (``w1`` row-major, ``b1``,
@@ -55,7 +58,6 @@ class TrainConfig:
     batch_size: int = 4
     lr_head: float = 1e-3
     seed: int = 0
-    schedule: str = "cosine"
 
 
 @dataclass
@@ -223,16 +225,17 @@ def train(
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Fit the head to the float64 (rows, D) feature matrix ``x`` and the
     target vector ``y``: Adam (b1=0.9, b2=0.999, eps=1e-8) with per-epoch
-    seeded shuffling.  ``val`` is an optional ``(x_val, y_val)`` pair.
+    seeded shuffling and a cosine learning-rate decay to the last step.
+    ``val`` is an optional ``(x_val, y_val)`` pair that is scored after
+    each epoch for the log and read for nothing else.
 
     The parameters, their gradient and the two Adam moments are flat
     vectors, and each step updates them with in-place ufuncs in the
     elementwise order of the textbook update, so results are bit-identical
-    to updating each parameter array on its own.  Returns the parameters
-    with the best validation SROCC when a validation set is given,
-    otherwise the final parameters.  Raises ``DegenerateInput`` when an
-    epoch ends with a non-finite loss or weight (the step size or the rank
-    weight is too large).
+    to updating each parameter array on its own.  Returns the last epoch's
+    parameters, the same with or without ``val``, and the per-epoch log.
+    Raises ``DegenerateInput`` when an epoch ends with a non-finite loss or
+    weight (the step size or the rank weight is too large).
     """
     from .evaluation import srocc  # resolved per call, so a wrapped srocc is the one used
 
@@ -264,8 +267,6 @@ def train(
     steps_per_epoch = len(x) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     logs: list[EpochLog] = []
-    best = theta.copy()
-    best_srocc = -np.inf
     step = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -276,9 +277,7 @@ def train(
                 idx = order[k * cfg.batch_size : (k + 1) * cfg.batch_size]
                 loss, _ = backward(params, x[idx], y[idx], cfg.lambda_rank, out=grad)
                 losses.append(loss)
-                lr = cfg.lr_head
-                if cfg.schedule == "cosine":
-                    lr *= _cosine_factor(step, total_steps)
+                lr = cfg.lr_head * _cosine_factor(step, total_steps)
                 step += 1
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
                 m *= beta1
@@ -304,13 +303,9 @@ def train(
         if xv is not None:
             pv, _, _, _ = _forward(params, xv)
             val_s = float(srocc(pv, yv))
-            if val_s > best_srocc:
-                best_srocc = val_s
-                best = theta.copy()
         logs.append(EpochLog(epoch=epoch, loss=epoch_loss, val_srocc=val_s))
 
-    final = best if xv is not None else theta
-    return replace(_on_flat(params, final), b2=float(final[-1])), logs
+    return replace(params, b2=float(theta[-1])), logs
 
 
 # ---------------------------------------------------------------------------

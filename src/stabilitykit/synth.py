@@ -284,11 +284,17 @@ def iter_dataset(
 
     Videos draw a base at random from a shared pool of ``N_BASES``
     procedural ones, so scene content stays uninformative about the jitter
-    level.
+    level.  The ladder must hold at least one amplitude, and each must lie
+    in [0, min(frame_size)] pixels: the bases grow with the largest one.
     """
     if count < 10:
         raise ConfigError("a dataset needs at least 10 videos")
     ladder = list(amplitude_ladder if amplitude_ladder is not None else DEFAULT_LADDER)
+    if not ladder or not all(0 <= a <= min(frame_size) for a in ladder):
+        raise ConfigError(
+            f"the amplitude ladder {ladder} must hold amplitudes in "
+            f"[0, {min(frame_size)}] px (the frame's shorter side)"
+        )
     root = np.random.SeedSequence(seed)
     theta_lever = (frame_size[0] + frame_size[1]) / 4.0
     pool = base_pool(N_BASES, frame_size, max(ladder), seed)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import csv_bytes, shaky_video
 from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
+from stabilitykit.evaluation import evaluate
 from stabilitykit.features import FeatureDims, save_feature_cache
 from stabilitykit.media import FrameSequence, save_y4m
 from stabilitykit.synth import iter_dataset, write_dataset
@@ -294,6 +295,59 @@ class TestTrain:
         assert code == 0, err
         assert json.loads(out)["validation"]["n"] == 6
 
+    @staticmethod
+    def _warm_cache(tmp_path, rows):
+        """A manifest of ``rows`` videos and its feature cache: a warm cache
+        is never checked against the videos, so none is written."""
+        rng = np.random.default_rng(rows)
+        y = rng.uniform(0, 100, rows)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("video_id,path,gt_score\n" + "".join(
+            f"v{i},v{i}.y4m,{score:.17g}\n" for i, score in enumerate(y)))
+        matrix = np.zeros((rows, 288))
+        matrix[:, :16] = y[:, None] / 25.0 + rng.normal(size=(rows, 16))  # the flow columns
+        cache = tmp_path / "features.bin"
+        save_feature_cache(cache, matrix, FeatureDims(n=32, n_b=4, tau_b=8))
+        return manifest, cache, y, matrix.astype("<f4").astype(np.float64)
+
+    def test_validation_block_scores_the_saved_checkpoint(self, capsys, tmp_path):
+        # 30 rows, 6 held out: the block is the saved (last-epoch) head's
+        # figures on the rows the seed's permutation holds out
+        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 6, "lr_head": 0.01}))
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+        code, out, err = run(capsys, "train", str(manifest), "--out", str(ckpt), "--log", str(log),
+                             "--cache", str(cache), "--config", str(cfg), "--seed", "4")
+        assert code == 0, err
+        block = json.loads(out)["validation"]
+        held_out = np.random.default_rng(4).permutation(30)[:6]
+        params = model_mod.load_checkpoint(ckpt)
+        pred = [model_mod.mlp_forward(params, row) for row in matrix[held_out]]
+        # the checkpoint's f32 weights move these figures by about 1e-8
+        # relative here, well below the report's 6 digits
+        assert block == cli._roundtrip(dict(evaluate(pred, y[held_out]).as_dict(), n=6))
+        last = log.read_text().splitlines()[-1].split(",")
+        assert last[0] == "6" and block["srocc"] == cli._roundtrip(float(last[2]))
+
+    @pytest.mark.parametrize("rows, n_val", [(15, 3), (20, 4)])
+    def test_too_few_held_out_rows_train_on_every_row(self, capsys, tmp_path, rows, n_val):
+        # round(0.2 * rows) is below the 5 rows evaluate needs
+        manifest, cache, _, _ = self._warm_cache(tmp_path, rows)
+        assert round(0.2 * rows) == n_val
+        reports = []
+        for val_frac in (0.2, 0.0):
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps({"epochs": 2, "batch_size": 2, "val_frac": val_frac}))
+            code, out, err = run(capsys, "train", str(manifest), "--out",
+                                 str(tmp_path / f"{val_frac}.ckpt"),
+                                 "--cache", str(cache), "--config", str(cfg))
+            assert code == 0, err
+            reports.append(json.loads(out))
+        assert reports[0]["final_loss"] == reports[1]["final_loss"]
+        assert "validation" not in reports[0]
+        assert (tmp_path / "0.2.ckpt").read_bytes() == (tmp_path / "0.0.ckpt").read_bytes()
+
     def test_tiny_manifest_exits_5(self, capsys, workspace, tmp_path):
         # keep the truncated manifest beside the videos: paths are relative
         small = workspace["manifest"].parent / "small.csv"
@@ -483,6 +537,20 @@ class TestMos:
         assert code == 0
         assert json.loads(out)["rejected_subjects"] == []
 
+    def test_no_seed_option(self, capsys, tmp_path):
+        # mos draws no random numbers, so it takes no seed
+        ratings = tmp_path / "ratings.csv"
+        self._write_ratings(ratings, planted=False)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"), "--seed", "99")
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        code, out, err = run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"),
+                             "--config", str(cfg))
+        assert code == 2 and "unknown config keys" in err and "seed" in err
+        assert out == ""
+
 
 class TestSynth:
     def test_ladder_times_count(self, capsys, tmp_path):
@@ -506,6 +574,15 @@ class TestSynth:
         assert json.loads(out)["count"] == 30
         assert len(list(out_dir.glob("*.y4m"))) == 30
         assert (out_dir / "manifest.csv").is_file()
+
+    @pytest.mark.parametrize("ladder", [[], [-100.0], [1e9], [0.0, 2.0, 97.0]],
+                             ids=["empty", "negative", "1e9", "over-the-shorter-side"])
+    def test_bad_ladder_exits_2(self, capsys, tmp_path, ladder):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"ladder": ladder, "count": 10}))
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "ds"), "--config", str(cfg))
+        assert code == 2 and f"ladder {ladder}" in err
+        assert out == ""
 
 
 class TestSeedResolution:

@@ -18,6 +18,26 @@ def const_flow(u, v, size=8):
     return FlowField(size, size, np.full((size, size), float(u)), np.full((size, size), float(v)))
 
 
+def old_field_stats(field, prev):
+    """The flow branch's per-field stats before it took them over a stack:
+    8 stats per field; temporal deltas are zero for the first field."""
+    u, v = field.u, field.v
+    mag = np.hypot(u, v)
+    if prev is None:
+        dmu = 0.0
+        dmv = 0.0
+    else:
+        dmu = float(np.mean(np.abs(u - prev.u)))
+        dmv = float(np.mean(np.abs(v - prev.v)))
+    return np.array([float(np.mean(u)), float(np.mean(v)), float(np.std(u)), float(np.std(v)),
+                     float(np.mean(mag)), float(np.std(mag)), dmu, dmv])
+
+
+def old_flow_features(flows):
+    stats = np.stack([old_field_stats(f, flows[i - 1] if i else None) for i, f in enumerate(flows)])
+    return np.concatenate([stats.mean(axis=0), stats.std(axis=0)])
+
+
 def gray_frames(values, width=32, height=32):
     return np.stack([np.full((height, width), v, dtype=np.uint8) for v in values])
 
@@ -113,7 +133,7 @@ class TestFlowFeatures:
     def test_alternating_flow(self):
         flows = [const_flow(2, 0), const_flow(-2, 0), const_flow(2, 0), const_flow(-2, 0)]
         stats = np.stack(
-            [feat._field_stats(f, flows[i - 1] if i else None) for i, f in enumerate(flows)]
+            [old_field_stats(f, flows[i - 1] if i else None) for i, f in enumerate(flows)]
         )
         assert list(stats[:, 6]) == [0.0, 4.0, 4.0, 4.0]  # |delta u| per field
         out = feat.flow_features(flows)
@@ -124,6 +144,21 @@ class TestFlowFeatures:
     def test_needs_two_fields(self):
         with pytest.raises(InsufficientFrames):
             feat.flow_features([const_flow(0, 0)])
+
+    def test_equals_the_per_field_stats(self):
+        # the stack reductions against the per-field loop they replaced, on
+        # fields that are strided views of (cells, 2) displacements as
+        # grid_flow_sequence makes them
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            grid, count = int(rng.integers(4, 33)), int(rng.integers(2, 40))
+            scale = 10.0 ** rng.uniform(-3, 2)
+            disps = rng.normal(size=(count, grid * grid, 2)) * scale
+            flows = [FlowField(grid, grid, d[:, 0].reshape(grid, grid), d[:, 1].reshape(grid, grid))
+                     for d in disps]
+            if case % 5 == 0:
+                flows[0] = FlowField(grid, grid, np.zeros((grid, grid)), np.zeros((grid, grid)))
+            assert np.array_equal(feat.flow_features(flows), old_flow_features(flows)), case
 
 
 class TestSemanticFeatures:
