@@ -240,7 +240,8 @@ def cmd_train(args) -> int:
 
     report: dict = {"checkpoint": str(args.out), "epochs": len(logs)}
     if n_val:
-        pv, _, _, _ = model_mod._forward(params, matrix[val_idx])
+        # the saved head's figures: the checkpoint holds f32-rounded weights
+        pv, _, _, _ = model_mod._forward(model_mod.load_checkpoint(args.out), matrix[val_idx])
         # n: the held-out rows these figures rest on, as few as 5
         report["validation"] = dict(evaluate(pv, y[val_idx]).as_dict(), n=n_val)
     else:

@@ -9,6 +9,11 @@ An LK template and its gradients come from one edge-clamped 18x18 gather per
 point, lerped to 17x17 samples at the point's fractional offset: the template
 is the central 15x15 and the gradients its central differences (``_templates``).
 
+Homography RANSAC scores its 4-point hypotheses in closed form
+(``_quad_homographies``), with no solve per hypothesis; a sample with a
+triangle of near-zero area in either frame is invalid.  Only the refit on the
+winner's inliers runs a normalized DLT, one thin SVD (``_homography_dlt``).
+
 Coordinates are (x, y) in pixels with the origin at the top-left pixel
 center.  Motion estimation runs at native resolution.
 """
@@ -453,7 +458,12 @@ def _refine_track(lumas: np.ndarray, src: np.ndarray, z0: np.ndarray, a: np.ndar
 def _homography_dlt(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized DLT over a stack of k point sets; p0, p1 are (k, m, 2) with
     m >= 4.  Returns (k, 3, 3) homographies scaled to h22 = 1 and a (k,) mask
-    of valid fits; invalid entries hold finite junk."""
+    of valid fits; invalid entries hold finite junk.
+
+    A tall system (m >= 5) takes the thin SVD: its last right singular vector
+    is the full SVD's bit for bit (LAPACK gesdd computes V alike for both), and
+    it builds no 2m x 2m U.  At m = 4 the 8 x 9 system's thin form drops the
+    null vector, so it keeps the full form."""
 
     def normalize(p):
         c = p.mean(axis=1, keepdims=True)
@@ -475,12 +485,48 @@ def _homography_dlt(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndar
     a = np.empty((k, 2 * m, 9))
     a[:, 0::2] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=2)
     a[:, 1::2] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=2)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=m == 4)
     hn = vt[:, -1].reshape(k, 3, 3)
     h = np.linalg.inv(t1) @ hn @ t0
     h22 = h[:, 2, 2]
     # a rank-deficient (e.g. collinear) sample has no unique null vector
     valid = ok0 & ok1 & (s[:, -2] >= 1e-12) & (np.abs(h22) >= 1e-12)
+    return h / np.where(valid, h22, 1.0)[:, None, None], valid
+
+
+_QUAD_AREA_TOL = 1e-10  # least |2 x triangle area| of a quad, over its spread
+
+
+def _quad_basis(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For quads q (k, 4, 2) with homogeneous corners a, b, c, d: M = [a b c]
+    as columns, adj(M) (rows b x c, c x a, a x b), the adjugate weights
+    lam = adj(M) d, which with det(M) are twice the signed areas of the
+    quad's four triangles, and a (k,) mask of quads whose every triangle has
+    |2 x area| > _QUAD_AREA_TOL x the sum of squared corner distances from
+    the centroid.  That rule rejects coincident, duplicated and collinear
+    corners."""
+    hom = np.concatenate([q, np.ones(q.shape[:2] + (1,))], axis=2)
+    adj = np.cross(hom[:, [1, 2, 0]], hom[:, [2, 0, 1]])
+    lam = np.einsum("kij,kj->ki", adj, hom[:, 3])
+    areas = np.c_[np.einsum("kj,kj->k", adj[:, 0], hom[:, 0]), lam]
+    spread = ((q - q.mean(axis=1, keepdims=True)) ** 2).sum(axis=(1, 2))
+    return hom[:, :3].transpose(0, 2, 1), adj, lam, np.abs(areas).min(axis=1) > _QUAD_AREA_TOL * spread
+
+
+def _quad_homographies(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form homographies taking each quad p0 (k, 4, 2) onto p1
+    (Heckbert 1989, sec. 2.2.3): H ~ N diag(mu / lam) adj(M), with M, lam of
+    p0 and N, mu of p1 from ``_quad_basis``.  The weights are scaled by
+    lam1 lam2 lam3 to mu_i lam_j lam_k, so nothing divides before h22.
+    Returns (k, 3, 3) homographies scaled to h22 = 1 and a (k,) mask: a fit
+    is valid when both quads pass ``_quad_basis`` and |h22| > 1e-12 max|H|.
+    Invalid entries hold finite junk."""
+    _, adj0, lam, ok0 = _quad_basis(p0)
+    n, _, mu, ok1 = _quad_basis(p1)
+    w = mu * lam[:, [1, 0, 0]] * lam[:, [2, 2, 1]]
+    h = (n * w[:, None, :]) @ adj0
+    h22 = h[:, 2, 2]
+    valid = ok0 & ok1 & (np.abs(h22) > 1e-12 * np.abs(h).max(axis=(1, 2)))
     return h / np.where(valid, h22, 1.0)[:, None, None], valid
 
 
@@ -490,10 +536,13 @@ def _ransac_homography(
     """Score every 4-point sample (row of ``samples``) as one batch, then refit
     on the winner's inliers; returns (winning row, inlier mask, H).
 
-    One batched DLT covers all hypotheses and one matmul projects every match
-    through every candidate.  Invalid fits count -1, so they never win.
+    Every hypothesis is a closed-form 4-point homography
+    (``_quad_homographies``), with no solve per hypothesis, and one matmul
+    projects every match through every candidate.  Invalid fits count -1, so
+    they never win.  The refit is one normalized DLT (``_homography_dlt``)
+    over the winner's inliers.
     """
-    h_cand, valid = _homography_dlt(p0[samples], p1[samples])
+    h_cand, valid = _quad_homographies(p0[samples], p1[samples])
     q = np.c_[p0, np.ones(len(p0))] @ h_cand.transpose(0, 2, 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a match sent to infinity is no inlier
         err = np.linalg.norm(q[..., :2] / q[..., 2:3] - p1, axis=2)

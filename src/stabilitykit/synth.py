@@ -279,13 +279,14 @@ def iter_dataset(
     frame_size: tuple[int, int] = (128, 96),
     fps: float = 30.0,
 ):
-    """Yield ``count`` seeded LabeledVideo, one at a time, spanning the
-    amplitude ladder.
+    """An iterator over ``count`` seeded LabeledVideo, made one at a time,
+    spanning the amplitude ladder.
 
     Videos draw a base at random from a shared pool of ``N_BASES``
     procedural ones, so scene content stays uninformative about the jitter
     level.  The ladder must hold at least one amplitude, and each must lie
     in [0, min(frame_size)] pixels: the bases grow with the largest one.
+    The arguments are checked here, before the first video is drawn.
     """
     if count < 10:
         raise ConfigError("a dataset needs at least 10 videos")
@@ -295,6 +296,12 @@ def iter_dataset(
             f"the amplitude ladder {ladder} must hold amplitudes in "
             f"[0, {min(frame_size)}] px (the frame's shorter side)"
         )
+    return _videos(count, ladder, seed, length, frame_size, fps)
+
+
+def _videos(count: int, ladder: list[float], seed: int, length: int,
+            frame_size: tuple[int, int], fps: float):
+    """The generator behind ``iter_dataset``, on checked arguments."""
     root = np.random.SeedSequence(seed)
     theta_lever = (frame_size[0] + frame_size[1]) / 4.0
     pool = base_pool(N_BASES, frame_size, max(ladder), seed)

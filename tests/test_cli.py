@@ -324,11 +324,26 @@ class TestTrain:
         held_out = np.random.default_rng(4).permutation(30)[:6]
         params = model_mod.load_checkpoint(ckpt)
         pred = [model_mod.mlp_forward(params, row) for row in matrix[held_out]]
-        # the checkpoint's f32 weights move these figures by about 1e-8
-        # relative here, well below the report's 6 digits
+        # scored one row at a time, the forward may differ from the batched
+        # one in the last bits, well below the report's 6 digits
         assert block == cli._roundtrip(dict(evaluate(pred, y[held_out]).as_dict(), n=6))
         last = log.read_text().splitlines()[-1].split(",")
         assert last[0] == "6" and block["srocc"] == cli._roundtrip(float(last[2]))
+
+    def test_validation_block_is_the_reloaded_checkpoints(self, capsys, tmp_path):
+        # the checkpoint holds f32 weights; the block is theirs, digit for digit,
+        # where the float64 weights in memory gave other reported figures
+        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 6, "lr_head": 1e-3}))
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", str(manifest), "--out", str(ckpt),
+                             "--cache", str(cache), "--config", str(cfg), "--seed", "7")
+        assert code == 0, err
+        held_out = np.random.default_rng(7).permutation(30)[:6]
+        pred, _, _, _ = model_mod._forward(model_mod.load_checkpoint(ckpt), matrix[held_out])
+        want = cli._roundtrip(dict(evaluate(pred, y[held_out]).as_dict(), n=6))
+        assert json.loads(out)["validation"] == want
 
     @pytest.mark.parametrize("rows, n_val", [(15, 3), (20, 4)])
     def test_too_few_held_out_rows_train_on_every_row(self, capsys, tmp_path, rows, n_val):
@@ -583,6 +598,16 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--out", str(tmp_path / "ds"), "--config", str(cfg))
         assert code == 2 and f"ladder {ladder}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("config", [{"ladder": [], "count": 10}, {"ladder": [1.0], "count": 9}],
+                             ids=["empty-ladder", "count-9"])
+    def test_bad_config_leaves_no_files(self, capsys, tmp_path, config):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "ds"
+        code, out, _ = run(capsys, "synth", "--out", str(out_dir), "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert not out_dir.exists()
 
 
 class TestSeedResolution:

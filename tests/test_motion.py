@@ -432,6 +432,79 @@ class TestBatchedHomography:
         assert inl.all()
 
 
+def loop_candidate_counts(p0, p1, samples, inlier_px=2.0):
+    """Reference hypothesis scores: each sample's inlier count under its
+    per-hypothesis SVD fit, -1 where that fit is invalid."""
+    counts = []
+    for row in samples:
+        h = loop_homography_dlt(p0[row], p1[row])
+        inl = 0 if h is None else np.linalg.norm(apply_h(h, p0) - p1, axis=1) <= inlier_px
+        counts.append(-1 if h is None else int(inl.sum()))
+    return np.array(counts)
+
+
+def candidate_counts(p0, p1, samples, inlier_px=2.0):
+    """The closed-form hypotheses' scores, as _ransac_homography counts them."""
+    hs, valid = motion._quad_homographies(p0[samples], p1[samples])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inl = np.stack([np.linalg.norm(apply_h(h, p0) - p1, axis=1) <= inlier_px for h in hs])
+    return np.where(valid, inl.sum(axis=1), -1)
+
+
+class TestClosedFormHomography:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_candidates_score_as_svd_oracle_on_planted_matches(self, seed):
+        p0, p1, samples = planted_matches(seed)
+        assert np.array_equal(candidate_counts(p0, p1, samples), loop_candidate_counts(p0, p1, samples))
+
+    def test_candidates_score_as_svd_oracle_on_tracked_matches(self, monkeypatch):
+        calls = []
+        ransac = motion._ransac_homography
+        monkeypatch.setattr(motion, "_ransac_homography", lambda *a: calls.append(a) or ransac(*a))
+        for seed in (90, 91):
+            video_trajectory(shaky_video(seed, count=5, size=(128, 96))[0], "homography")
+        assert len(calls) == 8
+        for p0, p1, samples, px in calls:
+            want = loop_candidate_counts(p0, p1, samples, px)
+            assert np.array_equal(candidate_counts(p0, p1, samples, px), want)
+
+    def test_exact_recovery_of_well_conditioned_quad(self):
+        p0 = np.array([[10.0, 12.0], [110.0, 8.0], [100.0, 85.0], [15.0, 80.0]])
+        hs, valid = motion._quad_homographies(p0[None], apply_h(H_TRUE, p0)[None])
+        assert valid.tolist() == [True]
+        assert np.allclose(hs[0], H_TRUE, rtol=0, atol=1e-12)
+
+    def test_degenerate_quads_invalid(self):
+        square = np.array([[10.0, 12.0], [110.0, 8.0], [100.0, 85.0], [15.0, 80.0]])
+        coincident = np.full((4, 2), 40.0)
+        duplicated = square[[0, 1, 0, 3]]
+        three_collinear = np.array([[10.0, 10.0], [30.0, 20.0], [80.0, 85.0], [50.0, 30.0]])
+        quads = np.stack([square, coincident, duplicated, three_collinear])
+        mapped = np.stack([apply_h(H_TRUE, q) for q in quads])
+        squares = np.broadcast_to(apply_h(H_TRUE, square), quads.shape)
+        for p0, p1 in ((quads, mapped), (quads, squares), (squares, quads)):
+            _, valid = motion._quad_homographies(p0, p1)
+            assert valid.tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("m", range(4, 61))
+    def test_refit_equals_full_svd_oracle(self, m):
+        p0, p1, _ = planted_matches(5)
+        hs, valid = motion._homography_dlt(p0[None, :m], p1[None, :m])
+        assert valid.tolist() == [True]
+        assert np.array_equal(hs[0], loop_homography_dlt(p0[:m], p1[:m]))
+
+    def test_one_svd_per_pair(self, monkeypatch):
+        prev, nxt = shift_pair(seed=92, shift=(2, 1))
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: shapes.append(a.shape) or svd(a, **k))
+        mp = estimate_motion(prev, nxt, "homography")
+        # one (1, 2m, 9) refit system over the winner's m inliers
+        assert len(shapes) == 1
+        assert shapes[0][0] == 1 and shapes[0][1] >= 8 and shapes[0][2] == 9
+        assert mp.inlier_ratio > 0.9
+
+
 class TestGridFlow:
     def test_identical_frames_zero_field(self):
         plane = textured_plane(3)
