@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .classic import itf, stability_score
 from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingModel, ParseError, StabilityKitError
 from .evaluation import evaluate
 from .media import clip_span, csv_rows, load_frame_dir, load_y4m, sample_clip
-from .motion import RansacParams, check_grid, save_trajectory_csv, video_trajectory
+from .motion import save_trajectory_csv, video_trajectory
 
 SEED_ENV_VAR = "STABILITYKIT_SEED"
 
@@ -105,40 +106,32 @@ def _load_video(path: str):
     return load_frame_dir(p) if p.is_dir() else load_y4m(p)
 
 
-def _clip_opts(cfg: dict, args) -> dict:
-    defaults = {"n": 32, "tau": 2, "grid": 8, "tau_b": feat.DEFAULT_TAU_B}
-    return {key: _option(cfg, key, default, getattr(args, key)) for key, default in defaults.items()}
+_CLIP_DEFAULTS = asdict(feat.ClipSpec())  # n, tau, grid, tau_b
+
+
+def _clip_spec(cfg: dict, args) -> feat.ClipSpec:
+    """The clip spec of the flags, else the config, else ``ClipSpec``'s
+    defaults.  Commands build it before decoding any video: a bad value would
+    otherwise surface only after the first one is decoded, or after the whole
+    trajectory is estimated."""
+    return feat.ClipSpec(**{k: _option(cfg, k, v, getattr(args, k)) for k, v in _CLIP_DEFAULTS.items()})
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _clip_dims(opts: dict) -> feat.FeatureDims:
-    """The feature dims of the clip options, after checking ``n``/``tau``,
-    ``grid`` and ``tau_b`` (which must divide ``n``).  Commands call it before
-    decoding any video: a bad value would otherwise surface only after the
-    first one is decoded, or after the whole trajectory is estimated."""
-    clip_span(opts["n"], opts["tau"])
-    check_grid(opts["grid"])
-    n_b = len(feat.blur_indices(opts["n"], opts["tau_b"]))
-    return feat.FeatureDims(n=opts["n"], n_b=n_b, tau_b=opts["tau_b"])
+_SCORE_KEYS = {"seed", "n_clips", "model", *_CLIP_DEFAULTS}
 
 
-_SCORE_KEYS = {"seed", "n", "tau", "grid", "tau_b", "n_clips", "model"}
-
-
-def _score_model(model_path: str, n_clips: int, opts: dict) -> model_mod.ModelParams:
-    """The checkpoint of ``score --model``, with the clip options checked
-    against it, before the video is decoded."""
-    if n_clips < 1:
-        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
-    dim = _clip_dims(opts).dim
+def _score_model(model_path: str, spec: feat.ClipSpec) -> model_mod.ModelParams:
+    """The checkpoint of ``score --model``, checked against the clip spec,
+    before the video is decoded."""
     if not Path(model_path).is_file():
         raise MissingModel(f"model checkpoint not found: {model_path}")
     params = model_mod.load_checkpoint(model_path)
-    if dim != params.input_dim:
-        raise DimensionMismatch(f"the clip options give {dim} features, the model takes {params.input_dim}")
+    if spec.dim != params.input_dim:
+        raise DimensionMismatch(f"the clip options give {spec.dim} features, the model takes {params.input_dim}")
     return params
 
 
@@ -147,22 +140,22 @@ def cmd_score(args) -> int:
     seed = _resolve_seed(args.seed, cfg)
     model_path = _option(cfg, "model", "", args.model)
     n_clips = _option(cfg, "n_clips", 4, args.n_clips)
-    opts = _clip_opts(cfg, args)
-    params = _score_model(model_path, n_clips, opts) if model_path else None
+    if model_path and n_clips < 1:
+        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
+    spec = _clip_spec(cfg, args)
+    params = _score_model(model_path, spec) if model_path else None
     seq = _load_video(args.video)
     if params is not None:  # the clip span, before ITF and the trajectory
-        clip_span(opts["n"], opts["tau"], len(seq))
+        clip_span(spec.n, spec.tau, len(seq))
     itf_res = itf(seq)
-    traj, _ = video_trajectory(seq, "similarity", RansacParams(seed=seed))
+    traj, _ = video_trajectory(seq, "similarity", seed)
     stab = stability_score(traj)
     report = {
         "itf_db": itf_res.score_db,
         "stability": dict(stab.component_scores, score=stab.score),
     }
     if params is not None:
-        report["prediction"] = model_mod.predict_video(
-            params, seq, n_clips=n_clips, seed=seed, **opts
-        )
+        report["prediction"] = model_mod.predict_video(params, seq, spec, n_clips=n_clips, seed=seed)
     _emit(report, args.out)
     return 0
 
@@ -172,27 +165,25 @@ def cmd_trajectory(args) -> int:
     seed = _resolve_seed(args.seed, cfg)
     model_kind = _option(cfg, "model_kind", "similarity", args.model_kind)
     seq = _load_video(args.video)
-    traj, _ = video_trajectory(seq, model_kind, RansacParams(seed=seed))
+    traj, _ = video_trajectory(seq, model_kind, seed)
     save_trajectory_csv(traj, args.out)
     _emit({"frames": traj.length, "out": str(args.out)}, None)
     return 0
 
 
-_TRAIN_KEYS = {
-    "seed", "lambda", "epochs", "batch_size", "lr_head", "val_frac",
-    "n", "tau", "grid", "tau_b",
-}
+_TRAIN_KEYS = {"seed", "lambda", "epochs", "batch_size", "lr_head", "val_frac", *_CLIP_DEFAULTS}
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, _TRAIN_KEYS)
     seed = _resolve_seed(args.seed, cfg)
-    opts = _clip_opts(cfg, args)
+    spec = _clip_spec(cfg, args)
+    defaults = model_mod.TrainConfig()
     tc = model_mod.TrainConfig(
-        lambda_rank=float(_option(cfg, "lambda", 0.3)),
-        epochs=_option(cfg, "epochs", 30),
-        batch_size=_option(cfg, "batch_size", 4),
-        lr_head=float(_option(cfg, "lr_head", 1e-3)),
+        lambda_rank=float(_option(cfg, "lambda", defaults.lambda_rank)),
+        epochs=_option(cfg, "epochs", defaults.epochs),
+        batch_size=_option(cfg, "batch_size", defaults.batch_size),
+        lr_head=float(_option(cfg, "lr_head", defaults.lr_head)),
         seed=seed,
     )
     val_frac = float(_option(cfg, "val_frac", 0.2))
@@ -204,24 +195,20 @@ def cmd_train(args) -> int:
     if not rows:
         raise EmptyInput("manifest has no rows")
 
-    dims = _clip_dims(opts)
     cache_path = Path(args.cache) if args.cache else None
-    matrix = None
     if cache_path and cache_path.is_file():
-        matrix, cached_dims = feat.load_feature_cache(cache_path)
-        if cached_dims != dims or matrix.shape[0] != len(rows):
-            raise ConfigError("feature cache does not match the manifest/config")
-    if matrix is None:
+        matrix = feat.load_feature_cache(cache_path, spec, seed, len(rows))
+    else:
         vecs = []
         for i, (_, path, _) in enumerate(rows):
             seq = _load_video(str(path))
             clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-            clip = sample_clip(seq, n=opts["n"], tau=opts["tau"], seed=clip_seed)
-            vecs.append(feat.clip_features(clip, grid=opts["grid"], tau_b=opts["tau_b"]))
+            clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
+            vecs.append(feat.clip_features(clip, spec))
         # train on the f32-rounded values the cache holds
         matrix = np.stack(vecs).astype("<f4").astype(np.float64)
         if cache_path:
-            feat.save_feature_cache(cache_path, matrix, dims)
+            feat.save_feature_cache(cache_path, matrix, spec, seed)
 
     y = np.array([score for _, _, score in rows])
     # held-out rows are only scored: the head trains to its last epoch, and
@@ -341,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
     p.add_argument("--model", help="model checkpoint for the learned score")
     p.add_argument("--n-clips", dest="n_clips", type=int)
-    for name in ("n", "tau", "grid", "tau_b"):
+    for name in _CLIP_DEFAULTS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
     p.add_argument("--out", help="also write the JSON report here")
     common(p)
@@ -358,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="CSV: video_id,path,gt_score")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="per-epoch CSV log")
-    p.add_argument("--cache", help="feature cache file (reused when present)")
-    for name in ("n", "tau", "grid", "tau_b"):
+    p.add_argument("--cache", help="feature cache file, reused when present; its header must "
+                   "match n, tau, grid, tau_b, the seed and the manifest's row count")
+    for name in _CLIP_DEFAULTS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
     common(p)
     p.set_defaults(func=cmd_train)

@@ -2,10 +2,11 @@
 
 Each branch mirrors the corresponding deep extractor's input contract but
 computes fixed statistics instead of a learned embedding, so only the
-regression head needs training.  ``clip_features`` returns one float64
-vector, the branch outputs concatenated in flow, semantic, blur order; with
-the defaults (C_o=16, N=32, C_s=8, N_b=4, C_b=4) it has 16 + 32*8 + 4*4 = 288
-coordinates.
+regression head needs training.  ``ClipSpec`` holds the settings that decide
+the vector.  ``clip_features`` returns one float64 vector, the branch outputs
+concatenated in flow, semantic, blur order: C_o = 16 values, then C_s = 8 per
+frame and C_b = 4 per blur frame.  The default spec (n=32, tau_b=8) gives
+16 + 32*8 + 4*4 = 288 coordinates.
 
 Flow runs on native-resolution luma.  The semantic and blur stats are taken
 one frame at a time from a C-ordered (N, 224, 224) stack of resized luma
@@ -16,37 +17,47 @@ the semantic means and stds agree to within 1e-12 relative, not exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, InsufficientFrames, ParseError
-from .media import Clip, load_f32_header, resize_float, save_f32, to_luma
-from .motion import FlowField, grid_flow_sequence
+from .media import Clip, clip_span, load_f32_header, resize_float, save_f32, to_luma
+from .motion import FlowField, check_grid, grid_flow_sequence
 
 C_O = 16
 C_S = 8
 C_B = 4
-DEFAULT_TAU_B = 8
 SEMANTIC_SIZE = 224
 
 _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-@dataclass
-class FeatureDims:
-    c_o: int = C_O
-    c_s: int = C_S
-    c_b: int = C_B
+@dataclass(frozen=True)
+class ClipSpec:
+    """How a clip is sampled and featurized: ``n`` frames ``tau`` apart, a
+    ``grid`` x ``grid`` flow field per frame pair, and the blur stats of every
+    ``tau_b``-th frame.  Raises ConfigError on a value no clip can have."""
+
     n: int = 32
-    n_b: int = 4
-    tau_b: int = DEFAULT_TAU_B
+    tau: int = 2
+    grid: int = 8
+    tau_b: int = 8
+
+    def __post_init__(self):
+        clip_span(self.n, self.tau)
+        check_grid(self.grid)
+        blur_indices(self.n, self.tau_b)
+
+    @property
+    def n_b(self) -> int:
+        return self.n // self.tau_b
 
     @property
     def dim(self) -> int:
-        return self.c_o + self.n * self.c_s + self.n_b * self.c_b
+        return C_O + self.n * C_S + self.n_b * C_B
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +167,24 @@ def blur_indices(n: int, tau_b: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> np.ndarray:
-    """The fused float64 feature vector of a clip: flow, semantic, blur.
+def clip_features(clip: Clip, spec: ClipSpec) -> np.ndarray:
+    """The fused float64 feature vector of a clip sampled as ``spec`` says,
+    ``spec.dim`` values: flow, semantic, blur.
 
     Flow runs on native-resolution luma for sub-pixel precision.  The
     semantic stats of every frame and the blur stats of every tau_b-th frame
     are computed one frame at a time on a C-ordered (N, 224, 224) stack of
     bilinearly resized luma planes.
     """
+    if (clip.n, clip.tau) != (spec.n, spec.tau):
+        raise ConfigError(f"clip has n={clip.n}, tau={clip.tau}; the spec has n={spec.n}, tau={spec.tau}")
     lumas = to_luma(clip.frames)
     # untrackable pairs (constant or pure-noise content) come back as zero
     # fields, keeping the feature vector finite for any valid clip
-    flows = grid_flow_sequence(lumas, grid=grid)
+    flows = grid_flow_sequence(lumas, spec.grid)
     resized = resize_float(lumas, SEMANTIC_SIZE, SEMANTIC_SIZE)
     semantic = np.stack([_semantic_frame(luma) for luma in resized])
-    blur = [_blur_frame(resized[i], semantic[i, 2]) for i in blur_indices(clip.n, tau_b)]
+    blur = [_blur_frame(resized[i], semantic[i, 2]) for i in blur_indices(spec.n, spec.tau_b)]
     return np.concatenate([flow_features(flows), semantic.ravel(), *blur])
 
 
@@ -179,30 +193,41 @@ def clip_features(clip: Clip, grid: int = 8, tau_b: int = DEFAULT_TAU_B) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def save_feature_cache(path: str | Path, matrix: np.ndarray, dims: FeatureDims) -> None:
+def _cache_header(spec: ClipSpec, seed: int, count: int) -> dict:
+    return {"c_o": C_O, "c_s": C_S, "c_b": C_B, "n": spec.n, "n_b": spec.n_b, "tau_b": spec.tau_b,
+            "count": count, "tau": spec.tau, "grid": spec.grid, "seed": seed}
+
+
+def save_feature_cache(path: str | Path, matrix: np.ndarray, spec: ClipSpec, seed: int) -> None:
+    """Write the rows of clips sampled from ``seed`` and featurized as ``spec`` says."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    header = dict(asdict(dims), dim=dims.dim, count=int(matrix.shape[0]))
-    if matrix.ndim != 2 or matrix.shape[1] != dims.dim:
-        raise ConfigError(f"matrix shape {matrix.shape} does not match dim {dims.dim}")
-    save_f32(path, header, matrix)
+    if matrix.ndim != 2 or matrix.shape[1] != spec.dim:
+        raise ConfigError(f"matrix shape {matrix.shape} does not match dim {spec.dim}")
+    save_f32(path, dict(_cache_header(spec, seed, matrix.shape[0]), dim=spec.dim), matrix)
 
 
-def load_feature_cache(path: str | Path) -> tuple[np.ndarray, FeatureDims]:
+def load_feature_cache(path: str | Path, spec: ClipSpec, seed: int, count: int) -> np.ndarray:
+    """The ``count`` rows of a cache written for ``spec`` and ``seed``.
+
+    Raises ParseError on a malformed file and ConfigError when the header
+    names other settings or another row count.  A header without ``tau``,
+    ``grid`` or ``seed`` (an older cache) is not checked on those keys."""
     header, blob = load_f32_header(path, "feature cache")
     try:
         fields = {k: header[k] for k in ("c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count")}
     except KeyError as exc:
         raise ParseError(f"bad feature cache header: {exc}") from exc
+    fields.update((k, header[k]) for k in ("tau", "grid", "seed") if k in header)
     if any(type(v) is not int or v < 0 for v in fields.values()):
         raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
-    count = fields.pop("count")
-    dims = FeatureDims(**fields)
-    if dims.dim == 0:  # zero-width rows would let any count through
-        raise ParseError("feature cache rows have no values")
-    expect = count * dims.dim * 4
+    want = _cache_header(spec, seed, count)
+    differ = [f"{k}={v} (want {want[k]})" for k, v in fields.items() if v != want[k]]
+    if differ:
+        raise ConfigError(f"feature cache does not match the manifest/config: {', '.join(differ)}")
+    expect = count * spec.dim * 4
     if len(blob) < expect:
         raise ParseError(f"feature cache truncated: {len(blob)} < {expect} bytes")
-    matrix = np.frombuffer(blob, "<f4", count * dims.dim).reshape(count, dims.dim)
+    matrix = np.frombuffer(blob, "<f4", count * spec.dim).reshape(count, spec.dim)
     if not np.isfinite(matrix).all():
         raise ParseError("feature cache holds non-finite values")
-    return matrix.astype(np.float64), dims
+    return matrix.astype(np.float64)

@@ -313,17 +313,10 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def predict_video(
-    params: ModelParams,
-    seq: FrameSequence,
-    n_clips: int = 4,
-    seed: int = 0,
-    n: int = 32,
-    tau: int = 2,
-    grid: int = 8,
-    tau_b: int = feat.DEFAULT_TAU_B,
-) -> float:
-    """Mean prediction over ``n_clips`` independently sampled clips.
+def predict_video(params: ModelParams, seq: FrameSequence, spec: feat.ClipSpec, n_clips: int,
+                  seed: int) -> float:
+    """Mean prediction over ``n_clips`` clips sampled and featurized as
+    ``spec`` says, their starts drawn from ``seed``.
 
     Clips that start at the same frame are the same clip: each distinct
     ``source_indices`` is featurized and scored once, and its score enters
@@ -334,10 +327,10 @@ def predict_video(
     clip_seeds = rng.integers(0, 2**31, size=n_clips)
     scores, by_clip = [], {}
     for s in clip_seeds:
-        clip = sample_clip(seq, n=n, tau=tau, seed=int(s))
+        clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=int(s))
         key = tuple(clip.source_indices)
         if key not in by_clip:
-            by_clip[key] = mlp_forward(params, feat.clip_features(clip, grid=grid, tau_b=tau_b))
+            by_clip[key] = mlp_forward(params, feat.clip_features(clip, spec))
         scores.append(by_clip[key])
     return float(np.mean(scores))
 

@@ -78,13 +78,6 @@ class Trajectory:
         return len(self.x)
 
 
-@dataclass
-class RansacParams:
-    iters: int = 500
-    inlier_px: float = 2.0
-    seed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # Corner detection (minimum-eigenvalue response)
 # ---------------------------------------------------------------------------
@@ -101,19 +94,19 @@ def corner_response(luma: np.ndarray) -> np.ndarray:
     return half_trace - root
 
 
-def detect_corners(
-    luma: np.ndarray,
-    max_n: int = 200,
-    quality: float = 0.01,
-    nms_radius: int = 8,
-    min_corners: int = 8,
-    border: int = 3,
-) -> np.ndarray:
-    """Strongest corners as (n, 2) sub-pixel (x, y), sorted by score descending."""
+_MAX_CORNERS = 200
+_MIN_CORNERS = 8
+
+
+def detect_corners(luma: np.ndarray, quality: float = 0.01, nms_radius: int = 8) -> np.ndarray:
+    """The at most _MAX_CORNERS strongest corners as (n, 2) sub-pixel (x, y),
+    sorted by score descending; fewer than _MIN_CORNERS raise DegenerateScene.
+    No corner lies within _LK_WIN + 1 pixels of an edge, so its LK window
+    stays inside the plane after the sub-pixel shift."""
     h, w = luma.shape
     if h < 32 or w < 32:
         raise DimensionMismatch("corner detection needs a plane of at least 32x32")
-    border = max(border, 3)
+    border = _LK_WIN + 1
     resp = corner_response(luma)
     resp[:border, :] = 0.0
     resp[-border:, :] = 0.0
@@ -127,10 +120,10 @@ def detect_corners(
     cand = is_max & (resp >= quality * peak) & (resp > 0)
     ys, xs = np.nonzero(cand)
     scores = resp[ys, xs]
-    order = np.argsort(-scores, kind="stable")[:max_n]
+    order = np.argsort(-scores, kind="stable")[:_MAX_CORNERS]
     ys, xs, scores = ys[order], xs[order], scores[order]
-    if len(xs) < min_corners:
-        raise DegenerateScene(f"only {len(xs)} corners found, need {min_corners}")
+    if len(xs) < _MIN_CORNERS:
+        raise DegenerateScene(f"only {len(xs)} corners found, need {_MIN_CORNERS}")
 
     pts = np.stack([xs, ys], axis=1).astype(np.float64)
     # parabolic sub-pixel refinement along each axis
@@ -374,7 +367,7 @@ def _grid_field(pts: np.ndarray, disp: np.ndarray, ok: np.ndarray, grid: int) ->
     return FlowField(grid, grid, disp[:, 0].reshape(grid, grid), disp[:, 1].reshape(grid, grid))
 
 
-def grid_flow_sequence(lumas: np.ndarray, grid: int = 8) -> list[FlowField]:
+def grid_flow_sequence(lumas: np.ndarray, grid: int) -> list[FlowField]:
     """LK flow seeded at the grid-cell centres of every adjacent pair of a
     (T, H, W) luma stack, all pairs tracked in one solve.  Failed cells take
     the nearest successful cell's displacement, and a pair where every cell
@@ -386,6 +379,11 @@ def grid_flow_sequence(lumas: np.ndarray, grid: int = 8) -> list[FlowField]:
 # ---------------------------------------------------------------------------
 # Robust parametric motion
 # ---------------------------------------------------------------------------
+
+
+_RANSAC_ITERS = 500
+_INLIER_PX = 2.0
+_REFINE_INLIER_PX = 0.75  # the refit after re-tracking against warped templates
 
 
 def _ransac_pick(counts: np.ndarray) -> int:
@@ -404,18 +402,18 @@ def _fit_similarity(z0: np.ndarray, z1: np.ndarray) -> tuple[complex, complex]:
 
 
 def _ransac_similarity(
-    z0: np.ndarray, z1: np.ndarray, ransac: RansacParams, rng: np.random.Generator
+    z0: np.ndarray, z1: np.ndarray, inlier_px: float, rng: np.random.Generator
 ) -> tuple[complex, complex, float]:
     """Seeded 2-point RANSAC plus least squares over the inliers."""
     m = len(z0)
-    i0 = rng.integers(0, m, ransac.iters)
-    i1 = (i0 + 1 + rng.integers(0, m - 1, ransac.iters)) % m
+    i0 = rng.integers(0, m, _RANSAC_ITERS)
+    i1 = (i0 + 1 + rng.integers(0, m - 1, _RANSAC_ITERS)) % m
     base = z0[i1] - z0[i0]
     safe = np.abs(base) > 1e-9
     a_cand = np.where(safe, (z1[i1] - z1[i0]) / np.where(safe, base, 1.0), 1.0)
     t_cand = z1[i0] - a_cand * z0[i0]
     err = np.abs(a_cand[:, None] * z0[None, :] + t_cand[:, None] - z1[None, :])
-    inl = (err <= ransac.inlier_px) & safe[:, None]
+    inl = (err <= inlier_px) & safe[:, None]
     best = inl[_ransac_pick(inl.sum(axis=1))]
     if best.sum() < 2:
         best = np.ones(m, dtype=bool)
@@ -564,14 +562,13 @@ def _apply_h(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _corners(luma: np.ndarray) -> np.ndarray:
     try:
-        return detect_corners(luma, border=_LK_WIN + 1)
+        return detect_corners(luma)
     except DegenerateScene:
         # small frames starve under the default 8 px suppression radius
-        return detect_corners(luma, border=_LK_WIN + 1, nms_radius=4, quality=0.005)
+        return detect_corners(luma, nms_radius=4, quality=0.005)
 
 
-def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray,
-                       ransac: RansacParams) -> list[MotionParams]:
+def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray) -> list[MotionParams]:
     """Refine the similarity fits (z0, a, t, inlier ratio, rng) of the pairs
     of ``lumas``.  Translational LK is biased when the window itself rotates,
     so the corners of all pairs are re-tracked against warped templates and
@@ -579,13 +576,12 @@ def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray,
     z0, a, t, ratio, rngs = (list(f) for f in zip(*fits))
     pair = np.repeat(np.arange(len(fits)), [len(z) for z in z0])
     z0, a, t = np.concatenate(z0), np.array(a), np.array(t)
-    tight = RansacParams(ransac.iters, min(ransac.inlier_px, 0.75), ransac.seed)
     for _ in range(2):
         zw, z1, ok = _in_runs(partial(_refine_track, lumas), pair, z0, a[pair], t[pair])
         for k, rng in enumerate(rngs):
             sel = ok & (pair == k)
             if sel.sum() >= 2:
-                a2, t2, ratio[k] = _ransac_similarity(zw[sel], z1[sel], tight, rng)
+                a2, t2, ratio[k] = _ransac_similarity(zw[sel], z1[sel], _REFINE_INLIER_PX, rng)
                 # compose the residual fit with the incoming model
                 a[k], t[k] = a2 * a[k], a2 * t[k] + t2
     c = center[0] + 1j * center[1]
@@ -594,10 +590,10 @@ def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray,
                          float(abs(ak)), inlier_ratio=r) for d, ak, r in zip(delta, a, ratio)]
 
 
-def _pair_motions(pyr: list[np.ndarray], model_kind: str, ransac: RansacParams) -> list[MotionParams]:
+def _pair_motions(pyr: list[np.ndarray], model_kind: str, seed: int) -> list[MotionParams]:
     """Motion of every adjacent frame pair of one pyramid stack: corners per
     frame, one _track of all pairs, then per pair a fit that draws from its
-    own ``default_rng(ransac.seed)``.  Errors are raised in pair order."""
+    own ``default_rng(seed)``.  Errors are raised in pair order."""
     if model_kind not in ("translation", "similarity", "homography"):
         raise ConfigError(f"unknown motion model {model_kind!r}")
     lumas = pyr[0]
@@ -622,21 +618,21 @@ def _pair_motions(pyr: list[np.ndarray], model_kind: str, ransac: RansacParams) 
         if not sel.any():
             raise TrackingFailure("no corner survived tracking")
         p0, p1 = pts[sel], new_pts[sel]
-        rng = np.random.default_rng(ransac.seed)
+        rng = np.random.default_rng(seed)
         if model_kind == "translation":
             disp = p1 - p0
-            idx = rng.integers(0, len(p0), ransac.iters)
-            inl = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2) <= ransac.inlier_px
+            idx = rng.integers(0, len(p0), _RANSAC_ITERS)
+            inl = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2) <= _INLIER_PX
             best = inl[_ransac_pick(inl.sum(axis=1))]
             dx, dy = np.median(disp[best], axis=0)
             params.append(MotionParams("translation", float(dx), float(dy), inlier_ratio=float(best.mean())))
         elif model_kind == "homography":
             if len(p0) < 4:
                 raise UnderDetermined(f"homography needs 4 matches, have {len(p0)}")
-            # ransac.iters distinct 4-point samples (the 4 smallest of one
+            # _RANSAC_ITERS distinct 4-point samples (the 4 smallest of one
             # uniform key row each), scored together in _ransac_homography
-            samples = np.argpartition(rng.random((ransac.iters, len(p0))), 3, axis=1)[:, :4]
-            _, inl, hm = _ransac_homography(p0, p1, samples, ransac.inlier_px)
+            samples = np.argpartition(rng.random((_RANSAC_ITERS, len(p0))), 3, axis=1)[:, :4]
+            _, inl, hm = _ransac_homography(p0, p1, samples, _INLIER_PX)
             cxy = _apply_h(hm, center[None, :])[0] - center
             # affine Jacobian at the frame center
             nu, nv, den = hm[:, 0] * center[0] + hm[:, 1] * center[1] + hm[:, 2]
@@ -651,25 +647,27 @@ def _pair_motions(pyr: list[np.ndarray], model_kind: str, ransac: RansacParams) 
                 raise UnderDetermined("similarity needs at least 2 matches")
             z0 = p0[:, 0] + 1j * p0[:, 1]
             z1 = p1[:, 0] + 1j * p1[:, 1]
-            fits.append((z0, *_ransac_similarity(z0, z1, ransac, rng), rng))
+            fits.append((z0, *_ransac_similarity(z0, z1, _INLIER_PX, rng), rng))
     if model_kind == "similarity":
-        return _similarity_params(lumas, fits, center, ransac)
+        return _similarity_params(lumas, fits, center)
     return params
 
 
 def estimate_motion(prev_frame: np.ndarray, next_frame: np.ndarray, model_kind: str = "similarity",
-                    ransac: RansacParams | None = None) -> MotionParams:
-    """Corner matching + seeded RANSAC fit of the requested motion model.
+                    seed: int = 0) -> MotionParams:
+    """Corner matching + RANSAC fit of the requested motion model, its
+    hypotheses drawn from ``seed``.
 
     Frames are (H, W) luma planes, uint8 frames or float.  This is the
     ``video_trajectory`` engine on a two-frame stack, so it equals that pair
-    of a trajectory.  Every model draws all ``ransac.iters`` hypotheses up
+    of a trajectory.  Every model draws all _RANSAC_ITERS hypotheses up
     front and scores them in one vectorized pass; ties go to the earliest.
+    A match within _INLIER_PX pixels of a hypothesis is its inlier.
     """
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
     pyr = _pyramid(to_luma(np.stack([prev_frame, next_frame])))
-    return _pair_motions(pyr, model_kind, ransac or RansacParams())[0]
+    return _pair_motions(pyr, model_kind, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +697,13 @@ _TRAJ_RUN_PAIRS = 16  # most frame pairs per pyramid stack in video_trajectory
 
 
 def video_trajectory(seq, model_kind: str = "similarity",
-                     ransac: RansacParams | None = None) -> tuple[Trajectory, list[MotionParams]]:
+                     seed: int = 0) -> tuple[Trajectory, list[MotionParams]]:
     """Per-pair motion over a FrameSequence, accumulated into a Trajectory.
 
     Runs of at most _TRAJ_RUN_PAIRS pairs each convert their frames to luma
     and build one pyramid stack; a run's last frame carries over as the next
     run's first, so each frame's luma and pyramid are made once.  A pair's
     result equals ``estimate_motion`` on its two frames."""
-    ransac = ransac or RansacParams()
     params, head = [], None  # head: pyramid levels of the previous run's last frame
     last = len(seq.frames) - 1
     for start in range(0, last, _TRAJ_RUN_PAIRS):
@@ -714,7 +711,7 @@ def video_trajectory(seq, model_kind: str = "similarity",
         pyr = _pyramid(to_luma(seq.frames[start if head is None else start + 1 : stop + 1]))
         if head is not None:
             pyr = [np.concatenate([first[None], lev]) for first, lev in zip(head, pyr)]
-        params += _pair_motions(pyr, model_kind, ransac)
+        params += _pair_motions(pyr, model_kind, seed)
         head = [lev[-1].copy() for lev in pyr]
     return accumulate_trajectory(params), params
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, MarginError, ParseError
-from .media import FrameSequence, csv_rows, save_y4m, _round_half_up
+from .media import FrameSequence, csv_rows, resize_float, save_y4m, _round_half_up
 from .motion import Trajectory
 
 AXES = ("x", "y", "theta")
@@ -80,15 +80,6 @@ def gen_trajectory(spec: ShakeSpec, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _upsample(lattice: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    zy = shape[0] / lattice.shape[0]
-    zx = shape[1] / lattice.shape[1]
-    ys = (np.arange(shape[0]) + 0.5) / zy - 0.5
-    xs = (np.arange(shape[1]) + 0.5) / zx - 0.5
-    gy, gx = np.meshgrid(ys, xs, indexing="ij")
-    return ndimage.map_coordinates(lattice, [gy, gx], order=1, mode="nearest")
-
-
 def make_base(width: int, height: int, seed: int) -> np.ndarray:
     """Textured grayscale base: multi-octave value noise plus a few shapes,
     which guarantees corner features everywhere."""
@@ -98,7 +89,7 @@ def make_base(width: int, height: int, seed: int) -> np.ndarray:
     for spacing in (24, 12, 6, 3):
         ny = max(height // spacing, 2) + 1
         nx = max(width // spacing, 2) + 1
-        img += weight * _upsample(rng.random((ny, nx)), (height, width))
+        img += weight * resize_float(rng.random((1, ny, nx)), width, height)[0]
         weight *= 0.55
     img = (img - img.min()) / max(img.max() - img.min(), 1e-12)
 

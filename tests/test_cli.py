@@ -15,7 +15,7 @@ from conftest import csv_bytes, shaky_video
 from stabilitykit import cli, errors
 from stabilitykit import model as model_mod
 from stabilitykit.evaluation import evaluate
-from stabilitykit.features import FeatureDims, save_feature_cache
+from stabilitykit.features import ClipSpec, save_feature_cache
 from stabilitykit.media import FrameSequence, save_y4m
 from stabilitykit.synth import iter_dataset, write_dataset
 
@@ -85,6 +85,7 @@ class TestScore:
         pytest.param(["--grid", "33"], "grid", id="grid-33"),
         pytest.param(["--tau-b", "3"], "tau_b", id="tau-b-3"),
         pytest.param(["--n", "16"], "the model takes 288", id="dim-of-n-16"),
+        pytest.param(["--n-clips", "0", "--grid", "3"], "n_clips", id="n-clips-before-grid"),
     ])
     def test_no_clips_exits_2_before_decoding(self, capsys, workspace, tmp_path,
                                               monkeypatch, argv, name):
@@ -97,6 +98,21 @@ class TestScore:
         )
         assert code == 2 and name in err
         assert out == ""
+        assert decoded == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "1"], "need n >= 2 and tau >= 1, got n=1, tau=2"),
+        (["--tau", "0"], "need n >= 2 and tau >= 1, got n=32, tau=0"),
+        (["--grid", "3"], "grid must be in [4, 32], got 3"),
+        (["--tau-b", "3"], "tau_b=3 must divide the clip length n=32"),
+    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3"])
+    def test_bad_clip_option_exits_2_without_model(self, capsys, workspace, monkeypatch,
+                                                   argv, message):
+        # the clip spec is built before anything else, with or without --model
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        code, out, err = run(capsys, "score", str(workspace["static"]), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert decoded == []
 
     def test_short_video_exits_5_before_trajectory(self, capsys, workspace, tmp_path,
@@ -117,7 +133,7 @@ class TestScore:
                                            flag, want):
         # n = 8 spans 15 of the 18 frames; the model takes its 84 features
         ckpt = tmp_path / "model.ckpt"
-        model_mod.save_checkpoint(model_mod.init_params(FeatureDims(n=8, n_b=1).dim, seed=0), ckpt)
+        model_mod.save_checkpoint(model_mod.init_params(ClipSpec(n=8).dim, seed=0), ckpt)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_clips": 1, "n": 8}))
         seen = []
@@ -285,7 +301,7 @@ class TestTrain:
                                          for i in range(2)]) + "\n")
         cache = tmp_path / "features.bin"
         matrix = np.random.default_rng(3).normal(size=(14, 288))
-        save_feature_cache(cache, matrix, FeatureDims(n=32, n_b=4, tau_b=8))
+        save_feature_cache(cache, matrix, ClipSpec(), 0)
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"epochs": 2, "val_frac": 0.4}))
         code, out, err = run(
@@ -296,9 +312,9 @@ class TestTrain:
         assert json.loads(out)["validation"]["n"] == 6
 
     @staticmethod
-    def _warm_cache(tmp_path, rows):
-        """A manifest of ``rows`` videos and its feature cache: a warm cache
-        is never checked against the videos, so none is written."""
+    def _warm_cache(tmp_path, rows, seed=0):
+        """A manifest of ``rows`` videos and its feature cache for ``seed``: a
+        warm cache is never checked against the videos, so none is written."""
         rng = np.random.default_rng(rows)
         y = rng.uniform(0, 100, rows)
         manifest = tmp_path / "manifest.csv"
@@ -307,13 +323,13 @@ class TestTrain:
         matrix = np.zeros((rows, 288))
         matrix[:, :16] = y[:, None] / 25.0 + rng.normal(size=(rows, 16))  # the flow columns
         cache = tmp_path / "features.bin"
-        save_feature_cache(cache, matrix, FeatureDims(n=32, n_b=4, tau_b=8))
+        save_feature_cache(cache, matrix, ClipSpec(), seed)
         return manifest, cache, y, matrix.astype("<f4").astype(np.float64)
 
     def test_validation_block_scores_the_saved_checkpoint(self, capsys, tmp_path):
         # 30 rows, 6 held out: the block is the saved (last-epoch) head's
         # figures on the rows the seed's permutation holds out
-        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30)
+        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30, seed=4)
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"epochs": 6, "lr_head": 0.01}))
         ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
@@ -333,7 +349,7 @@ class TestTrain:
     def test_validation_block_is_the_reloaded_checkpoints(self, capsys, tmp_path):
         # the checkpoint holds f32 weights; the block is theirs, digit for digit,
         # where the float64 weights in memory gave other reported figures
-        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30)
+        manifest, cache, y, matrix = self._warm_cache(tmp_path, 30, seed=7)
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"epochs": 6, "lr_head": 1e-3}))
         ckpt = tmp_path / "m.ckpt"
@@ -411,6 +427,49 @@ class TestTrain:
         )
         assert code == 2 and "feature cache" in err
         assert out == ""
+
+    @pytest.mark.parametrize("written, argv, names", [
+        (dict(spec=ClipSpec(grid=4), seed=1), ["--grid", "8", "--tau", "1", "--seed", "5"],
+         "tau=2 (want 1), grid=4 (want 8), seed=1 (want 5)"),
+        (dict(spec=ClipSpec(grid=4)), [], "grid=4 (want 8)"),
+        (dict(spec=ClipSpec(tau=1)), [], "tau=1 (want 2)"),
+        (dict(seed=1), ["--seed", "5"], "seed=1 (want 5)"),
+        (dict(spec=ClipSpec(tau_b=4)), [], "n_b=8 (want 4), tau_b=4 (want 8)"),
+        (dict(rows=11), [], "count=11 (want 12)"),
+    ], ids=["grid-tau-seed", "grid", "tau", "seed", "tau_b", "count"])
+    def test_cache_of_other_settings_exits_2(self, capsys, workspace, tmp_path, monkeypatch,
+                                             written, argv, names):
+        # a cache is reused only for the clip spec, seed and row count it was
+        # written for; another one is an error, not a silent reuse
+        spec = written.get("spec", ClipSpec())
+        cache = tmp_path / "features.bin"
+        save_feature_cache(cache, np.ones((written.get("rows", 12), spec.dim)), spec, written.get("seed", 0))
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        code, out, err = run(capsys, "train", str(workspace["manifest"]), "--out",
+                             str(tmp_path / "m.ckpt"), "--cache", str(cache), *argv)
+        want = f"error: feature cache does not match the manifest/config: {names}\n"
+        assert (code, out, err) == (2, "", want)
+        assert decoded == [] and not (tmp_path / "m.ckpt").exists()
+
+    def test_cache_without_newer_keys_loads(self, capsys, workspace, tmp_path, monkeypatch):
+        # a header without tau, grid and seed, as older caches and the bench's
+        # warm cache write it, is checked only on the keys it has
+        rows = np.random.default_rng(5).normal(size=(12, 288)).astype("<f4")
+        header = dict(c_b=4, c_o=16, c_s=8, n=32, n_b=4, tau_b=8, count=12, dim=288)
+        cache = tmp_path / "features.bin"
+        cache.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rows.tobytes())
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1}))
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        for argv in ([], ["--seed", "5", "--tau", "1", "--grid", "6"]):
+            code, out, err = run(capsys, "train", str(workspace["manifest"]), "--out",
+                                 str(tmp_path / "m.ckpt"), "--cache", str(cache),
+                                 "--config", str(cfg), *argv)
+            assert code == 0, err
+            assert json.loads(out)["epochs"] == 1
+        assert decoded == []
 
     def test_unknown_config_key_exits_2(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "bad.json"

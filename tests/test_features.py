@@ -107,12 +107,13 @@ def blur_stats(luma):
     return feat._blur_frame(luma, np.hypot(gx, gy).mean())
 
 
-def old_cache_bytes(matrix, dims):
+def old_cache_bytes(matrix, spec, **newer):
     """The feature-cache writer before the shared f32 container, with the old
-    hand-written ``FeatureDims.as_dict``."""
-    fields = {"c_o": dims.c_o, "c_s": dims.c_s, "c_b": dims.c_b, "n": dims.n,
-              "n_b": dims.n_b, "tau_b": dims.tau_b}
-    header = dict(fields, dim=dims.dim, count=int(matrix.shape[0]))
+    hand-written ``FeatureDims.as_dict``; its header had no tau, grid or seed,
+    which ``newer`` adds."""
+    fields = {"c_o": 16, "c_s": 8, "c_b": 4, "n": spec.n, "n_b": spec.n // spec.tau_b,
+              "tau_b": spec.tau_b}
+    header = dict(fields, dim=spec.dim, count=int(matrix.shape[0]), **newer)
     return (json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
             + np.asarray(matrix, dtype=np.float64).astype("<f4").tobytes())
 
@@ -245,12 +246,12 @@ class TestClipPipeline:
         video = next(iter_dataset(10, amplitude_ladder=[2.0], seed=4, length=64,
                                   frame_size=(64, 48)))
         clip = sample_clip(video.seq, n=32, tau=2, seed=1)
-        fused = feat.clip_features(clip)
+        fused = feat.clip_features(clip, feat.ClipSpec())
         assert fused.dtype == np.float64
-        assert len(fused) == feat.FeatureDims().dim == 288
+        assert len(fused) == feat.ClipSpec().dim == 288
         lumas = to_luma(clip.frames)
         resized = resize_float(lumas, feat.SEMANTIC_SIZE, feat.SEMANTIC_SIZE)
-        flow = feat.flow_features(grid_flow_sequence(lumas, grid=8))
+        flow = feat.flow_features(grid_flow_sequence(lumas, 8))
         semantic = semantic_stack(resized)
         blur = np.concatenate([blur_stats(resized[i]) for i in feat.blur_indices(32, 8)])
         assert np.array_equal(fused[:16], flow)
@@ -262,43 +263,119 @@ class TestClipPipeline:
         videos = list(iter_dataset(10, amplitude_ladder=[2.0], seed=4, length=18,
                                    frame_size=(64, 48)))
         clip = sample_clip(videos[0].seq, n=8, tau=2, seed=1)
-        a = feat.clip_features(clip, grid=6, tau_b=4)
-        b = feat.clip_features(clip, grid=6, tau_b=4)
-        assert a.shape == (16 + 8 * 8 + 2 * 4,)
+        spec = feat.ClipSpec(n=8, tau=2, grid=6, tau_b=4)
+        a = feat.clip_features(clip, spec)
+        b = feat.clip_features(clip, spec)
+        assert a.shape == (spec.dim,) == (16 + 8 * 8 + 2 * 4,)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
 
     def test_constant_clip_is_finite(self):
         frames = gray_frames([90] * 8, width=64, height=48)
         clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
-        fused = feat.clip_features(clip, grid=4, tau_b=4)
+        fused = feat.clip_features(clip, feat.ClipSpec(n=8, tau=1, grid=4, tau_b=4))
         assert np.all(np.isfinite(fused))
         assert np.all(fused[:16] == 0.0)  # untrackable pairs count as no motion
 
     def test_noise_clip_is_finite(self, rng):
         frames = rng.integers(0, 256, (8, 48, 48), dtype=np.uint8)
         clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
-        fused = feat.clip_features(clip, grid=4, tau_b=4)
+        fused = feat.clip_features(clip, feat.ClipSpec(n=8, tau=1, grid=4, tau_b=4))
         assert np.all(np.isfinite(fused))
+
+    @pytest.mark.parametrize("spec", [feat.ClipSpec(n=16, tau=1), feat.ClipSpec(n=8, tau=2, tau_b=4)])
+    def test_clip_must_match_spec(self, spec):
+        frames = gray_frames([90] * 8, width=64, height=48)
+        clip = Clip(frames=frames, source_indices=list(range(8)), n=8, tau=1)
+        with pytest.raises(ConfigError, match="clip has n=8, tau=1"):
+            feat.clip_features(clip, spec)
+
+
+class TestClipSpec:
+    def test_defaults(self):
+        spec = feat.ClipSpec()
+        assert (spec.n, spec.tau, spec.grid, spec.tau_b) == (32, 2, 8, 8)
+        assert spec.n_b == 4 and spec.dim == 288
+        assert feat.ClipSpec(n=16, tau_b=4).dim == 16 + 16 * 8 + 4 * 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 1}, "need n >= 2 and tau >= 1, got n=1, tau=2"),
+        ({"tau": 0}, "need n >= 2 and tau >= 1, got n=32, tau=0"),
+        ({"grid": 3}, "grid must be in [4, 32], got 3"),
+        ({"grid": 33}, "grid must be in [4, 32], got 33"),
+        ({"tau_b": 3}, "tau_b=3 must divide the clip length n=32"),
+        ({"tau_b": 0}, "tau_b=0 must divide the clip length n=32"),
+        # checked in this order: the span, then the grid, then tau_b
+        ({"n": 1, "grid": 3, "tau_b": 3}, "need n >= 2"),
+        ({"grid": 3, "tau_b": 3}, "grid must be"),
+        ({"n": 10, "tau_b": 4}, "tau_b=4 must divide the clip length n=10"),
+    ])
+    def test_bad_value_raises_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            feat.ClipSpec(**kwargs)
+        assert str(info.value).startswith(message)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            feat.ClipSpec().grid = 3
+
+
+SPEC8 = feat.ClipSpec(n=8, tau_b=4)  # 16 + 8*8 + 2*4 = 88 values
+SPEC2 = feat.ClipSpec(n=2, tau=1, grid=4, tau_b=2)  # 16 + 2*8 + 1*4 = 36 values
+SPEC2_HEADER = {"c_o": 16, "c_s": 8, "c_b": 4, "n": 2, "n_b": 1, "tau_b": 2, "tau": 1, "grid": 4, "seed": 0}
+OPTIONAL = ("tau", "grid", "seed")  # absent from older caches
 
 
 class TestCache:
     def test_roundtrip(self, tmp_path, rng):
-        dims = feat.FeatureDims(n=8, n_b=2, tau_b=4)
-        matrix = rng.normal(size=(5, dims.dim))
+        matrix = rng.normal(size=(5, SPEC8.dim))
         path = tmp_path / "features.bin"
-        feat.save_feature_cache(path, matrix, dims)
-        back, dims2 = feat.load_feature_cache(path)
-        assert dims2 == dims
+        feat.save_feature_cache(path, matrix, SPEC8, 3)
+        back = feat.load_feature_cache(path, SPEC8, 3, 5)
         assert back.shape == matrix.shape
         assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
 
     def test_bytes_match_old_writer(self, tmp_path, rng):
-        dims = feat.FeatureDims(n=16, n_b=2, tau_b=8)
-        matrix = rng.normal(size=(7, dims.dim)) * 1e3
+        # the same payload; the header gains tau, grid and seed
+        spec = feat.ClipSpec(n=16, tau=3, grid=5, tau_b=8)
+        matrix = rng.normal(size=(7, spec.dim)) * 1e3
         path = tmp_path / "features.bin"
-        feat.save_feature_cache(path, matrix, dims)
-        assert path.read_bytes() == old_cache_bytes(matrix, dims)
+        feat.save_feature_cache(path, matrix, spec, 9)
+        assert path.read_bytes() == old_cache_bytes(matrix, spec, tau=3, grid=5, seed=9)
+
+    def test_old_header_loads(self, tmp_path, rng):
+        # a cache without tau, grid and seed (an older one, or the bench's
+        # warm cache) is checked on the keys it has
+        matrix = rng.normal(size=(4, SPEC8.dim))
+        path = tmp_path / "features.bin"
+        path.write_bytes(old_cache_bytes(matrix, SPEC8))
+        for spec in (SPEC8, feat.ClipSpec(n=8, tau=1, grid=5, tau_b=4)):
+            back = feat.load_feature_cache(path, spec, 11, 4)
+            assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
+
+    @pytest.mark.parametrize("spec, seed, count, names", [
+        (feat.ClipSpec(n=8, tau=1, tau_b=4), 3, 5, "tau=2 (want 1)"),
+        (feat.ClipSpec(n=8, grid=6, tau_b=4), 3, 5, "grid=8 (want 6)"),
+        (SPEC8, 4, 5, "seed=3 (want 4)"),
+        (SPEC8, 3, 6, "count=5 (want 6)"),
+        (feat.ClipSpec(n=8, tau_b=2), 3, 5, "n_b=2 (want 4), tau_b=4 (want 2)"),
+        (feat.ClipSpec(n=16, tau_b=4), 3, 5, "n=8 (want 16), n_b=2 (want 4)"),
+    ], ids=["tau", "grid", "seed", "count", "tau_b", "n"])
+    def test_other_settings_raise_config_error(self, tmp_path, rng, spec, seed, count, names):
+        path = tmp_path / "features.bin"
+        feat.save_feature_cache(path, rng.normal(size=(5, SPEC8.dim)), SPEC8, 3)
+        with pytest.raises(ConfigError, match="does not match the manifest/config") as info:
+            feat.load_feature_cache(path, spec, seed, count)
+        assert str(info.value).endswith(names)
+
+    def test_zero_width_header_is_not_the_spec(self, tmp_path):
+        # zero-width rows would let any count through; the reader takes the
+        # row width from the spec, so such a header only fails to match it
+        path = tmp_path / "features.bin"
+        header = dict.fromkeys(["c_o", "c_s", "c_b", "n", "n_b", "tau_b"], 0)
+        path.write_bytes(json.dumps(dict(header, count=2**62)).encode() + b"\n" + bytes(800))
+        with pytest.raises(ConfigError, match="c_o=0 \\(want 16\\)"):
+            feat.load_feature_cache(path, SPEC8, 0, 2**62)
 
 
     @pytest.mark.parametrize(
@@ -308,44 +385,62 @@ class TestCache:
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": -1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": -8, "n_b": 2, "tau_b": 4, "count": 1}',
          b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": true}',
-         b'{"c_o": 0, "c_s": 0, "c_b": 0, "n": 0, "n_b": 0, "tau_b": 0, "count": 4611686018427387904}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": 1, "seed": 0.0}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": 1, "grid": null}',
+         b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "count": 1}',
          b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
         ids=["list", "string", "float-count", "string-count", "negative-count", "negative-dim",
-             "bool-count", "zero-width", "not-utf8", "nested-too-deep"],
+             "bool-count", "float-seed", "null-grid", "no-tau_b", "not-utf8", "nested-too-deep"],
     )
     def test_malformed_header(self, tmp_path, header):
+        # the payload holds more than one row, so only the header can fail
         path = tmp_path / "features.bin"
         path.write_bytes(header + b"\n" + bytes(4 * 200))
         with pytest.raises(ParseError):
-            feat.load_feature_cache(path)
+            feat.load_feature_cache(path, SPEC8, 0, 1)
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "features.bin"
+        header = b'{"c_o": 16, "c_s": 8, "c_b": 4, "n": 8, "n_b": 2, "tau_b": 4, "count": 1}'
+        path.write_bytes(header + b"\n" + bytes(4 * SPEC8.dim - 1))
+        with pytest.raises(ParseError, match="truncated"):
+            feat.load_feature_cache(path, SPEC8, 0, 1)
 
     # any JSON value in any header field, any payload, or bytes with no
-    # structure at all, must end in a library error or a matrix
+    # structure at all, must end in a library error or the rows asked for;
+    # the reader is asked for the header's count when it is a valid one
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
-        st.fixed_dictionaries(dict(dict.fromkeys(["c_o", "c_s", "c_b", "n", "n_b", "tau_b"], st.integers(0, 4)),
-                                   count=st.integers(0, 9) | st.integers(2**62, 2**70))),
+        # SPEC2's header, with or without the newer keys: reaches the payload
+        # unless a newer key holds another value
+        st.fixed_dictionaries(
+            {**{k: st.just(v) for k, v in SPEC2_HEADER.items() if k not in OPTIONAL},
+             "count": st.integers(0, 3) | st.integers(2**62, 2**70)},
+            optional={k: st.just(SPEC2_HEADER[k]) | st.integers(0, 4) for k in OPTIONAL},
+        ),
         st.fixed_dictionaries({}, optional=dict.fromkeys(
-            ["c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count"],
+            [*SPEC2_HEADER, "count"],
             st.integers(-2**70, 2**70) | st.booleans() | st.none() | st.floats()
             | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=3))),
-    ).map(lambda h: json.dumps(h).encode() + b"\n") | st.binary(max_size=40), st.binary(max_size=400))
-    def test_fuzz_raises_only_library_errors(self, header, payload):
+    ).map(lambda h: (json.dumps(h).encode() + b"\n", h.get("count"))) | st.binary(max_size=40).map(
+        lambda b: (b, None)), st.binary(max_size=400))
+    def test_fuzz_raises_only_library_errors(self, header_count, payload):
+        header, count = header_count
+        count = count if type(count) is int and count >= 0 else 1
         with tempfile.TemporaryDirectory() as root:
             path = Path(root, "features.bin")
             path.write_bytes(header + payload)
             try:
-                matrix, dims = feat.load_feature_cache(path)
+                matrix = feat.load_feature_cache(path, SPEC2, 0, count)
             except StabilityKitError:
                 return
-            assert matrix.shape[1] == dims.dim > 0 and np.isfinite(matrix).all()
+            assert matrix.shape == (count, SPEC2.dim) and np.isfinite(matrix).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row(self, tmp_path, rng, bad):
-        dims = feat.FeatureDims(n=8, n_b=2, tau_b=4)
-        matrix = rng.normal(size=(3, dims.dim))
+        matrix = rng.normal(size=(3, SPEC8.dim))
         matrix[1, 7] = bad
         path = tmp_path / "features.bin"
-        feat.save_feature_cache(path, matrix, dims)
+        feat.save_feature_cache(path, matrix, SPEC8, 0)
         with pytest.raises(ParseError, match="non-finite"):
-            feat.load_feature_cache(path)
+            feat.load_feature_cache(path, SPEC8, 0, 3)

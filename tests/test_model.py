@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from stabilitykit import model as m
 from stabilitykit.evaluation import srocc
+from stabilitykit.features import ClipSpec
 from stabilitykit.errors import (
     ConfigError,
     DimensionMismatch,
@@ -514,55 +515,54 @@ def video():
                              frame_size=(64, 48)))
 
 
+SPEC8 = ClipSpec(n=8, tau=2, grid=6, tau_b=4)  # 16 + 8*8 + 2*4 values
+
+
 class TestPredictVideo:
 
     def test_single_clip_equivalence(self, video):
-        d = 16 + 8 * 8 + 2 * 4
-        params = m.init_params(d, seed=0)
-        one = m.predict_video(params, video.seq, n_clips=1, seed=3, n=8, tau=2,
-                              grid=6, tau_b=4)
+        params = m.init_params(SPEC8.dim, seed=0)
+        one = m.predict_video(params, video.seq, SPEC8, n_clips=1, seed=3)
         from stabilitykit.features import clip_features
         from stabilitykit.media import sample_clip
 
         clip_seed = int(np.random.default_rng(3).integers(0, 2**31, size=1)[0])
         clip = sample_clip(video.seq, n=8, tau=2, seed=clip_seed)
-        direct = m.mlp_forward(params, clip_features(clip, grid=6, tau_b=4))
+        direct = m.mlp_forward(params, clip_features(clip, SPEC8))
         assert one == pytest.approx(direct, abs=1e-12)
 
     def test_each_distinct_clip_featurized_once(self, video, monkeypatch):
         from stabilitykit import features
         from stabilitykit.media import sample_clip
 
-        params = m.init_params(16 + 8 * 8 + 2 * 4, seed=0)
-        opts = dict(n=8, tau=2, grid=6, tau_b=4)
+        params = m.init_params(SPEC8.dim, seed=0)
         # a 20-frame video has 6 clip starts, so 12 draws repeat some clips
         seeds = np.random.default_rng(4).integers(0, 2**31, size=12)
         clips = [sample_clip(video.seq, n=8, tau=2, seed=int(s)) for s in seeds]
         starts = {c.source_indices[0] for c in clips}
         assert len(starts) < len(clips)
         want = float(np.mean([
-            m.mlp_forward(params, features.clip_features(c, grid=6, tau_b=4))
+            m.mlp_forward(params, features.clip_features(c, SPEC8))
             for c in clips
         ]))
         calls = []
         clip_features = features.clip_features
         monkeypatch.setattr(features, "clip_features",
-                            lambda clip, **k: calls.append(clip.source_indices[0]) or clip_features(clip, **k))
-        got = m.predict_video(params, video.seq, n_clips=12, seed=4, **opts)
+                            lambda clip, spec: calls.append(clip.source_indices[0]) or clip_features(clip, spec))
+        got = m.predict_video(params, video.seq, SPEC8, n_clips=12, seed=4)
         assert sorted(calls) == sorted(starts)
         assert got == want
 
     def test_too_short_video(self, video):
         params = m.init_params(288, seed=0)
         with pytest.raises(InsufficientFrames):
-            m.predict_video(params, video.seq, n_clips=1, seed=0, n=32, tau=2)
+            m.predict_video(params, video.seq, ClipSpec(), n_clips=1, seed=0)
 
     @pytest.mark.parametrize("n_clips", [0, -1])
     def test_no_clips_rejected(self, video, n_clips):
-        params = m.init_params(16 + 8 * 8 + 2 * 4, seed=0)
+        params = m.init_params(SPEC8.dim, seed=0)
         with pytest.raises(ConfigError):
-            m.predict_video(params, video.seq, n_clips=n_clips, n=8, tau=2, grid=6,
-                            tau_b=4)
+            m.predict_video(params, video.seq, SPEC8, n_clips=n_clips, seed=0)
 
 
 class TestCheckpoint:

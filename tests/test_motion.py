@@ -18,7 +18,6 @@ from stabilitykit.errors import (
 )
 from stabilitykit.motion import (
     MotionParams,
-    RansacParams,
     Trajectory,
     accumulate_trajectory,
     detect_corners,
@@ -253,39 +252,61 @@ class TestDetectCorners:
             detect_corners(np.full((48, 48), 120.0))
 
     def test_small_square_corners_match_oracle(self):
-        luma = np.zeros((48, 48))
-        luma[20:23, 20:23] = 255.0
+        # nine 3x3 squares: one corner each at nms_radius 1, one more than
+        # the least a plane must have
+        luma = np.zeros((96, 96))
+        square_corners = set()
+        for y0 in (20, 44, 68):
+            for x0 in (20, 44, 68):
+                luma[y0 : y0 + 3, x0 : x0 + 3] = 255.0
+                square_corners |= {(y0 + dy, x0 + dx) for dy in (0, 2) for dx in (0, 2)}
         resp = naive_min_eig(luma)
         oracle_peaks = np.argwhere(resp >= 0.999 * resp.max())
-        square_corners = {(20, 20), (20, 22), (22, 20), (22, 22)}
 
         def near_corner(y, x):  # within +-1 px per axis of some square corner
             return min(max(abs(y - cy), abs(x - cx)) for cy, cx in square_corners) <= 1
 
         assert all(near_corner(y, x) for y, x in oracle_peaks)
-        pts = detect_corners(luma, max_n=4, nms_radius=1, min_corners=1)
+        pts = detect_corners(luma, nms_radius=1)
+        assert len(pts) == 9
         assert all(near_corner(y, x) for x, y in pts)
 
-    def test_checkerboard_cap_respected(self):
-        tile = np.kron(np.indices((8, 8)).sum(axis=0) % 2, np.ones((8, 8))) * 255
-        pts = detect_corners(tile.astype(np.float64), max_n=20)
-        assert len(pts) == 20
+    def test_fewer_than_eight_corners_is_degenerate(self):
+        luma = np.zeros((96, 96))
+        for x0 in (20, 44, 68):
+            luma[40:43, x0 : x0 + 3] = 255.0
+        with pytest.raises(DegenerateScene, match="only 3 corners found, need 8"):
+            detect_corners(luma, nms_radius=1)
+
+    def test_checkerboard_cap_and_border_respected(self):
+        # 8 px tiles on a 160x160 plane: 19 x 19 tile corners, more than
+        # the 200 the detector keeps even without the 8 px border
+        tile = np.kron(np.indices((20, 20)).sum(axis=0) % 2, np.ones((8, 8))) * 255
+        pts = detect_corners(tile.astype(np.float64))
+        assert len(pts) == motion._MAX_CORNERS == 200
+        # a corner's 15x15 LK window stays inside the plane
+        assert pts.min() >= motion._LK_WIN and pts.max() <= 159 - motion._LK_WIN
 
     def test_sorted_by_score_descending(self):
         plane = textured_plane(3, 96, 96)
-        pts = detect_corners(plane, max_n=50)
+        pts = detect_corners(plane)
         resp = motion.corner_response(plane)
         scores = [resp[int(round(y)), int(round(x))] for x, y in pts]
         # allow tiny wobble from sub-pixel refinement when reading back scores
         assert all(s1 >= s2 - 1e-6 * abs(s1) for s1, s2 in zip(scores, scores[1:]))
 
     def test_respects_quality_floor(self):
-        plane = textured_plane(4, 96, 96)
-        pts = detect_corners(plane, max_n=500, quality=0.5, min_corners=1)
+        # a checkerboard whose right half has 100/255 of the contrast, so
+        # its corners respond at (100/255)^2 < 0.5 of the left half's
+        plane = np.kron(np.indices((12, 12)).sum(axis=0) % 2, np.ones((8, 8))) * 255.0
+        plane[:, 48:] *= 100 / 255
+        pts = detect_corners(plane, quality=0.5)
         resp = motion.corner_response(plane)
         floor = 0.5 * resp.max()
         for x, y in pts:
             assert resp[int(round(y)), int(round(x))] >= floor * 0.9
+        # the weaker half has corners, and all of them fall below the floor
+        assert pts[:, 0].max() < 48 and 0.1 * floor < resp[:, 56:].max() < floor
 
 
 class TestTrackLk:
@@ -353,8 +374,8 @@ class TestEstimateMotion:
 
     def test_seeded_ransac_is_deterministic(self):
         prev, nxt = shift_pair(seed=13, shift=(2, 1))
-        a = estimate_motion(prev, nxt, "similarity", RansacParams(seed=42))
-        b = estimate_motion(prev, nxt, "similarity", RansacParams(seed=42))
+        a = estimate_motion(prev, nxt, "similarity", 42)
+        b = estimate_motion(prev, nxt, "similarity", 42)
         assert (a.dx, a.dy, a.theta, a.scale) == (b.dx, b.dy, b.theta, b.scale)
 
     def test_homography_underdetermined(self, monkeypatch):
@@ -636,10 +657,10 @@ class TestLkEngine:
 
     def test_sequence_is_independent_of_batch(self):
         lumas = shaky_lumas(40, count=8)
-        fields = motion.grid_flow_sequence(lumas)
+        fields = motion.grid_flow_sequence(lumas, 8)
         assert len(fields) == 7
         for t, field in enumerate(fields):
-            alone = motion.grid_flow_sequence(lumas[t : t + 2])[0]
+            alone = motion.grid_flow_sequence(lumas[t : t + 2], 8)[0]
             assert np.array_equal(field.u, alone.u) and np.array_equal(field.v, alone.v)
 
     def test_grid_32_runs_match_one_solve_in_bounded_memory(self):
@@ -671,44 +692,46 @@ class TestLkEngine:
     def test_noise_frame_zeroes_only_its_two_pairs(self):
         lumas = shaky_lumas(50, count=8)
         lumas[4] = np.random.default_rng(0).uniform(0, 255, lumas[4].shape)
-        fields = motion.grid_flow_sequence(lumas)
+        fields = motion.grid_flow_sequence(lumas, 8)
         zero = [not f.u.any() and not f.v.any() for f in fields]
         assert zero == [t in (3, 4) for t in range(7)]
 
 
-def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", ransac=None):
+ITERS, INLIER_PX, REFINE_INLIER_PX = 500, 2.0, 0.75
+
+
+def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", seed=0):
     """Reference per-pair motion: one frame pair at a time, each frame's
     pyramid built for the pair, and the similarity refinement re-tracking
     against the whole previous frame warped by the model, with a fresh
     pyramid of it."""
-    ransac = ransac or RansacParams()
     prev = motion.to_luma(prev_frame)
     nxt = motion.to_luma(next_frame)
     try:
-        corners = detect_corners(prev, border=8)
+        corners = detect_corners(prev)
     except DegenerateScene:
-        corners = detect_corners(prev, border=8, nms_radius=4, quality=0.005)
+        corners = detect_corners(prev, nms_radius=4, quality=0.005)
     pyr_n = motion._pyramid(nxt[None])
     new_pts, ok = motion._track(motion._pyramid(prev[None]), pyr_n, corners)
     if not ok.any():
         raise TrackingFailure("no corner survived tracking")
     p0, p1 = corners[ok], new_pts[ok]
     m = len(p0)
-    rng = np.random.default_rng(ransac.seed)
+    rng = np.random.default_rng(seed)
     h, w = prev.shape
     center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
 
     if model_kind == "translation":
         disp = p1 - p0
-        idx = rng.integers(0, m, ransac.iters)
-        inl = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2) <= ransac.inlier_px
+        idx = rng.integers(0, m, ITERS)
+        inl = np.linalg.norm(disp[None, :, :] - disp[idx, None, :], axis=2) <= INLIER_PX
         best = inl[int(np.argmax(inl.sum(axis=1)))]
         dx, dy = np.median(disp[best], axis=0)
         return MotionParams("translation", float(dx), float(dy), inlier_ratio=float(best.mean()))
 
     if model_kind == "homography":
-        samples = np.argpartition(rng.random((ransac.iters, m)), 3, axis=1)[:, :4]
-        _, inl, hm = motion._ransac_homography(p0, p1, samples, ransac.inlier_px)
+        samples = np.argpartition(rng.random((ITERS, m)), 3, axis=1)[:, :4]
+        _, inl, hm = motion._ransac_homography(p0, p1, samples, INLIER_PX)
         x, y = center
         den = hm[2, 0] * x + hm[2, 1] * y + hm[2, 2]
         nu = hm[0, 0] * x + hm[0, 1] * y + hm[0, 2]
@@ -723,7 +746,7 @@ def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", rans
 
     z0 = p0[:, 0] + 1j * p0[:, 1]
     z1 = p1[:, 0] + 1j * p1[:, 1]
-    a, t, ratio = motion._ransac_similarity(z0, z1, ransac, rng)
+    a, t, ratio = motion._ransac_similarity(z0, z1, INLIER_PX, rng)
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     for _ in range(2):
         ainv = 1.0 / a
@@ -734,9 +757,8 @@ def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", rans
                                   np.stack([zw.real, zw.imag], axis=1))
         if ok.sum() < 2:
             continue
-        tight = RansacParams(ransac.iters, min(ransac.inlier_px, 0.75), ransac.seed)
         a2, t2, ratio = motion._ransac_similarity(
-            zw[ok], moved[ok, 0] + 1j * moved[ok, 1], tight, rng)
+            zw[ok], moved[ok, 0] + 1j * moved[ok, 1], REFINE_INLIER_PX, rng)
         a, t = a2 * a, a2 * t + t2
     c = center[0] + 1j * center[1]
     delta = a * c + t - c
@@ -758,9 +780,9 @@ class TestVideoTrajectory:
     @pytest.mark.parametrize("kind", ["translation", "homography"])
     def test_equals_per_pair_oracle(self, kind):
         seq, _ = shaky_video(80, count=8, size=(160, 120))
-        _, got = video_trajectory(seq, kind, RansacParams(seed=3))
+        _, got = video_trajectory(seq, kind, 3)
         for k, mp in enumerate(got):
-            want = oracle_estimate_motion(seq.frames[k], seq.frames[k + 1], kind, RansacParams(seed=3))
+            want = oracle_estimate_motion(seq.frames[k], seq.frames[k + 1], kind, 3)
             assert fields(mp) == fields(want)
             assert (mp.h is None and want.h is None) or np.array_equal(mp.h, want.h)
 
@@ -800,9 +822,9 @@ class TestVideoTrajectory:
 
     def test_two_frame_entry_equals_its_pair(self):
         seq, _ = shaky_video(85, count=6, size=(128, 96))
-        _, params = video_trajectory(seq, ransac=RansacParams(seed=9))
+        _, params = video_trajectory(seq, seed=9)
         for k, mp in enumerate(params):
-            alone = estimate_motion(seq.frames[k], seq.frames[k + 1], ransac=RansacParams(seed=9))
+            alone = estimate_motion(seq.frames[k], seq.frames[k + 1], seed=9)
             assert fields(alone) == fields(mp)
 
     def test_each_pair_draws_from_its_own_generator(self, monkeypatch):
@@ -810,16 +832,16 @@ class TestVideoTrajectory:
         states = []
         fit = motion._ransac_similarity
 
-        def spy(z0, z1, ransac, rng):
+        def spy(z0, z1, inlier_px, rng):
             states.append(rng.bit_generator.state["state"]["state"])
-            return fit(z0, z1, ransac, rng)
+            return fit(z0, z1, inlier_px, rng)
 
         monkeypatch.setattr(motion, "_ransac_similarity", spy)
-        video_trajectory(seq, ransac=RansacParams(seed=9))
+        video_trajectory(seq, seed=9)
         together = sorted(states)
         states.clear()
         for k in range(len(seq) - 1):
-            estimate_motion(seq.frames[k], seq.frames[k + 1], ransac=RansacParams(seed=9))
+            estimate_motion(seq.frames[k], seq.frames[k + 1], seed=9)
         assert len(states) == 3 * (len(seq) - 1)  # first fit and two refinement passes
         assert sorted(states) == together
 

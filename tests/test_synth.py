@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import ndimage
 
 from conftest import csv_bytes
+from stabilitykit import synth
 from stabilitykit.errors import MarginError, ParseError, StabilityKitError
 from stabilitykit.motion import Trajectory, estimate_motion
 from stabilitykit.synth import (
@@ -64,6 +66,25 @@ class TestGenTrajectory:
         spec = ShakeSpec(components=[ShakeComponent(1.0, 40.0, 0.0, "x")], length=32)
         with pytest.raises(ValueError):
             gen_trajectory(spec, seed=0)
+
+
+def old_upsample(lattice, shape):
+    """The base-image upsampler before ``make_base`` took ``media.resize_float``."""
+    zy = shape[0] / lattice.shape[0]
+    zx = shape[1] / lattice.shape[1]
+    ys = (np.arange(shape[0]) + 0.5) / zy - 0.5
+    xs = (np.arange(shape[1]) + 0.5) / zx - 0.5
+    gy, gx = np.meshgrid(ys, xs, indexing="ij")
+    return ndimage.map_coordinates(lattice, [gy, gx], order=1, mode="nearest")
+
+
+class TestMakeBase:
+    @pytest.mark.parametrize("size", [(128, 96), (200, 160), (97, 61)])
+    def test_equals_old_upsampler(self, size, monkeypatch):
+        got = [synth.make_base(*size, seed) for seed in range(6)]
+        monkeypatch.setattr(synth, "resize_float", lambda stack, w, h: old_upsample(stack[0], (h, w))[None])
+        want = [synth.make_base(*size, seed) for seed in range(6)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestRenderShaky:
