@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -48,55 +47,58 @@ def _emit(obj: dict, out: str | None) -> None:
         Path(out).write_text(text, encoding="ascii")
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
-    if not path:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _option(cfg: dict, key: str, default, flag=None):
-    """The command-line ``flag`` when given, else ``cfg[key]``, else ``default``.
-    A config value must have the default's JSON type (an int is also a float,
-    a float is finite, and a list holds numbers)."""
-    if flag is not None:
-        return flag
-    val = cfg.get(key, default)
-    if not _same_type(val, default):
-        raise ConfigError(f"config key {key!r} must be of type {type(default).__name__}, got {val!r}")
-    return val
-
-
-def _same_type(val, default) -> bool:
-    if isinstance(val, bool) or isinstance(default, bool):
-        return type(val) is type(default)
-    if isinstance(default, float):
-        return isinstance(val, (int, float)) and -math.inf < val < math.inf
-    if isinstance(default, list):
-        return isinstance(val, list) and all(_same_type(v, 0.0) for v in val)
-    return isinstance(val, type(default))
-
-
-def _resolve_seed(arg_seed: int | None, cfg: dict) -> int:
-    """--seed, else the config's seed, else $STABILITYKIT_SEED, else 0."""
-    env = os.environ.get(SEED_ENV_VAR)
-    if arg_seed is None and "seed" not in cfg and env is not None:
+def _settings(args, table: dict) -> dict:
+    """Each setting of ``table`` ({key: default}): its flag when given, else
+    its ``--config`` value, else (for ``seed``) ``$STABILITYKIT_SEED``, else
+    its default.  A config value must have the default's JSON type (an int is
+    also a float, a float is finite, and a list holds numbers), and a float
+    setting comes back as a float.  A default that is a type stands for a
+    value the command derives: when nothing sets the key, it is left out."""
+    cfg = {}
+    if args.config:
         try:
-            arg_seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    seed = _option(cfg, "seed", 0, arg_seed)
-    if seed < 0:  # numpy seeds are non-negative
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
+            cfg = json.loads(Path(args.config).read_text())
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(cfg) - set(table)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, default in table.items():
+        kind = default if isinstance(default, type) else type(default)
+        flag = getattr(args, key, None)
+        if flag is not None:
+            val = flag
+        elif key in cfg:
+            val = cfg[key]
+            if not _same_type(val, kind):
+                raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {val!r}")
+        elif key == "seed" and SEED_ENV_VAR in os.environ:
+            env = os.environ[SEED_ENV_VAR]
+            try:
+                val = int(env)
+            except ValueError as exc:
+                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        elif kind is default:  # the command derives it
+            continue
+        else:
+            val = default
+        if key == "seed" and val < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"seed must be non-negative, got {val}")
+        out[key] = float(val) if kind is float else val
+    return out
+
+
+def _same_type(val, kind: type) -> bool:
+    if isinstance(val, bool) or kind is bool:
+        return type(val) is kind
+    if kind is float:
+        return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max  # float(val) is finite
+    if kind is list:
+        return isinstance(val, list) and all(_same_type(v, float) for v in val)
+    return isinstance(val, kind)
 
 
 def _load_video(path: str):
@@ -107,21 +109,25 @@ def _load_video(path: str):
 
 
 _CLIP_DEFAULTS = asdict(feat.ClipSpec())  # n, tau, grid, tau_b
+_HEAD = model_mod.TrainConfig()
 
-
-def _clip_spec(cfg: dict, args) -> feat.ClipSpec:
-    """The clip spec of the flags, else the config, else ``ClipSpec``'s
-    defaults.  Commands build it before decoding any video: a bad value would
-    otherwise surface only after the first one is decoded, or after the whole
-    trajectory is estimated."""
-    return feat.ClipSpec(**{k: _option(cfg, k, v, getattr(args, k)) for k, v in _CLIP_DEFAULTS.items()})
+# Each command's settings and their defaults, in the order they are checked.
+# Every key is a --config key; the ones with a flag are named alike.
+SETTINGS = {
+    "score": {"seed": 0, "model": "", "n_clips": 4, **_CLIP_DEFAULTS},
+    "trajectory": {"seed": 0, "model_kind": "similarity"},
+    "train": {"seed": 0, **_CLIP_DEFAULTS, "lambda": _HEAD.lambda_rank, "epochs": _HEAD.epochs,
+              "batch_size": _HEAD.batch_size, "lr_head": _HEAD.lr_head, "val_frac": 0.2},
+    "mos": {"outlier_sigma": 2.0, "max_outlier_frac": 0.05, "denominator": "rated"},
+    # count: videos_per_level times the ladder's length when unset
+    "synth": {"seed": 0, "ladder": list(synth_mod.DEFAULT_LADDER), "videos_per_level": 2,
+              "count": int, "length": 72, "width": 128, "height": 96, "fps": 30.0},
+}
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-_SCORE_KEYS = {"seed", "n_clips", "model", *_CLIP_DEFAULTS}
 
 
 def _score_model(model_path: str, spec: feat.ClipSpec) -> model_mod.ModelParams:
@@ -136,57 +142,45 @@ def _score_model(model_path: str, spec: feat.ClipSpec) -> model_mod.ModelParams:
 
 
 def cmd_score(args) -> int:
-    cfg = _load_config(args.config, _SCORE_KEYS)
-    seed = _resolve_seed(args.seed, cfg)
-    model_path = _option(cfg, "model", "", args.model)
-    n_clips = _option(cfg, "n_clips", 4, args.n_clips)
-    if model_path and n_clips < 1:
-        raise ConfigError(f"n_clips must be a positive integer, got {n_clips!r}")
-    spec = _clip_spec(cfg, args)
-    params = _score_model(model_path, spec) if model_path else None
+    s = _settings(args, SETTINGS["score"])
+    if s["n_clips"] < 1:
+        raise ConfigError(f"n_clips must be a positive integer, got {s['n_clips']!r}")
+    # the clip spec comes before any decoding: a bad value would otherwise
+    # surface only after the first video is decoded, or the whole trajectory
+    spec = feat.ClipSpec(**{k: s[k] for k in _CLIP_DEFAULTS})
+    params = _score_model(s["model"], spec) if s["model"] else None
     seq = _load_video(args.video)
     if params is not None:  # the clip span, before ITF and the trajectory
         clip_span(spec.n, spec.tau, len(seq))
     itf_res = itf(seq)
-    traj, _ = video_trajectory(seq, "similarity", seed)
+    traj, _ = video_trajectory(seq, "similarity", s["seed"])
     stab = stability_score(traj)
     report = {
         "itf_db": itf_res.score_db,
         "stability": dict(stab.component_scores, score=stab.score),
     }
     if params is not None:
-        report["prediction"] = model_mod.predict_video(params, seq, spec, n_clips=n_clips, seed=seed)
+        report["prediction"] = model_mod.predict_video(params, seq, spec, n_clips=s["n_clips"],
+                                                       seed=s["seed"])
     _emit(report, args.out)
     return 0
 
 
 def cmd_trajectory(args) -> int:
-    cfg = _load_config(args.config, {"seed", "model_kind"})
-    seed = _resolve_seed(args.seed, cfg)
-    model_kind = _option(cfg, "model_kind", "similarity", args.model_kind)
+    s = _settings(args, SETTINGS["trajectory"])
     seq = _load_video(args.video)
-    traj, _ = video_trajectory(seq, model_kind, seed)
+    traj, _ = video_trajectory(seq, s["model_kind"], s["seed"])
     save_trajectory_csv(traj, args.out)
     _emit({"frames": traj.length, "out": str(args.out)}, None)
     return 0
 
 
-_TRAIN_KEYS = {"seed", "lambda", "epochs", "batch_size", "lr_head", "val_frac", *_CLIP_DEFAULTS}
-
-
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, _TRAIN_KEYS)
-    seed = _resolve_seed(args.seed, cfg)
-    spec = _clip_spec(cfg, args)
-    defaults = model_mod.TrainConfig()
-    tc = model_mod.TrainConfig(
-        lambda_rank=float(_option(cfg, "lambda", defaults.lambda_rank)),
-        epochs=_option(cfg, "epochs", defaults.epochs),
-        batch_size=_option(cfg, "batch_size", defaults.batch_size),
-        lr_head=float(_option(cfg, "lr_head", defaults.lr_head)),
-        seed=seed,
-    )
-    val_frac = float(_option(cfg, "val_frac", 0.2))
+    s = _settings(args, SETTINGS["train"])
+    seed, val_frac = s["seed"], s["val_frac"]
+    spec = feat.ClipSpec(**{k: s[k] for k in _CLIP_DEFAULTS})
+    tc = model_mod.TrainConfig(lambda_rank=s["lambda"], epochs=s["epochs"],
+                               batch_size=s["batch_size"], lr_head=s["lr_head"], seed=seed)
     if not 0.0 <= val_frac < 1.0:
         raise ConfigError(f"val_frac must be in [0, 1), got {val_frac!r}")
     if tc.epochs < 1:
@@ -195,12 +189,13 @@ def cmd_train(args) -> int:
     if not rows:
         raise EmptyInput("manifest has no rows")
 
+    videos = [path for _, path, _ in rows]
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.is_file():
-        matrix = feat.load_feature_cache(cache_path, spec, seed, len(rows))
+        matrix = feat.load_feature_cache(cache_path, spec, seed, len(rows), videos)
     else:
         vecs = []
-        for i, (_, path, _) in enumerate(rows):
+        for i, path in enumerate(videos):
             seq = _load_video(str(path))
             clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
             clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
@@ -208,7 +203,7 @@ def cmd_train(args) -> int:
         # train on the f32-rounded values the cache holds
         matrix = np.stack(vecs).astype("<f4").astype(np.float64)
         if cache_path:
-            feat.save_feature_cache(cache_path, matrix, spec, seed)
+            feat.save_feature_cache(cache_path, matrix, spec, seed, videos)
 
     y = np.array([score for _, _, score in rows])
     # held-out rows are only scored: the head trains to its last epoch, and
@@ -260,18 +255,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_MOS_KEYS = {"outlier_sigma", "max_outlier_frac", "denominator"}
-
-
 def cmd_mos(args) -> int:
-    cfg = _load_config(args.config, _MOS_KEYS)
+    s = _settings(args, SETTINGS["mos"])
     table = mos_mod.RatingsTable.from_csv(args.ratings)
-    result = mos_mod.reject_outlier_subjects(
-        table,
-        outlier_sigma=float(_option(cfg, "outlier_sigma", 2.0)),
-        max_outlier_frac=float(_option(cfg, "max_outlier_frac", 0.05)),
-        denominator=_option(cfg, "denominator", "rated"),
-    )
+    result = mos_mod.reject_outlier_subjects(table, **s)
     mos_mod.write_mos_csv(result, args.out)
     _emit(
         {
@@ -284,25 +271,12 @@ def cmd_mos(args) -> int:
     return 0
 
 
-_SYNTH_KEYS = {
-    "seed", "ladder", "videos_per_level", "count", "length", "width", "height", "fps",
-}
-
-
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config, _SYNTH_KEYS)
-    seed = _resolve_seed(args.seed, cfg)
-    ladder = _option(cfg, "ladder", list(synth_mod.DEFAULT_LADDER))
-    per_level = _option(cfg, "videos_per_level", 2)
-    count = _option(cfg, "count", per_level * len(ladder))
-    videos = synth_mod.iter_dataset(
-        count,
-        amplitude_ladder=ladder,
-        seed=seed,
-        length=_option(cfg, "length", 72),
-        frame_size=(_option(cfg, "width", 128), _option(cfg, "height", 96)),
-        fps=float(_option(cfg, "fps", 30.0)),
-    )
+    s = _settings(args, SETTINGS["synth"])
+    count = s.get("count", s["videos_per_level"] * len(s["ladder"]))
+    videos = synth_mod.iter_dataset(count, amplitude_ladder=s["ladder"], seed=s["seed"],
+                                    length=s["length"], frame_size=(s["width"], s["height"]),
+                                    fps=s["fps"])
     manifest = synth_mod.write_dataset(videos, args.out)
     _emit({"manifest": str(manifest), "count": count}, None)
     return 0
@@ -320,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
+    def settings(p, command):
+        keys = ", ".join(SETTINGS[command])
+        p.add_argument("--config", help=f"JSON config file with keys {keys}; flags override its values")
+        if "seed" in SETTINGS[command]:
+            p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
     p = sub.add_parser("score", help="ITF, Stability Score, and optional model prediction")
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
@@ -331,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _CLIP_DEFAULTS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
     p.add_argument("--out", help="also write the JSON report here")
-    common(p)
+    settings(p, "score")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("trajectory", help="estimate and export the camera path CSV")
     p.add_argument("video")
     p.add_argument("out", help="output CSV (frame,x,y,theta)")
     p.add_argument("--model-kind", choices=["translation", "similarity", "homography"])
-    common(p)
+    settings(p, "trajectory")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("train", help="train the regression head on a manifest")
@@ -346,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="per-epoch CSV log")
     p.add_argument("--cache", help="feature cache file, reused when present; its header must "
-                   "match n, tau, grid, tau_b, the seed and the manifest's row count")
+                   "match n, tau, grid, tau_b, the seed and the manifest's videos")
     for name in _CLIP_DEFAULTS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
-    common(p)
+    settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="SROCC/PLCC/KRCC/RMSE for prediction CSVs")
@@ -361,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mos", help="MOS aggregation with outlier-subject rejection")
     p.add_argument("ratings", help="CSV: subject_id,video_id,score[,session]")
     p.add_argument("--out", required=True, help="MOS CSV output path")
-    p.add_argument("--config", help="JSON config file")
+    settings(p, "mos")
     p.set_defaults(func=cmd_mos)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic shaky-video dataset")
     p.add_argument("--out", required=True, help="output directory")
-    common(p)
+    settings(p, "synth")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -17,6 +17,7 @@ the semantic means and stds agree to within 1e-12 relative, not exactly.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,35 +194,45 @@ def clip_features(clip: Clip, spec: ClipSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cache_header(spec: ClipSpec, seed: int, count: int) -> dict:
-    return {"c_o": C_O, "c_s": C_S, "c_b": C_B, "n": spec.n, "n_b": spec.n_b, "tau_b": spec.tau_b,
-            "count": count, "tau": spec.tau, "grid": spec.grid, "seed": seed}
+def _cache_header(spec: ClipSpec, seed: int, count: int, videos) -> dict:
+    header = {"c_o": C_O, "c_s": C_S, "c_b": C_B, "n": spec.n, "n_b": spec.n_b, "tau_b": spec.tau_b,
+              "count": count, "tau": spec.tau, "grid": spec.grid, "seed": seed}
+    if videos is not None:  # the first 48 bits of the SHA-256 of the paths, one a line
+        text = "".join(f"{v}\n" for v in videos).encode("utf-8", "surrogateescape")
+        header["videos"] = int.from_bytes(hashlib.sha256(text).digest()[:6], "big")
+    return header
 
 
-def save_feature_cache(path: str | Path, matrix: np.ndarray, spec: ClipSpec, seed: int) -> None:
-    """Write the rows of clips sampled from ``seed`` and featurized as ``spec`` says."""
+def save_feature_cache(path: str | Path, matrix: np.ndarray, spec: ClipSpec, seed: int,
+                       videos=None) -> None:
+    """Write the rows of clips sampled from ``seed`` and featurized as ``spec``
+    says; ``videos``, the paths the rows came from in row order, is kept as a
+    digest."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != spec.dim:
         raise ConfigError(f"matrix shape {matrix.shape} does not match dim {spec.dim}")
-    save_f32(path, dict(_cache_header(spec, seed, matrix.shape[0]), dim=spec.dim), matrix)
+    save_f32(path, dict(_cache_header(spec, seed, matrix.shape[0], videos), dim=spec.dim), matrix)
 
 
-def load_feature_cache(path: str | Path, spec: ClipSpec, seed: int, count: int) -> np.ndarray:
-    """The ``count`` rows of a cache written for ``spec`` and ``seed``.
+def load_feature_cache(path: str | Path, spec: ClipSpec, seed: int, count: int,
+                       videos=None) -> np.ndarray:
+    """The ``count`` rows of a cache written for ``spec``, ``seed`` and the
+    ``videos`` paths in that order.
 
     Raises ParseError on a malformed file and ConfigError when the header
-    names other settings or another row count.  A header without ``tau``,
-    ``grid`` or ``seed`` (an older cache) is not checked on those keys."""
+    names other settings, another row count or other videos.  A header
+    without ``tau``, ``grid``, ``seed`` or ``videos`` (an older cache) is not
+    checked on those keys."""
     header, blob = load_f32_header(path, "feature cache")
     try:
         fields = {k: header[k] for k in ("c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count")}
     except KeyError as exc:
         raise ParseError(f"bad feature cache header: {exc}") from exc
-    fields.update((k, header[k]) for k in ("tau", "grid", "seed") if k in header)
+    fields.update((k, header[k]) for k in ("tau", "grid", "seed", "videos") if k in header)
     if any(type(v) is not int or v < 0 for v in fields.values()):
         raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
-    want = _cache_header(spec, seed, count)
-    differ = [f"{k}={v} (want {want[k]})" for k, v in fields.items() if v != want[k]]
+    want = _cache_header(spec, seed, count, videos)
+    differ = [f"{k}={v} (want {want.get(k)})" for k, v in fields.items() if v != want.get(k)]
     if differ:
         raise ConfigError(f"feature cache does not match the manifest/config: {', '.join(differ)}")
     expect = count * spec.dim * 4

@@ -60,18 +60,19 @@ class RatingsTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RatingsTable":
-        """CSV columns: subject_id,video_id,score[,session]; header optional."""
-        rows = []
-        for _, row in csv_rows(path, "utf-8"):
+        """CSV columns: subject_id,video_id,score[,session]; the first
+        non-empty row may be a header."""
+        rows, first = [], True
+        for line, row in csv_rows(path, "utf-8"):
             if not row:
                 continue
             try:
                 float(row[2])
+                rows.append(tuple(row[:4]))
             except (IndexError, ValueError):
-                if rows:
-                    raise ParseError(f"bad ratings row: {row}")
-                continue  # header line
-            rows.append(tuple(row[:4]))
+                if not first:
+                    raise ParseError(f"{path}:{line}: bad ratings row: {row}") from None
+            first = False
         return cls.from_records(rows)
 
 

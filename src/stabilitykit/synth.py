@@ -10,6 +10,7 @@ verification of the motion stack possible.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -322,14 +323,20 @@ def _videos(count: int, ladder: list[float], seed: int, length: int,
 
 def write_dataset(videos, out_dir: str | Path) -> Path:
     """Write Y4M files, per-video spec JSON, and a manifest CSV; returns the
-    manifest path.  ``videos`` may be any iterable of LabeledVideo."""
+    manifest path.  ``videos`` may be any iterable of LabeledVideo.
+
+    The first video is drawn before anything is written, so an error in
+    making it (say, a frame size or length no video can have) leaves no
+    files behind."""
+    videos = iter(videos)
+    first = list(itertools.islice(videos, 1))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.csv"
     with open(manifest, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["video_id", "path", "gt_score"])
-        for i, lv in enumerate(videos):
+        for i, lv in enumerate(itertools.chain(first, videos)):
             vid = f"synth_{i:04d}"
             save_y4m(lv.seq, out / f"{vid}.y4m")
             meta = {

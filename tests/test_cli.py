@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -105,10 +106,12 @@ class TestScore:
         (["--tau", "0"], "need n >= 2 and tau >= 1, got n=32, tau=0"),
         (["--grid", "3"], "grid must be in [4, 32], got 3"),
         (["--tau-b", "3"], "tau_b=3 must divide the clip length n=32"),
-    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3"])
+        (["--n-clips", "0"], "n_clips must be a positive integer, got 0"),
+        (["--n-clips", "0", "--grid", "3"], "n_clips must be a positive integer, got 0"),
+    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3", "n-clips-0", "n-clips-before-grid"])
     def test_bad_clip_option_exits_2_without_model(self, capsys, workspace, monkeypatch,
                                                    argv, message):
-        # the clip spec is built before anything else, with or without --model
+        # the clip options are checked before anything else, with or without --model
         decoded = []
         monkeypatch.setattr(cli, "load_y4m", decoded.append)
         code, out, err = run(capsys, "score", str(workspace["static"]), *argv)
@@ -452,6 +455,33 @@ class TestTrain:
         assert (code, out, err) == (2, "", want)
         assert decoded == [] and not (tmp_path / "m.ckpt").exists()
 
+    def test_cache_of_other_videos_exits_2(self, capsys, workspace, tmp_path, monkeypatch):
+        # the same row count in another order: each label would meet another
+        # video's features, so the header's digest of the paths must differ
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, "n": 8, "tau_b": 4}))
+        cache = tmp_path / "features.bin"
+        code, _, err = run(capsys, "train", str(workspace["manifest"]), "--out",
+                           str(tmp_path / "first.ckpt"), "--cache", str(cache), "--config", str(cfg))
+        assert code == 0, err
+        header, *rows = workspace["manifest"].read_text().splitlines()
+        reversed_manifest = workspace["manifest"].parent / "reversed.csv"
+        reversed_manifest.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", str(reversed_manifest), "--out", str(ckpt),
+                             "--cache", str(cache), "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: feature cache does not match the manifest/config: videos=")
+        assert err.count("\n") == 1
+        assert decoded == [] and not ckpt.exists()
+        # the cache still serves the manifest it was written for
+        code, out, err = run(capsys, "train", str(workspace["manifest"]), "--out", str(ckpt),
+                             "--cache", str(cache), "--config", str(cfg))
+        assert code == 0, err
+        assert decoded == []
+
     def test_cache_without_newer_keys_loads(self, capsys, workspace, tmp_path, monkeypatch):
         # a header without tau, grid and seed, as older caches and the bench's
         # warm cache write it, is checked only on the keys it has
@@ -611,6 +641,20 @@ class TestMos:
         assert code == 0
         assert json.loads(out)["rejected_subjects"] == []
 
+    @pytest.mark.parametrize("rows, line", [
+        (["subject_id,video_id,score", "x,y,junk", "junk2,a,b", "s0,v0,50"], 2),
+        (["s0,v0,50", "", "s0,v1"], 3),
+        (["subject_id,video_id,score", "s0,v0,50", "s1,v0,abc"], 3),
+    ], ids=["junk-after-header", "short-row", "non-numeric-score"])
+    def test_bad_row_names_its_line(self, capsys, tmp_path, rows, line):
+        # only the first non-empty row may be a header
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"))
+        bad = rows[line - 1].split(",")
+        assert (code, out, err) == (2, "", f"error: {ratings}:{line}: bad ratings row: {bad}\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_no_seed_option(self, capsys, tmp_path):
         # mos draws no random numbers, so it takes no seed
         ratings = tmp_path / "ratings.csv"
@@ -658,14 +702,23 @@ class TestSynth:
         assert code == 2 and f"ladder {ladder}" in err
         assert out == ""
 
-    @pytest.mark.parametrize("config", [{"ladder": [], "count": 10}, {"ladder": [1.0], "count": 9}],
-                             ids=["empty-ladder", "count-9"])
-    def test_bad_config_leaves_no_files(self, capsys, tmp_path, config):
+    @pytest.mark.parametrize("config, message", [
+        ({"ladder": [], "count": 10}, "the amplitude ladder [] must hold amplitudes in [0, 96] px "
+                                      "(the frame's shorter side)"),
+        ({"ladder": [1.0], "count": 9}, "a dataset needs at least 10 videos"),
+        ({"count": 0}, "a dataset needs at least 10 videos"),
+        ({"count": None}, "config key 'count' must be of type int, got None"),
+        ({"fps": 0}, "fps must be positive"),
+        ({"width": 8}, "output size must be at least 16x16"),
+        ({"length": 10}, "trajectory length must be at least 16"),
+    ], ids=["empty-ladder", "count-9", "count-0", "count-null", "fps-0", "width-8", "length-10"])
+    def test_bad_config_leaves_no_files(self, capsys, tmp_path, config, message):
+        # the first video is drawn before the output directory is made
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(config))
         out_dir = tmp_path / "ds"
-        code, out, _ = run(capsys, "synth", "--out", str(out_dir), "--config", str(cfg))
-        assert code == 2 and out == ""
+        code, out, err = run(capsys, "synth", "--out", str(out_dir), "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
 
@@ -682,12 +735,77 @@ class TestSeedResolution:
         (5, {"seed": 6}, "7", 5), (None, {"seed": 6}, "notanint", 6), (None, {}, "7", 7),
         (None, {}, None, 0),
     ])
-    def test_flag_then_config_then_env(self, monkeypatch, flag, cfg, env, want):
+    def test_flag_then_config_then_env(self, monkeypatch, tmp_path, flag, cfg, env, want):
         if env is None:
             monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(cli.SEED_ENV_VAR, env)
-        assert cli._resolve_seed(flag, cfg) == want
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        args = argparse.Namespace(seed=flag, config=str(config))
+        assert cli._settings(args, {"seed": 0}) == {"seed": want}
+
+
+# Every config key of every command and the JSON type its value must have.
+CONFIG_TYPES = {
+    "score": {"seed": "int", "model": "str", "n_clips": "int", "n": "int", "tau": "int",
+              "grid": "int", "tau_b": "int"},
+    "trajectory": {"seed": "int", "model_kind": "str"},
+    "train": {"seed": "int", "n": "int", "tau": "int", "grid": "int", "tau_b": "int",
+              "lambda": "float", "epochs": "int", "batch_size": "int", "lr_head": "float",
+              "val_frac": "float"},
+    "mos": {"outlier_sigma": "float", "max_outlier_frac": "float", "denominator": "str"},
+    "synth": {"seed": "int", "ladder": "list", "videos_per_level": "int", "count": "int",
+              "length": "int", "width": "int", "height": "int", "fps": "float"},
+}
+# argv that reaches the settings; no path needs to exist, the settings come first
+COMMAND_ARGV = {
+    "score": ["score", "{tmp}/v.y4m"],
+    "trajectory": ["trajectory", "{tmp}/v.y4m", "{tmp}/t.csv"],
+    "train": ["train", "{tmp}/manifest.csv", "--out", "{tmp}/m.ckpt"],
+    "mos": ["mos", "{tmp}/ratings.csv", "--out", "{tmp}/mos.csv"],
+    "synth": ["synth", "--out", "{tmp}/ds"],
+}
+WRONG_TYPE = {"int": "x", "float": "x", "str": 1, "list": "abc"}
+
+
+class TestSettings:
+    def test_thirty_config_keys(self):
+        assert {c: list(t) for c, t in cli.SETTINGS.items()} == {
+            c: list(t) for c, t in CONFIG_TYPES.items()}
+        assert sum(map(len, CONFIG_TYPES.values())) == 30
+
+    @pytest.mark.parametrize("command, key, kind", [
+        (c, k, t) for c, table in CONFIG_TYPES.items() for k, t in table.items()])
+    def test_wrong_type_exits_2(self, capsys, monkeypatch, tmp_path, command, key, kind):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: WRONG_TYPE[kind]}))
+        argv = [a.format(tmp=tmp_path) for a in COMMAND_ARGV[command]]
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        want = f"error: config key {key!r} must be of type {kind}, got {WRONG_TYPE[kind]!r}\n"
+        assert (code, out, err) == (2, "", want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, key", [
+        (c, k) for c, table in CONFIG_TYPES.items() for k, t in table.items() if t == "float"])
+    def test_int_is_a_float(self, monkeypatch, tmp_path, command, key):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        got = cli._settings(argparse.Namespace(config=str(cfg)), cli.SETTINGS[command])[key]
+        assert type(got) is float and got == 1.0
+
+    @pytest.mark.parametrize("command", CONFIG_TYPES)
+    def test_config_help_names_the_table(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.lstrip().startswith("--config CONFIG"))
+        keys = line.split("with keys ", 1)[1].split(";", 1)[0].split(", ")
+        assert keys == list(cli.SETTINGS[command])
 
 
 # Bad options and config values: each of these once ended in a traceback and
@@ -707,6 +825,7 @@ EXIT_1_LEAKS = {
     "train-lambda-nan": (_TRAIN, dict(_SMALL_CLIPS, **{"lambda": float("nan")})),
     "train-epochs-0": (_TRAIN, dict(_SMALL_CLIPS, epochs=0)),
     "train-val-frac-2": (_TRAIN, dict(_SMALL_CLIPS, val_frac=2)),
+    "train-lambda-int-over-float-range": (_TRAIN, dict(_SMALL_CLIPS, **{"lambda": 10**400})),
     "score-seed-string": (["score", "{shaky}"], {"seed": "abc"}),
     "score-seed-negative": (["score", "{shaky}", "--seed", "-1"], None),
     "synth-seed-negative": (_SYNTH, {"seed": -3}),
@@ -715,6 +834,7 @@ EXIT_1_LEAKS = {
     "mos-denominator": (_MOS, {"denominator": "x"}),
     "synth-count-3": (_SYNTH, {"count": 3}),
     "synth-width-8": (_SYNTH, {"width": 8}),
+    "synth-fps-int-over-float-range": (_SYNTH, {"fps": 10**400}),
     "synth-ladder-string": (_SYNTH, {"ladder": "abc"}),
     "mos-not-utf8": (["mos", "{latin1}", "--out", "{tmp}/mos.csv"], None),
     "eval-not-utf8": (["eval", "{latin1}"], None),

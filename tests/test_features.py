@@ -336,21 +336,35 @@ class TestCache:
         assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
 
     def test_bytes_match_old_writer(self, tmp_path, rng):
-        # the same payload; the header gains tau, grid and seed
+        # the same payload; the header gains tau, grid, seed and, when the
+        # writer names the videos, the first 48 bits of the SHA-256 of their
+        # paths, one a line
         spec = feat.ClipSpec(n=16, tau=3, grid=5, tau_b=8)
         matrix = rng.normal(size=(7, spec.dim)) * 1e3
         path = tmp_path / "features.bin"
         feat.save_feature_cache(path, matrix, spec, 9)
         assert path.read_bytes() == old_cache_bytes(matrix, spec, tau=3, grid=5, seed=9)
+        feat.save_feature_cache(path, matrix, spec, 9, [f"/data/v{i}.y4m" for i in range(7)])
+        assert path.read_bytes() == old_cache_bytes(matrix, spec, tau=3, grid=5, seed=9,
+                                                    videos=154505031893134)
+
+    def test_other_videos_raise_config_error(self, tmp_path, rng):
+        videos = [f"/data/v{i}.y4m" for i in range(5)]
+        path = tmp_path / "features.bin"
+        feat.save_feature_cache(path, rng.normal(size=(5, SPEC8.dim)), SPEC8, 3, videos)
+        assert feat.load_feature_cache(path, SPEC8, 3, 5, videos).shape == (5, SPEC8.dim)
+        for other in (videos[::-1], [*videos[:4], "/data/v5.y4m"], None):
+            with pytest.raises(ConfigError, match="does not match the manifest/config: videos="):
+                feat.load_feature_cache(path, SPEC8, 3, 5, other)
 
     def test_old_header_loads(self, tmp_path, rng):
-        # a cache without tau, grid and seed (an older one, or the bench's
-        # warm cache) is checked on the keys it has
+        # a cache without tau, grid, seed and videos (an older one, or the
+        # bench's warm cache) is checked on the keys it has
         matrix = rng.normal(size=(4, SPEC8.dim))
         path = tmp_path / "features.bin"
         path.write_bytes(old_cache_bytes(matrix, SPEC8))
         for spec in (SPEC8, feat.ClipSpec(n=8, tau=1, grid=5, tau_b=4)):
-            back = feat.load_feature_cache(path, spec, 11, 4)
+            back = feat.load_feature_cache(path, spec, 11, 4, ["/data/a.y4m"] * 4)
             assert np.array_equal(back, matrix.astype("<f4").astype(np.float64))
 
     @pytest.mark.parametrize("spec, seed, count, names", [
@@ -419,7 +433,7 @@ class TestCache:
             optional={k: st.just(SPEC2_HEADER[k]) | st.integers(0, 4) for k in OPTIONAL},
         ),
         st.fixed_dictionaries({}, optional=dict.fromkeys(
-            [*SPEC2_HEADER, "count"],
+            [*SPEC2_HEADER, "count", "videos"],
             st.integers(-2**70, 2**70) | st.booleans() | st.none() | st.floats()
             | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=3))),
     ).map(lambda h: (json.dumps(h).encode() + b"\n", h.get("count"))) | st.binary(max_size=40).map(
