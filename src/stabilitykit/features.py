@@ -8,11 +8,15 @@ concatenated in flow, semantic, blur order: C_o = 16 values, then C_s = 8 per
 frame and C_b = 4 per blur frame.  The default spec (n=32, tau_b=8) gives
 16 + 32*8 + 4*4 = 288 coordinates.
 
-Flow runs on native-resolution luma.  The semantic and blur stats are taken
-one frame at a time from a C-ordered (N, 224, 224) stack of resized luma
-planes, so each frame's sums run pairwise over its own contiguous plane.
-Summed in another order (say, across a stack whose fastest axis is time),
-the semantic means and stds agree to within 1e-12 relative, not exactly.
+No stage makes a float copy of the clip's native-resolution frames.  Flow
+runs on them at native resolution: level 0 of its LK pyramid is the uint8
+frames themselves, and each LK window gathered from it is cast to float64.
+The frames are resized to 224x224 in runs of _RESIZE_RUN_FRAMES, whose
+gathers are cast likewise, and the semantic and blur stats are taken one
+frame at a time from each run's C-ordered (k, 224, 224) stack, so each
+frame's sums run pairwise over its own contiguous plane.  Summed in another
+order (say, across a stack whose fastest axis is time), the semantic means
+and stds agree to within 1e-12 relative, not exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, InsufficientFrames, ParseError
-from .media import Clip, clip_span, load_f32_header, resize_float, save_f32, to_luma
+from .media import Clip, clip_span, load_f32_header, resize_float, save_f32
+from .media import to_luma  # noqa: F401  (unused here; bench/tracing.py patches the name)
 from .motion import FlowField, check_grid, grid_flow_sequence
 
 C_O = 16
 C_S = 8
 C_B = 4
 SEMANTIC_SIZE = 224
+_RESIZE_RUN_FRAMES = 4  # most frames per resize_float call in clip_features
 
 _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -172,21 +178,26 @@ def clip_features(clip: Clip, spec: ClipSpec) -> np.ndarray:
     """The fused float64 feature vector of a clip sampled as ``spec`` says,
     ``spec.dim`` values: flow, semantic, blur.
 
-    Flow runs on native-resolution luma for sub-pixel precision.  The
-    semantic stats of every frame and the blur stats of every tau_b-th frame
-    are computed one frame at a time on a C-ordered (N, 224, 224) stack of
-    bilinearly resized luma planes.
+    Flow runs on the uint8 frames at native resolution for sub-pixel
+    precision.  The semantic stats of every frame and the blur stats of every
+    tau_b-th frame are computed one frame at a time on C-ordered
+    (k, 224, 224) stacks of bilinearly resized luma planes, resized
+    _RESIZE_RUN_FRAMES frames at a time.
     """
     if (clip.n, clip.tau) != (spec.n, spec.tau):
         raise ConfigError(f"clip has n={clip.n}, tau={clip.tau}; the spec has n={spec.n}, tau={spec.tau}")
-    lumas = to_luma(clip.frames)
     # untrackable pairs (constant or pure-noise content) come back as zero
     # fields, keeping the feature vector finite for any valid clip
-    flows = grid_flow_sequence(lumas, spec.grid)
-    resized = resize_float(lumas, SEMANTIC_SIZE, SEMANTIC_SIZE)
-    semantic = np.stack([_semantic_frame(luma) for luma in resized])
-    blur = [_blur_frame(resized[i], semantic[i, 2]) for i in blur_indices(spec.n, spec.tau_b)]
-    return np.concatenate([flow_features(flows), semantic.ravel(), *blur])
+    flows = grid_flow_sequence(clip.frames, spec.grid)
+    blur_at = blur_indices(spec.n, spec.tau_b)
+    semantic, blur = [], []
+    for start in range(0, spec.n, _RESIZE_RUN_FRAMES):
+        run = clip.frames[start : start + _RESIZE_RUN_FRAMES]
+        for i, luma in enumerate(resize_float(run, SEMANTIC_SIZE, SEMANTIC_SIZE), start):
+            semantic.append(_semantic_frame(luma))
+            if i in blur_at:
+                blur.append(_blur_frame(luma, semantic[-1][2]))
+    return np.concatenate([flow_features(flows), *semantic, *blur])
 
 
 # ---------------------------------------------------------------------------

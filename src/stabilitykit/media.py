@@ -4,8 +4,11 @@ text decoding of CSV inputs.
 
 Frames are ``(H, W)`` uint8 luma planes throughout the toolkit: every
 stage (ITF, trajectories, flow, semantic and blur features) reads
-intensity only.  A Y4M stream gives its Y planes, with chroma checked for
-length and skipped; a PPM frame is converted by the Rec.601 luma rule.
+intensity only, and reads it as uint8 until it gathers: a motion
+pyramid's level 0 is the frames themselves, and each LK window, warp
+sample and resize gather casts only the block it reads to float64.  A Y4M
+stream gives its Y planes, with chroma checked for length and skipped; a
+PPM frame is converted by the Rec.601 luma rule.
 Only uncompressed sources are supported (YUV4MPEG2 streams and
 directories of binary PPM/PGM files); anything compressed is expected to
 be converted up front, e.g. with ffmpeg.
@@ -81,9 +84,10 @@ class Clip:
 
 
 def to_luma(frames: np.ndarray) -> np.ndarray:
-    """Float64 luma of uint8 luma frames (a plane or a stack), in [0, 255]:
-    the one entry from stored frames to the float planes every stage reads.
-    A float64 input is returned as is."""
+    """Float64 luma of uint8 luma frames (a plane or a stack), in [0, 255].
+    A float64 input is returned as is.  ITF converts one frame at a time with
+    it; the motion and feature stages never convert whole frames, since their
+    gathers cast only the blocks they read (see ``resize_float``)."""
     return np.asarray(frames, dtype=np.float64)
 
 
@@ -114,26 +118,29 @@ def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
 
 def _lerp_gather(a: np.ndarray, i0: np.ndarray, i1: np.ndarray, f: np.ndarray,
                  axis: int) -> np.ndarray:
-    """``a[i0] * (1 - f) + a[i1] * f`` along ``axis``, computed in place on
-    the first gather so only two arrays of the result's size are live."""
-    out = np.take(a, i0, axis=axis)
+    """``a[i0] * (1 - f) + a[i1] * f`` along ``axis`` in float64, computed in
+    place on the first gather so only two arrays of the result's size are
+    live.  Each gather is cast to float64 (uint8 input) after it is taken."""
+    out = np.take(a, i0, axis=axis).astype(np.float64, copy=False)
     out *= 1 - f
-    hi = np.take(a, i1, axis=axis)
+    hi = np.take(a, i1, axis=axis).astype(np.float64, copy=False)
     hi *= f
     out += hi
     return out
 
 
 def resize_float(stack: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Float64 bilinear resize of a (T, H, W) stack on half-pixel-centered
-    coordinates, returned C-contiguous (T, h, w).
+    """Float64 bilinear resize of a (T, H, W) stack, uint8 or float, on
+    half-pixel-centered coordinates, returned C-contiguous (T, h, w).
 
     Separable: each source row is lerped between its x0/x1 columns, then each
     output row between the y0/y1 rows of that, so every value goes through the
-    same ``top * (1 - fy) + bot * fy`` arithmetic as the 2-D four-gather form."""
+    same ``top * (1 - fy) + bot * fy`` arithmetic as the 2-D four-gather form.
+    The stack is not upcast as a whole: the column gathers are cast to
+    float64, so a uint8 stack resizes bit for bit as its float64 copy would."""
     if w < 1 or h < 1:
         raise ConfigError("target dimensions must be positive")
-    stack = np.asarray(stack, dtype=np.float64)  # no copy for to_luma's output
+    stack = np.asarray(stack)
     src_h, src_w = stack.shape[1:]
     xs = np.clip((np.arange(w) + 0.5) * (src_w / w) - 0.5, 0.0, src_w - 1.0)
     ys = np.clip((np.arange(h) + 0.5) * (src_h / h) - 0.5, 0.0, src_h - 1.0)

@@ -61,17 +61,21 @@ class RatingsTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "RatingsTable":
         """CSV columns: subject_id,video_id,score[,session]; the first
-        non-empty row may be a header."""
+        non-empty row may be a header.  A bad row or a score outside
+        [0, 100] (or NaN) raises ParseError naming ``path:line``."""
         rows, first = [], True
         for line, row in csv_rows(path, "utf-8"):
             if not row:
                 continue
             try:
-                float(row[2])
-                rows.append(tuple(row[:4]))
+                val = float(row[2])
             except (IndexError, ValueError):
                 if not first:
                     raise ParseError(f"{path}:{line}: bad ratings row: {row}") from None
+            else:
+                if not 0.0 <= val <= 100.0:
+                    raise ParseError(f"{path}:{line}: rating {val} outside [0, 100]")
+                rows.append(tuple(row[:4]))
             first = False
         return cls.from_records(rows)
 

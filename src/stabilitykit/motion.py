@@ -5,9 +5,13 @@ dense grid flow, and camera trajectories.
 run of frames and track every adjacent pair of it in one LK solve
 (``_track``); ``estimate_motion`` runs the same engine on two frames.
 
-An LK template and its gradients come from one edge-clamped 18x18 gather per
-point, lerped to 17x17 samples at the point's fractional offset: the template
-is the central 15x15 and the gradients its central differences (``_templates``).
+Level 0 of every pyramid is the frames as given, uint8 for a decoded video,
+with no float copy; the coarser levels are float64 (``_pyramid``).  Only what
+is gathered is cast: an LK template and its gradients come from one
+edge-clamped 18x18 gather per point, cast to float64 and lerped to 17x17
+samples at the point's fractional offset, the template the central 15x15 and
+the gradients its central differences (``_templates``).  LK solves run over at
+most _RUN_POINTS points at a time, so their gathers stay small.
 
 Homography RANSAC scores its 4-point hypotheses in closed form
 (``_quad_homographies``), with no solve per hypothesis; a sample with a
@@ -34,7 +38,7 @@ from .errors import (
     TrackingFailure,
     UnderDetermined,
 )
-from .media import to_luma
+from .media import to_luma  # noqa: F401  (unused here; bench/tracing.py patches the name)
 
 
 @dataclass
@@ -150,7 +154,8 @@ _LK_LEVELS = 3
 _LK_MAX_ITER = 30
 _LK_EPS = 0.01
 _LK_MAX_RESIDUAL = 25.0  # RMS gray levels over the window
-_RUN_POINTS = 2048  # most points per LK solve (_in_runs)
+_RUN_POINTS = 512  # most points per LK solve (_in_runs)
+_PYR_RUN_FRAMES = 4  # most frames per blur of a coarser pyramid level
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 _TAPS = np.arange(-_LK_WIN, _LK_WIN + 2)  # 16 integer taps span a 15-wide lerp
@@ -158,16 +163,26 @@ _TMPL_TAPS = np.arange(-_LK_WIN - 1, _LK_WIN + 3)  # 18 span a 17-wide lerp: 15 
 
 
 def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
-    """Per-level (T, h, w) float64 stacks of a (T, H, W) luma stack."""
-    out = [np.ascontiguousarray(stack, dtype=np.float64)]
+    """Per-level (T, h, w) stacks of a (T, H, W) luma stack.  Level 0 is the
+    stack itself in its own dtype, uint8 for stored frames (made C-contiguous,
+    never cast).  Each coarser level is a float64 array blurred from the one
+    above in runs of at most _PYR_RUN_FRAMES frames; ``correlate1d`` reads
+    every input line as float64, so a uint8 stack gives the levels of its
+    float64 copy bit for bit."""
+    out = [np.ascontiguousarray(stack)]
     for _ in range(_LK_LEVELS - 1):
         prev = out[-1]
-        if min(prev.shape[1:]) // 2 < 2 * _LK_WIN + 3:
+        t, h, w = prev.shape
+        if min(h, w) // 2 < 2 * _LK_WIN + 3:
             break
-        # the row blur acts on each row alone, so it skips the dropped rows
-        blurred = ndimage.correlate1d(prev, _BINOMIAL5, axis=1, mode="nearest")[:, ::2]
-        blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=2, mode="nearest")
-        out.append(np.ascontiguousarray(blurred[:, :, ::2]))
+        level = np.empty((t, (h + 1) // 2, (w + 1) // 2))
+        for i in range(0, t, _PYR_RUN_FRAMES):
+            run = prev[i : i + _PYR_RUN_FRAMES]
+            # the row blur acts on each row alone, so it skips the dropped rows
+            rows = ndimage.correlate1d(run, _BINOMIAL5, axis=1, mode="nearest", output=np.float64)
+            blurred = ndimage.correlate1d(rows[:, ::2], _BINOMIAL5, axis=2, mode="nearest")
+            level[i : i + _PYR_RUN_FRAMES] = blurred[:, :, ::2]
+        out.append(level)
     return out
 
 
@@ -182,12 +197,13 @@ def _tap_grid(xy: np.ndarray, taps: np.ndarray, w: int, h: int) -> tuple[np.ndar
 
 
 def _gather(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """(n, k-1, k-1) bilinear samples at xy (n, 2) in the planes ``stack[frame]``:
-    one gather of the k x k edge-clamped pixels at ``taps``, lerped by xy's offset."""
+    """(n, k-1, k-1) float64 bilinear samples at xy (n, 2) in the planes
+    ``stack[frame]``: one gather of the k x k edge-clamped pixels at ``taps``,
+    cast to float64 and lerped by xy's offset."""
     _, h, w = stack.shape
     ix, iy, fx, fy = _tap_grid(xy, taps, w, h)
     flat = (frame[:, None, None] * h + iy[:, :, None]) * w + ix[:, None, :]
-    return _lerp(stack.ravel().take(flat), fx, fy)
+    return _lerp(stack.ravel().take(flat).astype(np.float64, copy=False), fx, fy)
 
 
 def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -340,7 +356,8 @@ def check_grid(grid: int) -> None:
 
 def _grid_track(lumas: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the grid-cell centres over all T-1 adjacent pairs of a (T, H, W)
-    luma stack in one solve; returns (pts (n, 2), disp (T-1, n, 2), ok (T-1, n))."""
+    luma stack, uint8 or float, in one solve; returns (pts (n, 2),
+    disp (T-1, n, 2), ok (T-1, n))."""
     check_grid(grid)
     pyr = _pyramid(lumas)
     h, w = pyr[0].shape[1:]
@@ -422,8 +439,9 @@ def _ransac_similarity(
 
 
 def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Edge-clamped bilinear samples of the planes ``stack[frame]`` at (x, y),
-    frame broadcast to their shape; each sample lerps its own 2x2 block."""
+    """Edge-clamped float64 bilinear samples of the planes ``stack[frame]`` at
+    (x, y), frame broadcast to their shape; each sample lerps its own 2x2
+    block, gathered and then cast."""
     _, h, w = stack.shape
     x = np.clip(x, 0.0, w - 1.0)
     y = np.clip(y, 0.0, h - 1.0)
@@ -431,7 +449,7 @@ def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) 
     x0 = np.minimum(x.astype(np.intp), w - 2)
     y0 = np.minimum(y.astype(np.intp), h - 2)
     i = ((frame * h + y0) * w + x0).reshape(-1, 1, 1)
-    quad = stack.ravel().take(i + np.array([[0, 1], [w, w + 1]]))
+    quad = stack.ravel().take(i + np.array([[0, 1], [w, w + 1]])).astype(np.float64, copy=False)
     return _lerp(quad, (x - x0).ravel(), (y - y0).ravel()).reshape(x.shape)
 
 
@@ -658,7 +676,7 @@ def estimate_motion(prev_frame: np.ndarray, next_frame: np.ndarray, model_kind: 
     """Corner matching + RANSAC fit of the requested motion model, its
     hypotheses drawn from ``seed``.
 
-    Frames are (H, W) luma planes, uint8 frames or float.  This is the
+    Frames are (H, W) luma planes, uint8 or float.  This is the
     ``video_trajectory`` engine on a two-frame stack, so it equals that pair
     of a trajectory.  Every model draws all _RANSAC_ITERS hypotheses up
     front and scores them in one vectorized pass; ties go to the earliest.
@@ -666,7 +684,7 @@ def estimate_motion(prev_frame: np.ndarray, next_frame: np.ndarray, model_kind: 
     """
     if prev_frame.shape != next_frame.shape:
         raise DimensionMismatch("frames must share dimensions")
-    pyr = _pyramid(to_luma(np.stack([prev_frame, next_frame])))
+    pyr = _pyramid(np.stack([prev_frame, next_frame]))
     return _pair_motions(pyr, model_kind, seed)[0]
 
 
@@ -700,15 +718,17 @@ def video_trajectory(seq, model_kind: str = "similarity",
                      seed: int = 0) -> tuple[Trajectory, list[MotionParams]]:
     """Per-pair motion over a FrameSequence, accumulated into a Trajectory.
 
-    Runs of at most _TRAJ_RUN_PAIRS pairs each convert their frames to luma
-    and build one pyramid stack; a run's last frame carries over as the next
-    run's first, so each frame's luma and pyramid are made once.  A pair's
-    result equals ``estimate_motion`` on its two frames."""
+    Runs of at most _TRAJ_RUN_PAIRS pairs each build one pyramid stack whose
+    level 0 is the run's frames as stored, uint8 for a decoded video; only
+    the LK windows and warp samples gathered from it are cast to float64.  A
+    run's last frame carries over as the next run's first, so each frame's
+    pyramid is made once.  A pair's result equals ``estimate_motion`` on its
+    two frames."""
     params, head = [], None  # head: pyramid levels of the previous run's last frame
     last = len(seq.frames) - 1
     for start in range(0, last, _TRAJ_RUN_PAIRS):
         stop = min(start + _TRAJ_RUN_PAIRS, last)
-        pyr = _pyramid(to_luma(seq.frames[start if head is None else start + 1 : stop + 1]))
+        pyr = _pyramid(seq.frames[start if head is None else start + 1 : stop + 1])
         if head is not None:
             pyr = [np.concatenate([first[None], lev]) for first, lev in zip(head, pyr)]
         params += _pair_motions(pyr, model_kind, seed)

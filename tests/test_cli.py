@@ -655,6 +655,14 @@ class TestMos:
         assert (code, out, err) == (2, "", f"error: {ratings}:{line}: bad ratings row: {bad}\n")
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("score, shown", [("160", "160.0"), ("nan", "nan"), ("-0.5", "-0.5")])
+    def test_rating_out_of_range_names_its_line(self, capsys, tmp_path, score, shown):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(f"subject_id,video_id,score\ns0,v0,50\ns1,v0,{score}\ns2,v0,60\n")
+        code, out, err = run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"))
+        assert (code, out, err) == (2, "", f"error: {ratings}:3: rating {shown} outside [0, 100]\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_no_seed_option(self, capsys, tmp_path):
         # mos draws no random numbers, so it takes no seed
         ratings = tmp_path / "ratings.csv"

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shaky_video
 from stabilitykit import features as feat
 from stabilitykit.errors import ConfigError, InsufficientFrames, ParseError, StabilityKitError
 from stabilitykit.media import Clip, resize_float, sample_clip, to_luma
@@ -258,6 +260,29 @@ class TestClipPipeline:
         assert np.array_equal(fused[16 : 16 + 32 * 8], semantic)
         # bit-equal: the blur branch's gradient mean is the semantic one
         assert fused[16 + 32 * 8 :].tobytes() == blur.tobytes()
+
+    # Traced peak on this 32-frame 320x240 clip: 59.2 MB when the clip was
+    # copied to float64, its pyramid made a full-size row blur and the whole
+    # clip was resized at once; 15.0 MB with uint8 frames, 4-frame blur and
+    # resize runs and 512-point LK solves.  A float64 copy of the clip is 19.7 MB.
+    def test_traced_peak_stays_below_bound(self):
+        frames = shaky_video(87, count=32, size=(320, 240))[0].frames
+        clip = Clip(frames=frames, source_indices=list(range(32)), n=32, tau=1)
+        tracemalloc.start()
+        try:
+            feat.clip_features(clip, feat.ClipSpec(tau=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6
+
+    def test_uint8_frames_equal_their_float_copy(self):
+        video = next(iter_dataset(10, amplitude_ladder=[2.0], seed=5, length=40,
+                                  frame_size=(97, 71)))
+        clip = sample_clip(video.seq, n=16, tau=2, seed=3)
+        as_float = Clip(clip.frames.astype(np.float64), clip.source_indices, clip.n, clip.tau)
+        spec = feat.ClipSpec(n=16, tau=2, tau_b=4)
+        assert feat.clip_features(clip, spec).tobytes() == feat.clip_features(as_float, spec).tobytes()
 
     def test_clip_features_shapes_and_determinism(self):
         videos = list(iter_dataset(10, amplitude_ladder=[2.0], seed=4, length=18,

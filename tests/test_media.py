@@ -421,6 +421,13 @@ class TestResize:
         got = np.clip(np.floor(got + 0.5), 0, 255).astype(np.uint8)
         assert np.array_equal(got, old_resize_stack(frames, *size))
 
+    @pytest.mark.parametrize("size", [(224, 224), (31, 17), (97, 71), (5, 3)])
+    def test_uint8_stack_equals_its_float_copy(self, rng, size):
+        frames = rng.integers(0, 256, size=(3, 71, 97), dtype=np.uint8)
+        got = media.resize_float(frames, *size)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == media.resize_float(frames.astype(np.float64), *size).tobytes()
+
     def test_bad_size_is_config_error(self):
         with pytest.raises(ConfigError):
             media.resize_float(np.zeros((1, 4, 4)), 0, 4)

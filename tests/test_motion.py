@@ -16,6 +16,7 @@ from stabilitykit.errors import (
     TrackingFailure,
     UnderDetermined,
 )
+from stabilitykit.media import FrameSequence
 from stabilitykit.motion import (
     MotionParams,
     Trajectory,
@@ -594,6 +595,33 @@ EDGE_XS = [-40.0, -9.5, -7.2, -1.0, -0.25, 0.0, 0.5, 12.3, 30.9, 31.0, 31.5, 35.
 EDGE_YS = [-30.0, -8.1, -0.6, 0.0, 9.75, 22.5, 23.0, 26.4, 30.2, 45.0]
 
 
+class TestUint8Pyramid:
+    def test_levels_equal_the_float_copy(self):
+        # odd sizes, and a frame count that is no multiple of the blur run
+        frames = np.random.default_rng(6).integers(0, 256, (7, 71, 97), dtype=np.uint8)
+        assert len(frames) % motion._PYR_RUN_FRAMES
+        got = motion._pyramid(frames)
+        want = motion._pyramid(frames.astype(np.float64))
+        per_frame = [oracle_pyramid(f) for f in frames]
+        assert got[0] is frames  # level 0 is the frames: not copied, not cast
+        assert len(got) == len(want) == motion._LK_LEVELS
+        for lev, (a, b) in enumerate(zip(got, want)):
+            assert a.flags.c_contiguous and a.shape == b.shape
+            assert a.astype(np.float64).tobytes() == b.tobytes()
+            assert b.tobytes() == np.stack([p[lev] for p in per_frame]).tobytes()
+            assert lev == 0 or a.dtype == np.float64
+
+    def test_uint8_gathers_equal_the_float_copy(self):
+        frames = np.stack([textured_frame(4, 32, 24), textured_frame(5, 32, 24)])
+        xy = np.array([(x, y) for x in EDGE_XS for y in EDGE_YS])
+        frame = np.arange(len(xy)) % 2
+        as_float = frames.astype(np.float64)
+        got, want = motion._templates(frames, frame, xy), motion._templates(as_float, frame, xy)
+        assert all(a.dtype == np.float64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        x, y = xy[:, 0] * 0.9 + 1.3, xy[:, 1] * 1.1 - 0.7
+        assert motion._sample(frames, frame, x, y).tobytes() == motion._sample(as_float, frame, x, y).tobytes()
+
+
 class TestLkEngine:
     def test_windows_match_per_tap_gather(self):
         plane = textured_plane(4, 32, 24)
@@ -672,7 +700,7 @@ class TestLkEngine:
         finally:
             tracemalloc.stop()
         pairs = len(lumas) - 1
-        assert pairs * len(pts) > 2 * motion._RUN_POINTS  # the solve is split in three
+        assert pairs * len(pts) > 2 * motion._RUN_POINTS  # the solve is split in three or more
         pyr = motion._pyramid(lumas)
         src = np.repeat(np.arange(pairs), len(pts))
         all_pts = np.tile(pts, (pairs, 1))
@@ -685,7 +713,7 @@ class TestLkEngine:
         assert np.array_equal(ok.ravel(), ok_want)
         assert np.array_equal(disp.reshape(-1, 2), want - all_pts)
         assert ok.mean() > 0.5
-        # each run holds a third of the points; the pyramid is built inside
+        # each run holds at most a third of the points; the pyramid is built inside
         assert run_peak < 0.5 * one_peak
 
 
@@ -776,6 +804,11 @@ def path_error(params, truth):
     return max(np.abs(traj.x - truth.x).max(), np.abs(traj.y - truth.y).max())
 
 
+@pytest.fixture(scope="module")
+def video_320():
+    return shaky_video(87, count=20, size=(320, 240))[0]
+
+
 class TestVideoTrajectory:
     @pytest.mark.parametrize("kind", ["translation", "homography"])
     def test_equals_per_pair_oracle(self, kind):
@@ -855,13 +888,32 @@ class TestVideoTrajectory:
         assert sum(frames) == len(seq)
         assert len(frames) == 2  # runs of 16 and 3 pairs
 
-    def test_each_frame_converted_to_luma_once(self, monkeypatch):
-        seq, _ = shaky_video(87, count=20, size=(112, 96))
-        pixels = []
-        to_luma = motion.to_luma
-        monkeypatch.setattr(motion, "to_luma", lambda f: pixels.append(f.size) or to_luma(f))
-        video_trajectory(seq, "homography")
-        assert sum(pixels) == len(seq) * 112 * 96
+    # Traced peaks on this 20-frame 320x240 video, similarity / homography /
+    # translation: 99.9 / 48.5 / 48.5 MB when each 17-frame run was copied to
+    # float64 and LK solved 2048 points at a time; 25.3 / 12.3 / 12.3 MB with
+    # uint8 level-0 planes and 512-point solves.  A float64 copy of one run is
+    # 10.4 MB, so converting the runs again breaks every bound.  The
+    # similarity peak is the refinement's 512-point warp gathers, which do not
+    # grow with the frame size.
+    @pytest.mark.parametrize("kind, bound_mb", [
+        ("similarity", 30.0), ("homography", 16.0), ("translation", 16.0),
+    ])
+    def test_traced_peak_stays_below_bound(self, video_320, kind, bound_mb):
+        tracemalloc.start()
+        try:
+            video_trajectory(video_320, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
+
+    @pytest.mark.parametrize("kind", ["similarity", "homography", "translation"])
+    def test_uint8_frames_equal_their_float_copy(self, kind):
+        seq, _ = shaky_video(89, count=8, size=(128, 96))
+        as_float = FrameSequence(seq.frames.astype(np.float64), seq.fps)
+        got, want = video_trajectory(seq, kind)[1], video_trajectory(as_float, kind)[1]
+        assert [fields(mp) for mp in got] == [fields(mp) for mp in want]
+        assert all(a.h is None and b.h is None or a.h.tobytes() == b.h.tobytes() for a, b in zip(got, want))
 
     def test_pair_errors_keep_pair_order(self):
         seq, _ = shaky_video(88, count=6, size=(128, 96))
