@@ -4,6 +4,12 @@ Subcommands: score, trajectory, train, eval, mos, synth.  Every command is
 deterministic for a fixed config and seed; report floats are serialized with
 6 significant digits so reruns are byte-identical.  The exit codes are
 listed in ``stabilitykit.errors``.
+
+Importing this module loads numpy, ``scipy.ndimage`` and every module the
+video path runs, but not ``scipy.optimize``: only ``eval``, and ``train``
+when it holds rows out for validation, load that least-squares solver, at
+their first logistic fit (``evaluation.logistic_fit``).  ``score``,
+``trajectory``, ``mos`` and ``synth`` processes never load it.
 """
 
 from __future__ import annotations
@@ -145,6 +151,8 @@ def cmd_score(args) -> int:
     s = _settings(args, SETTINGS["score"])
     if s["n_clips"] < 1:
         raise ConfigError(f"n_clips must be a positive integer, got {s['n_clips']!r}")
+    if s["n_clips"] > model_mod.MAX_N_CLIPS:  # its draws are allocated at once
+        raise ConfigError(f"n_clips must be at most {model_mod.MAX_N_CLIPS}, got {s['n_clips']!r}")
     # the clip spec comes before any decoding: a bad value would otherwise
     # surface only after the first video is decoded, or the whole trajectory
     spec = feat.ClipSpec(**{k: s[k] for k in _CLIP_DEFAULTS})

@@ -8,6 +8,12 @@ O(n log n) time and O(n) memory, so they run on tens of thousands of samples.
 The logistic is fitted by Levenberg-Marquardt least squares with the
 analytic Jacobian of the four parameters, about a dozen evaluations on
 typical data.
+
+``scipy.optimize`` is imported by ``logistic_fit`` at its first call, not
+here: importing it costs about 0.3 s of CPU, and of the CLI commands only
+``eval``, and ``train`` with a validation split, fit a logistic.  Every
+``score``, ``trajectory``, ``mos`` and ``synth`` process imports this module
+through the CLI but never loads the solver.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import expit
 
 from .errors import DegenerateInput, DimensionMismatch, InsufficientData
@@ -170,6 +175,8 @@ def logistic_fit(pred, mos) -> tuple[np.ndarray, np.ndarray]:
     the fit is rerun once from the mirrored init (b1=min(mos),
     b2=max(mos)) and kept when its mapping is not.
     """
+    from scipy.optimize import least_squares  # deferred: see the module docstring
+
     pred, mos = _pair(pred, mos, 5)
     if float(np.ptp(pred)) <= 0:
         raise DegenerateInput("constant predictions cannot be mapped")

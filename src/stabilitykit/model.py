@@ -38,6 +38,9 @@ from . import features as feat
 
 HIDDEN = 128
 _EPS_VAR = 1e-12
+# most clip draws per prediction: every draw holds a seed and a score and
+# copies its clip's frames, so more draws only cost memory and time
+MAX_N_CLIPS = 100_000
 
 
 @dataclass
@@ -321,8 +324,8 @@ def predict_video(params: ModelParams, seq: FrameSequence, spec: feat.ClipSpec, 
     Clips that start at the same frame are the same clip: each distinct
     ``source_indices`` is featurized and scored once, and its score enters
     the mean once per draw, so the mean is that of all ``n_clips`` scores."""
-    if n_clips < 1:
-        raise ConfigError(f"n_clips must be at least 1, got {n_clips}")
+    if not 1 <= n_clips <= MAX_N_CLIPS:
+        raise ConfigError(f"n_clips must be in [1, {MAX_N_CLIPS}], got {n_clips}")
     rng = np.random.default_rng(seed)
     clip_seeds = rng.integers(0, 2**31, size=n_clips)
     scores, by_clip = [], {}

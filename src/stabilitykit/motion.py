@@ -94,7 +94,7 @@ def corner_response(luma: np.ndarray) -> np.ndarray:
     syy = ndimage.uniform_filter(gy * gy, size=5, mode="nearest")
     sxy = ndimage.uniform_filter(gx * gy, size=5, mode="nearest")
     half_trace = 0.5 * (sxx + syy)
-    root = np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy * sxy, 0.0))
+    root = np.sqrt(0.25 * (sxx - syy) ** 2 + sxy * sxy)  # a sum of squares: never negative
     return half_trace - root
 
 
@@ -440,17 +440,32 @@ def _ransac_similarity(
 
 def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Edge-clamped float64 bilinear samples of the planes ``stack[frame]`` at
-    (x, y), frame broadcast to their shape; each sample lerps its own 2x2
-    block, gathered and then cast."""
+    (x, y), frame broadcast to their shape.  Each sample's upper and lower
+    pixel pairs are gathered, cast and lerped along x one row at a time, then
+    lerped along y: ``_lerp``'s arithmetic in its order, with one (m, 2)
+    gather live at a time."""
     _, h, w = stack.shape
     x = np.clip(x, 0.0, w - 1.0)
     y = np.clip(y, 0.0, h - 1.0)
     # the last column and row lerp from their left and upper neighbours
     x0 = np.minimum(x.astype(np.intp), w - 2)
     y0 = np.minimum(y.astype(np.intp), h - 2)
-    i = ((frame * h + y0) * w + x0).reshape(-1, 1, 1)
-    quad = stack.ravel().take(i + np.array([[0, 1], [w, w + 1]])).astype(np.float64, copy=False)
-    return _lerp(quad, (x - x0).ravel(), (y - y0).ravel()).reshape(x.shape)
+    i = ((frame * h + y0) * w + x0).reshape(-1, 1)
+    fx = (x - x0).ravel()
+
+    def row(k: int) -> np.ndarray:  # a + (b - a) * fx of the pair at i + k
+        pair = stack.ravel().take(i + [k, k + 1]).astype(np.float64, copy=False)
+        out = pair[:, 1] - pair[:, 0]
+        out *= fx
+        out += pair[:, 0]
+        return out
+
+    top = row(0)
+    win = row(w)
+    win -= top
+    win *= (y - y0).ravel()
+    win += top
+    return win.reshape(x.shape)
 
 
 def _refine_track(lumas: np.ndarray, src: np.ndarray, z0: np.ndarray, a: np.ndarray,

@@ -36,6 +36,24 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+_FRESH_CLI = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from stabilitykit.cli import main; "
+    "code = main(sys.argv[2:]); print('scipy.optimize' in sys.modules, file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+def fresh_cli(*argv):
+    """The CLI run in a fresh interpreter: its exit code, its stdout, and
+    whether scipy.optimize was loaded when it returned."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", _FRESH_CLI, src, *argv],
+                         capture_output=True, text=True)
+    loaded = out.stderr.splitlines()[-1] if out.stderr else ""
+    assert loaded in ("True", "False"), out.stderr
+    return out.returncode, out.stdout, loaded == "True"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
@@ -108,7 +126,8 @@ class TestScore:
         (["--tau-b", "3"], "tau_b=3 must divide the clip length n=32"),
         (["--n-clips", "0"], "n_clips must be a positive integer, got 0"),
         (["--n-clips", "0", "--grid", "3"], "n_clips must be a positive integer, got 0"),
-    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3", "n-clips-0", "n-clips-before-grid"])
+        (["--n-clips", "100000000000"], "n_clips must be at most 100000, got 100000000000"),
+    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3", "n-clips-0", "n-clips-before-grid", "n-clips-1e11"])
     def test_bad_clip_option_exits_2_without_model(self, capsys, workspace, monkeypatch,
                                                    argv, message):
         # the clip options are checked before anything else, with or without --model
@@ -131,7 +150,8 @@ class TestScore:
         assert out == ""
         assert called == []
 
-    @pytest.mark.parametrize("flag, want", [([], 1), (["--n-clips", "3"], 3)])
+    @pytest.mark.parametrize("flag, want", [([], 1), (["--n-clips", "3"], 3),
+                                            (["--n-clips", "100000"], model_mod.MAX_N_CLIPS)])
     def test_n_clips_flag_overrides_config(self, capsys, workspace, tmp_path, monkeypatch,
                                            flag, want):
         # n = 8 spans 15 of the 18 frames; the model takes its 84 features
@@ -146,6 +166,18 @@ class TestScore:
                            "--config", str(cfg), *flag)
         assert code == 0, err
         assert seen == [want]
+
+    def test_too_many_clips_exits_2_with_a_model(self, capsys, workspace, tmp_path):
+        # 10^11 clip draws once reached predict_video, whose seed array numpy
+        # could not allocate: a traceback and exit 1.  The bound is checked
+        # before anything is allocated, so no machine's memory decides this.
+        ckpt = tmp_path / "model.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(ClipSpec(n=8).dim, seed=0), ckpt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8}))
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt),
+                             "--config", str(cfg), "--n-clips", "100000000000")
+        assert (code, out, err) == (2, "", "error: n_clips must be at most 100000, got 100000000000\n")
 
     def test_truncated_checkpoint_exits_2(self, capsys, workspace, tmp_path):
         ckpt = tmp_path / "model.ckpt"
@@ -232,6 +264,13 @@ class TestTrajectory:
             capsys, "trajectory", str(workspace["flat"]), str(tmp_path / "t.csv")
         )
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["trajectory", "score"])
+    def test_fresh_process_never_loads_the_solver(self, workspace, tmp_path, command):
+        argv = [command, str(workspace["shaky"])] + ([str(tmp_path / "t.csv")] if command == "trajectory" else [])
+        code, out, loaded = fresh_cli(*argv)
+        assert code == 0 and strict_json(out)
+        assert loaded is False
 
     def test_homography_writes_nothing_to_stderr(self, tmp_path):
         # a fresh interpreter, so numpy warnings reach stderr as a user sees them
@@ -522,6 +561,15 @@ class TestEval:
         report = json.loads(out)
         assert set(report) >= {"srocc", "plcc", "krcc", "rmse"}
         assert report["srocc"] == 1.0
+
+    def test_fresh_process_loads_the_solver_at_its_fit(self, tmp_path):
+        mos = np.random.default_rng(2).uniform(0, 100, 12)
+        path = tmp_path / "pairs.csv"
+        path.write_text("pred,mos\n" + "\n".join(f"{q + 3 * np.sin(q)},{q}" for q in mos))
+        code, out, loaded = fresh_cli("eval", str(path))
+        assert code == 0
+        assert strict_json(out)["srocc"] > 0.9
+        assert loaded is True
 
     def test_two_files(self, capsys, tmp_path):
         a = tmp_path / "pred.csv"

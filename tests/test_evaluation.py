@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy import stats
 from scipy.optimize import minimize
 
@@ -209,17 +210,19 @@ class TestFastRankKernels:
         assert report.krcc == pytest.approx(stats.kendalltau(pred, mos)[0], abs=1e-12)
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about 0.5 s of import time on every CLI call
+        # scipy.stats costs about 0.5 s of import time on every CLI call, and
+        # scipy.optimize about 0.3 s; only logistic_fit needs the latter, and
+        # it imports the solver itself
         src = str(Path(ev.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import stabilitykit.cli; "
-            "print('scipy.stats' in sys.modules)"
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-I", "-c", code, src], capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestNonFinite:
@@ -294,8 +297,8 @@ class TestLogisticFit:
 
     def test_non_flat_fit_runs_no_refit(self, rng, monkeypatch):
         calls = []
-        least_squares = ev.least_squares
-        monkeypatch.setattr(ev, "least_squares",
+        least_squares = scipy.optimize.least_squares  # logistic_fit imports it at each call
+        monkeypatch.setattr(scipy.optimize, "least_squares",
                             lambda *a, **k: calls.append(1) or least_squares(*a, **k))
         mos = rng.uniform(0, 100, size=10)
         ev.logistic_fit(mos + rng.normal(size=10), mos)

@@ -558,7 +558,8 @@ class TestPredictVideo:
         with pytest.raises(InsufficientFrames):
             m.predict_video(params, video.seq, ClipSpec(), n_clips=1, seed=0)
 
-    @pytest.mark.parametrize("n_clips", [0, -1])
+    # above MAX_N_CLIPS before any draw: 10**11 seeds once raised MemoryError
+    @pytest.mark.parametrize("n_clips", [0, -1, m.MAX_N_CLIPS + 1, 10**11])
     def test_no_clips_rejected(self, video, n_clips):
         params = m.init_params(SPEC8.dim, seed=0)
         with pytest.raises(ConfigError):
