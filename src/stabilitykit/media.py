@@ -106,14 +106,23 @@ def clip_span(n: int, tau: int, have: int | None = None) -> int:
     return span
 
 
-def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
-    """Sample an ``n``-frame clip with stride ``tau``; start drawn from ``seed``."""
-    span = clip_span(n, tau, len(seq))
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, len(seq) - span + 1))
+def clip_start(length: int, n: int, tau: int, seed: int) -> int:
+    """First frame of an ``n``-frame clip with stride ``tau`` out of
+    ``length`` frames, drawn from ``seed``."""
+    span = clip_span(n, tau, length)
+    return int(np.random.default_rng(seed).integers(0, length - span + 1))
+
+
+def clip_at(seq: FrameSequence, start: int, n: int, tau: int) -> Clip:
+    """The ``n``-frame clip with stride ``tau`` that starts at frame ``start``."""
     indices = list(range(start, start + n * tau, tau))
     # fancy indexing already copies
     return Clip(frames=seq.frames[indices], source_indices=indices, n=n, tau=tau)
+
+
+def sample_clip(seq: FrameSequence, n: int, tau: int, seed: int) -> Clip:
+    """Sample an ``n``-frame clip with stride ``tau``; start drawn from ``seed``."""
+    return clip_at(seq, clip_start(len(seq), n, tau, seed), n, tau)
 
 
 def _lerp_gather(a: np.ndarray, i0: np.ndarray, i1: np.ndarray, f: np.ndarray,

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     TruncatedError,
 )
-from .media import FrameSequence, load_f32_header, sample_clip, save_f32
+from .media import FrameSequence, clip_at, clip_start, load_f32_header, save_f32
 from . import features as feat
 
 HIDDEN = 128
@@ -322,20 +322,18 @@ def predict_video(params: ModelParams, seq: FrameSequence, spec: feat.ClipSpec, 
     ``spec`` says, their starts drawn from ``seed``.
 
     Clips that start at the same frame are the same clip: each distinct
-    ``source_indices`` is featurized and scored once, and its score enters
-    the mean once per draw, so the mean is that of all ``n_clips`` scores."""
+    start is copied, featurized and scored once, and its score enters the
+    mean once per draw, so the mean is that of all ``n_clips`` scores."""
     if not 1 <= n_clips <= MAX_N_CLIPS:
         raise ConfigError(f"n_clips must be in [1, {MAX_N_CLIPS}], got {n_clips}")
-    rng = np.random.default_rng(seed)
-    clip_seeds = rng.integers(0, 2**31, size=n_clips)
-    scores, by_clip = [], {}
-    for s in clip_seeds:
-        clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=int(s))
-        key = tuple(clip.source_indices)
-        if key not in by_clip:
-            by_clip[key] = mlp_forward(params, feat.clip_features(clip, spec))
-        scores.append(by_clip[key])
-    return float(np.mean(scores))
+    clip_seeds = np.random.default_rng(seed).integers(0, 2**31, size=n_clips)
+    starts = [clip_start(len(seq), spec.n, spec.tau, int(s)) for s in clip_seeds]
+    by_start = {}
+    for start in starts:
+        if start not in by_start:
+            clip = clip_at(seq, start, spec.n, spec.tau)
+            by_start[start] = mlp_forward(params, feat.clip_features(clip, spec))
+    return float(np.mean([by_start[start] for start in starts]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,15 @@ Homography RANSAC scores its 4-point hypotheses in closed form
 triangle of near-zero area in either frame is invalid.  Only the refit on the
 winner's inliers runs a normalized DLT, one thin SVD (``_homography_dlt``).
 
+Corners come from level 1 of that pyramid, the half-resolution plane LK
+already needs, and are doubled into level-0 pixels: each lies at least _LK_WIN
+level-0 pixels from every edge, so its 15x15 window is inside the frame
+(``_corners``).  A frame whose level 1 is missing, under 32 px, or short of
+corners is detected at level 0 instead.  Tracking, RANSAC and the similarity
+refinement run at level 0.
+
 Coordinates are (x, y) in pixels with the origin at the top-left pixel
-center.  Motion estimation runs at native resolution.
+center.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class Trajectory:
 
 def corner_response(luma: np.ndarray) -> np.ndarray:
     """Shi-Tomasi response: smaller eigenvalue of the 5x5 structure tensor."""
-    gy, gx = np.gradient(luma.astype(np.float64))
+    gy, gx = np.gradient(luma.astype(np.float64, copy=False))
     sxx = ndimage.uniform_filter(gx * gx, size=5, mode="nearest")
     syy = ndimage.uniform_filter(gy * gy, size=5, mode="nearest")
     sxy = ndimage.uniform_filter(gx * gy, size=5, mode="nearest")
@@ -100,17 +107,22 @@ def corner_response(luma: np.ndarray) -> np.ndarray:
 
 _MAX_CORNERS = 200
 _MIN_CORNERS = 8
+_MIN_PLANE = 32  # least height and width of a plane to detect on
+_NMS_RADIUS = 8
+_LK_WIN = 7  # LK window radius -> 15x15
 
 
-def detect_corners(luma: np.ndarray, quality: float = 0.01, nms_radius: int = 8) -> np.ndarray:
-    """The at most _MAX_CORNERS strongest corners as (n, 2) sub-pixel (x, y),
-    sorted by score descending; fewer than _MIN_CORNERS raise DegenerateScene.
-    No corner lies within _LK_WIN + 1 pixels of an edge, so its LK window
-    stays inside the plane after the sub-pixel shift."""
+def detect_corners(luma: np.ndarray, quality: float = 0.01, nms_radius: int = _NMS_RADIUS,
+                   border: int = _LK_WIN + 1) -> np.ndarray:
+    """The at most _MAX_CORNERS strongest corners of a plane as (n, 2)
+    sub-pixel (x, y) in its own pixels, sorted by score descending; fewer than
+    _MIN_CORNERS raise DegenerateScene.  No corner lies within ``border``
+    pixels of an edge before its sub-pixel shift of at most 0.5 px, so at the
+    default, _LK_WIN + 1, its LK window stays inside the plane.  Trajectories
+    detect on pyramid level 1 (``_corners``)."""
     h, w = luma.shape
-    if h < 32 or w < 32:
-        raise DimensionMismatch("corner detection needs a plane of at least 32x32")
-    border = _LK_WIN + 1
+    if h < _MIN_PLANE or w < _MIN_PLANE:
+        raise DimensionMismatch(f"corner detection needs a plane of at least {_MIN_PLANE}x{_MIN_PLANE}")
     resp = corner_response(luma)
     resp[:border, :] = 0.0
     resp[-border:, :] = 0.0
@@ -149,7 +161,6 @@ def detect_corners(luma: np.ndarray, quality: float = 0.01, nms_radius: int = 8)
 # Pyramidal Lucas-Kanade
 # ---------------------------------------------------------------------------
 
-_LK_WIN = 7  # window radius -> 15x15
 _LK_LEVELS = 3
 _LK_MAX_ITER = 30
 _LK_EPS = 0.01
@@ -593,12 +604,30 @@ def _apply_h(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return q[:, :2] / q[:, 2:3]
 
 
-def _corners(luma: np.ndarray) -> np.ndarray:
+# Level-1 pixel i is level-0 pixel 2i.  Half the default suppression radius
+# keeps the level-0 spacing of corners, and a level-1 border b keeps a doubled
+# corner, after its sub-pixel shift, 2b - 1 >= _LK_WIN level-0 pixels from
+# every edge: its 15x15 LK window stays inside level 0.
+_L1_NMS_RADIUS = _NMS_RADIUS // 2
+_L1_BORDER = (_LK_WIN + 2) // 2
+
+
+def _corners(pyr: list[np.ndarray], k: int) -> np.ndarray:
+    """Corners of frame k of a pyramid stack in level-0 (x, y): detected on
+    its level-1 plane and doubled, so each lies at least _LK_WIN level-0
+    pixels from every edge.  With no level 1, a level 1 under _MIN_PLANE px,
+    or fewer than _MIN_CORNERS corners there, the frame is detected at
+    level 0, at least _LK_WIN + 0.5 px from every edge."""
+    if len(pyr) > 1 and min(pyr[1].shape[1:]) >= _MIN_PLANE:
+        try:
+            return 2.0 * detect_corners(pyr[1][k], nms_radius=_L1_NMS_RADIUS, border=_L1_BORDER)
+        except DegenerateScene:
+            pass
     try:
-        return detect_corners(luma)
+        return detect_corners(pyr[0][k])
     except DegenerateScene:
         # small frames starve under the default 8 px suppression radius
-        return detect_corners(luma, nms_radius=4, quality=0.005)
+        return detect_corners(pyr[0][k], nms_radius=4, quality=0.005)
 
 
 def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray) -> list[MotionParams]:
@@ -625,8 +654,9 @@ def _similarity_params(lumas: np.ndarray, fits: list, center: np.ndarray) -> lis
 
 def _pair_motions(pyr: list[np.ndarray], model_kind: str, seed: int) -> list[MotionParams]:
     """Motion of every adjacent frame pair of one pyramid stack: corners per
-    frame, one _track of all pairs, then per pair a fit that draws from its
-    own ``default_rng(seed)``.  Errors are raised in pair order."""
+    frame from its level 1 (``_corners``), one _track of all pairs at level
+    0, then per pair a fit that draws from its own ``default_rng(seed)``.
+    Errors are raised in pair order."""
     if model_kind not in ("translation", "similarity", "homography"):
         raise ConfigError(f"unknown motion model {model_kind!r}")
     lumas = pyr[0]
@@ -636,7 +666,7 @@ def _pair_motions(pyr: list[np.ndarray], model_kind: str, seed: int) -> list[Mot
     corners, failed = [], {}
     for k in range(pairs):
         try:
-            corners.append(_corners(lumas[k]))
+            corners.append(_corners(pyr, k))
         except DegenerateScene as exc:
             failed[k] = exc  # raised when pair k comes up
             corners.append(np.empty((0, 2)))

@@ -95,6 +95,21 @@ class TestScore:
         code, _, _ = run(capsys, "score", str(workspace["flat"]))
         assert code == 4
 
+    # corners come from pyramid level 1, which is 32x32 here: too few corners
+    # there, or none at all, send the detection back to level 0
+    def test_64x64_video_scores(self, capsys, tmp_path):
+        path = tmp_path / "small.y4m"
+        save_y4m(shaky_video(7, count=18, size=(64, 64))[0], path)
+        code, out, err = run(capsys, "score", str(path))
+        assert code == 0, err
+        assert 0.0 <= strict_json(out)["stability"]["score"] <= 1.0
+
+    def test_flat_64x64_video_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "flat64.y4m"
+        save_y4m(FrameSequence(frames=np.full((18, 64, 64), 128, dtype=np.uint8)), path)
+        code, _, err = run(capsys, "score", str(path))
+        assert code == 4 and "no texture: flat corner response" in err
+
     @pytest.mark.parametrize("argv, name", [
         pytest.param(["--n-clips", "0"], "n_clips", id="0"),
         pytest.param(["--n-clips", "-2"], "n_clips", id="-2"),

@@ -553,6 +553,28 @@ class TestPredictVideo:
         assert sorted(calls) == sorted(starts)
         assert got == want
 
+    def test_one_copy_per_distinct_start(self, video, monkeypatch):
+        from stabilitykit import features
+        from stabilitykit.media import sample_clip
+
+        params = m.init_params(SPEC8.dim, seed=0)
+        # the per-draw loop: a clip copied for every draw, each distinct
+        # clip featurized once
+        by_clip, scores = {}, []
+        for s in np.random.default_rng(5).integers(0, 2**31, size=1000):
+            clip = sample_clip(video.seq, n=8, tau=2, seed=int(s))
+            key = tuple(clip.source_indices)
+            if key not in by_clip:
+                by_clip[key] = m.mlp_forward(params, features.clip_features(clip, SPEC8))
+            scores.append(by_clip[key])
+        want = float(np.mean(scores))
+        copies = []
+        clip_at = m.clip_at
+        monkeypatch.setattr(m, "clip_at", lambda seq, start, n, tau: copies.append(start) or clip_at(seq, start, n, tau))
+        got = m.predict_video(params, video.seq, SPEC8, n_clips=1000, seed=5)
+        assert sorted(copies) == sorted({key[0] for key in by_clip})
+        assert got == want
+
     def test_too_short_video(self, video):
         params = m.init_params(288, seed=0)
         with pytest.raises(InsufficientFrames):

@@ -728,6 +728,23 @@ class TestLkEngine:
 ITERS, INLIER_PX, REFINE_INLIER_PX = 500, 2.0, 0.75
 
 
+def oracle_corners(prev):
+    """Reference corners of one frame in level-0 pixels: detected on its
+    level-1 plane (radius 4, border 4) and doubled; with no level 1, one under
+    32 px, or fewer than 8 corners there, the level-0 ladder (radius 8, then
+    radius 4 at quality 0.005)."""
+    pyr = oracle_pyramid(prev)
+    if len(pyr) > 1 and min(pyr[1].shape) >= 32:
+        try:
+            return 2.0 * detect_corners(pyr[1], nms_radius=4, border=4)
+        except DegenerateScene:
+            pass
+    try:
+        return detect_corners(prev)
+    except DegenerateScene:
+        return detect_corners(prev, nms_radius=4, quality=0.005)
+
+
 def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", seed=0):
     """Reference per-pair motion: one frame pair at a time, each frame's
     pyramid built for the pair, and the similarity refinement re-tracking
@@ -735,10 +752,7 @@ def oracle_estimate_motion(prev_frame, next_frame, model_kind="similarity", seed
     pyramid of it."""
     prev = motion.to_luma(prev_frame)
     nxt = motion.to_luma(next_frame)
-    try:
-        corners = detect_corners(prev)
-    except DegenerateScene:
-        corners = detect_corners(prev, nms_radius=4, quality=0.005)
+    corners = oracle_corners(prev)
     pyr_n = motion._pyramid(nxt[None])
     new_pts, ok = motion._track(motion._pyramid(prev[None]), pyr_n, corners)
     if not ok.any():
@@ -926,21 +940,72 @@ class TestVideoTrajectory:
         with pytest.raises(DegenerateScene):
             video_trajectory(seq, "similarity")
 
-    # (median, max) path error in px over seeds 300-311 before the templates
-    # came from one 18x18 gather (similarity 0.0422, 0.1108; homography
-    # 0.0583, 0.0826), plus 0.01 px on the median and 0.02 px on the max
-    @pytest.mark.parametrize("kind, median_px, max_px", [
-        ("similarity", 0.0422 + 0.01, 0.1108 + 0.02),
-        ("homography", 0.0583 + 0.01, 0.0826 + 0.02),
-    ], ids=["similarity", "homography"])
-    def test_ground_truth_error_on_fresh_seeds(self, kind, median_px, max_px):
+    # (median, max) path error in px over seeds 300-311, plus 0.01 px on the
+    # median and 0.02 px on the max.  At 128x96, measured before the templates
+    # came from one 18x18 gather; at 320x240, where corners come from a level 1
+    # of 160x120, measured while corners were still detected at level 0.
+    @pytest.mark.parametrize("kind, size, median_px, max_px", [
+        ("similarity", (128, 96), 0.0422 + 0.01, 0.1108 + 0.02),
+        ("homography", (128, 96), 0.0583 + 0.01, 0.0826 + 0.02),
+        ("similarity", (320, 240), 0.0215 + 0.01, 0.0328 + 0.02),
+        ("homography", (320, 240), 0.0162 + 0.01, 0.0543 + 0.02),
+    ], ids=["similarity", "homography", "similarity-320", "homography-320"])
+    def test_ground_truth_error_on_fresh_seeds(self, kind, size, median_px, max_px):
         errs = []
         for seed in range(300, 312):
-            seq, truth = shaky_video(seed, count=16, size=(128, 96))
+            seq, truth = shaky_video(seed, count=16, size=size)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # seed 303 sends a RANSAC match to infinity
                 errs.append(path_error(video_trajectory(seq, kind)[1], truth))
         assert np.median(errs) <= median_px and max(errs) <= max_px
+
+
+def tracked_corners(seq, monkeypatch):
+    """The points of every corner _track call (not the refinement's) that a
+    similarity trajectory of ``seq`` makes."""
+    calls = []
+    track = motion._track
+    monkeypatch.setattr(motion, "_track", lambda *a, **k: (
+        len(a) == 5 and calls.append(a[2])) or track(*a, **k))
+    video_trajectory(seq)
+    return np.concatenate(calls)
+
+
+class TestLevelOneCorners:
+    @pytest.mark.parametrize("size", [(161, 121), (640, 360)], ids=["161x121", "640x360"])
+    def test_tracked_windows_inside_level_0(self, size, monkeypatch):
+        seq, _ = shaky_video(90, count=3, size=size)
+        pts = tracked_corners(seq, monkeypatch)
+        w, h = size
+        assert len(pts) >= 2 * 8
+        assert (pts >= 7).all() and (pts[:, 0] + 7 <= w - 1).all() and (pts[:, 1] + 7 <= h - 1).all()
+        # level 0's border would keep every corner 7.5 px or more from an edge
+        clearance = np.minimum(pts, [w - 1, h - 1] - pts).min()
+        assert clearance < 7.5
+
+    def test_corners_are_doubled_level_1_detections(self, monkeypatch):
+        seq, _ = shaky_video(91, count=4, size=(161, 121))
+        pyr = motion._pyramid(seq.frames)
+        assert pyr[1].shape[1:] == (61, 81)
+        want = [2.0 * detect_corners(pyr[1][k], nms_radius=4, border=4) for k in range(3)]
+        assert all(np.array_equal(motion._corners(pyr, k), c) for k, c in enumerate(want))
+        assert np.array_equal(tracked_corners(seq, monkeypatch), np.concatenate(want))
+
+    @pytest.mark.parametrize("size, level_1", [((80, 33), None), ((60, 60), (30, 30)), ((64, 64), (32, 32))],
+                             ids=["no-level-1", "level-1-under-32", "level-1-short-of-corners"])
+    def test_falls_back_to_level_0(self, size, level_1, monkeypatch):
+        frames = textured_frame(0, *size)[None]
+        pyr = motion._pyramid(frames)
+        assert (pyr[1].shape[1:] if len(pyr) > 1 else None) == level_1
+        if level_1 == (32, 32):
+            with pytest.raises(DegenerateScene, match="only"):
+                detect_corners(pyr[1][0], nms_radius=4, border=4)
+        want = oracle_corners(frames[0])
+        planes = []
+        detect = motion.detect_corners
+        monkeypatch.setattr(motion, "detect_corners", lambda luma, **k: planes.append(luma) or detect(luma, **k))
+        assert np.array_equal(motion._corners(pyr, 0), want)
+        assert planes[-1].shape == frames.shape[1:]  # the corners came from level 0
 
 
 class TestTrajectory:
