@@ -10,9 +10,9 @@ frame and C_b = 4 per blur frame.  The default spec (n=32, tau_b=8) gives
 
 No stage makes a float copy of the clip's native-resolution frames.  Flow
 runs on them at native resolution: level 0 of its LK pyramid is the uint8
-frames themselves, and each LK window gathered from it is cast to float64.
+frames themselves, and each LK window gathered from it is cast to float32.
 The frames are resized to 224x224 in runs of _RESIZE_RUN_FRAMES, whose
-gathers are cast likewise, and the semantic and blur stats are taken one
+gathers are cast to float64, and the semantic and blur stats are taken one
 frame at a time from each run's C-ordered (k, 224, 224) stack, so each
 frame's sums run pairwise over its own contiguous plane.  Summed in another
 order (say, across a stack whose fastest axis is time), the semantic means
@@ -231,19 +231,22 @@ def load_feature_cache(path: str | Path, spec: ClipSpec, seed: int, count: int,
     ``videos`` paths in that order.
 
     Raises ParseError on a malformed file and ConfigError when the header
-    names other settings, another row count or other videos.  A header
-    without ``tau``, ``grid``, ``seed`` or ``videos`` (an older cache) is not
-    checked on those keys."""
+    names other settings, another row width (``dim``), another row count or
+    other videos.  A header without ``dim``, ``tau``, ``grid``, ``seed`` or
+    ``videos`` (an older cache) is not checked on those keys."""
     header, blob = load_f32_header(path, "feature cache")
     try:
         fields = {k: header[k] for k in ("c_o", "c_s", "c_b", "n", "n_b", "tau_b", "count")}
     except KeyError as exc:
         raise ParseError(f"bad feature cache header: {exc}") from exc
-    fields.update((k, header[k]) for k in ("tau", "grid", "seed", "videos") if k in header)
+    fields.update((k, header[k]) for k in ("dim", "tau", "grid", "seed", "videos") if k in header)
     if any(type(v) is not int or v < 0 for v in fields.values()):
         raise ParseError(f"feature cache header fields must be non-negative integers: {fields}")
+    dim = fields.pop("dim", spec.dim)  # named only when the keys it follows from match
     want = _cache_header(spec, seed, count, videos)
     differ = [f"{k}={v} (want {want.get(k)})" for k, v in fields.items() if v != want.get(k)]
+    if not differ and dim != spec.dim:
+        differ = [f"dim={dim} (want {spec.dim})"]
     if differ:
         raise ConfigError(f"feature cache does not match the manifest/config: {', '.join(differ)}")
     expect = count * spec.dim * 4

@@ -38,8 +38,9 @@ from . import features as feat
 
 HIDDEN = 128
 _EPS_VAR = 1e-12
-# most clip draws per prediction: every draw holds a seed and a score and
-# copies its clip's frames, so more draws only cost memory and time
+# most clip draws per prediction: every draw holds a seed and a start, while
+# each distinct start copies its clip's frames once (``predict_video``), so
+# the cap bounds the memory and time of the draws themselves
 MAX_N_CLIPS = 100_000
 
 

@@ -6,12 +6,14 @@ run of frames and track every adjacent pair of it in one LK solve
 (``_track``); ``estimate_motion`` runs the same engine on two frames.
 
 Level 0 of every pyramid is the frames as given, uint8 for a decoded video,
-with no float copy; the coarser levels are float64 (``_pyramid``).  Only what
+with no float copy; the coarser levels are float32 (``_pyramid``).  Only what
 is gathered is cast: an LK template and its gradients come from one
-edge-clamped 18x18 gather per point, cast to float64 and lerped to 17x17
-samples at the point's fractional offset, the template the central 15x15 and
-the gradients its central differences (``_templates``).  LK solves run over at
-most _RUN_POINTS points at a time, so their gathers stay small.
+edge-clamped 18x18 gather per point, cast to float32 and lerped to 17x17
+samples at the point's fractional offset (rounded to float32), the template
+the central 15x15 and the gradients its central differences (``_templates``).
+LK solves run over at most _RUN_POINTS points at a time, so their gathers stay
+small.  Positions, steps and fits are float64, and each LK sum over a window
+adds its float32 products in float64.
 
 Homography RANSAC scores its 4-point hypotheses in closed form
 (``_quad_homographies``), with no solve per hypothesis; a sample with a
@@ -176,22 +178,24 @@ _TMPL_TAPS = np.arange(-_LK_WIN - 1, _LK_WIN + 3)  # 18 span a 17-wide lerp: 15 
 def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
     """Per-level (T, h, w) stacks of a (T, H, W) luma stack.  Level 0 is the
     stack itself in its own dtype, uint8 for stored frames (made C-contiguous,
-    never cast).  Each coarser level is a float64 array blurred from the one
-    above in runs of at most _PYR_RUN_FRAMES frames; ``correlate1d`` reads
-    every input line as float64, so a uint8 stack gives the levels of its
-    float64 copy bit for bit."""
+    never cast).  Each coarser level is a float32 array blurred from the one
+    above in runs of at most _PYR_RUN_FRAMES frames, one ``correlate1d`` pass
+    per axis; each pass computes a line in float64 and rounds it to float32
+    once, so a uint8 stack gives the levels of its float64 copy bit for bit.
+    For 8-bit frames nothing rounds: the binomial taps are sixteenths, so a
+    level-2 value is a multiple of 2^-16 below 256, which float32 holds."""
     out = [np.ascontiguousarray(stack)]
     for _ in range(_LK_LEVELS - 1):
         prev = out[-1]
         t, h, w = prev.shape
         if min(h, w) // 2 < 2 * _LK_WIN + 3:
             break
-        level = np.empty((t, (h + 1) // 2, (w + 1) // 2))
+        level = np.empty((t, (h + 1) // 2, (w + 1) // 2), dtype=np.float32)
         for i in range(0, t, _PYR_RUN_FRAMES):
             run = prev[i : i + _PYR_RUN_FRAMES]
             # the row blur acts on each row alone, so it skips the dropped rows
-            rows = ndimage.correlate1d(run, _BINOMIAL5, axis=1, mode="nearest", output=np.float64)
-            blurred = ndimage.correlate1d(rows[:, ::2], _BINOMIAL5, axis=2, mode="nearest")
+            rows = ndimage.correlate1d(run, _BINOMIAL5, axis=1, mode="nearest", output=np.float32)
+            blurred = ndimage.correlate1d(rows[:, ::2], _BINOMIAL5, axis=2, mode="nearest", output=np.float32)
             level[i : i + _PYR_RUN_FRAMES] = blurred[:, :, ::2]
         out.append(level)
     return out
@@ -199,22 +203,23 @@ def _pyramid(stack: np.ndarray) -> list[np.ndarray]:
 
 def _tap_grid(xy: np.ndarray, taps: np.ndarray, w: int, h: int) -> tuple[np.ndarray, ...]:
     """Edge-clamped integer tap columns ix (n, k) and rows iy (n, k) around
-    xy (n, 2), and xy's fractional offsets fx, fy (n,)."""
+    xy (n, 2), and xy's fractional offsets fx, fy (n,) as float32, the dtype
+    ``_lerp`` takes them in."""
     base = np.floor(xy)
-    fx, fy = (xy - base).T
+    fx, fy = (xy - base).T.astype(np.float32)
     # clipped only where every tap already clamps to the same edge pixel
     base = np.clip(base, -_LK_WIN - 2, max(h, w) + _LK_WIN).astype(np.intp)
     return np.clip(base[:, 0:1] + taps, 0, w - 1), np.clip(base[:, 1:2] + taps, 0, h - 1), fx, fy
 
 
 def _gather(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """(n, k-1, k-1) float64 bilinear samples at xy (n, 2) in the planes
+    """(n, k-1, k-1) float32 bilinear samples at xy (n, 2) in the planes
     ``stack[frame]``: one gather of the k x k edge-clamped pixels at ``taps``,
-    cast to float64 and lerped by xy's offset."""
+    cast to float32 and lerped by xy's offset."""
     _, h, w = stack.shape
     ix, iy, fx, fy = _tap_grid(xy, taps, w, h)
     flat = (frame[:, None, None] * h + iy[:, :, None]) * w + ix[:, None, :]
-    return _lerp(stack.ravel().take(flat).astype(np.float64, copy=False), fx, fy)
+    return _lerp(stack.ravel().take(flat).astype(np.float32, copy=False), fx, fy)
 
 
 def _windows(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -235,7 +240,8 @@ def _templates(stack: np.ndarray, frame: np.ndarray, xy: np.ndarray) -> tuple[np
 
 
 def _lerp(p: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """(n, k-1, k-1) bilinear samples of n (k, k) blocks, one offset each."""
+    """(n, k-1, k-1) bilinear samples of n (k, k) blocks, one offset each;
+    float32 blocks and offsets give float32 samples."""
     # a + (b - a) * f, in place to hold fewer temporaries
     rows = p[:, :, 1:] - p[:, :, :-1]
     rows *= fx[:, None, None]
@@ -293,9 +299,9 @@ def _track(
         else:
             tmpl, gxs, gys = _templates(pyr_src[lev], src[rows], p_lev[rows])
         rows0, tmpl0 = rows, tmpl  # after the loop: level 0's, for the residual check
-        gxx = np.sum(gxs * gxs, axis=1)
-        gxy = np.sum(gxs * gys, axis=1)
-        gyy = np.sum(gys * gys, axis=1)
+        gxx = np.sum(gxs * gxs, axis=1, dtype=np.float64)
+        gxy = np.sum(gxs * gys, axis=1, dtype=np.float64)
+        gyy = np.sum(gys * gys, axis=1, dtype=np.float64)
         det = gxx * gyy - gxy * gxy
         keep = det > 1e-9
         ok[rows[~keep]] = False
@@ -310,8 +316,8 @@ def _track(
                 break
             err = _windows(pyr_dst[lev], dst[rows], p_lev[rows] + d_lev[rows])
             err -= tmpl
-            bx = -np.sum(gxs * err, axis=1)
-            by = -np.sum(gys * err, axis=1)
+            bx = -np.sum(gxs * err, axis=1, dtype=np.float64)
+            by = -np.sum(gys * err, axis=1, dtype=np.float64)
             step_x = (gyy * bx - gxy * by) / det
             step_y = (gxx * by - gxy * bx) / det
             d_lev[rows, 0] += step_x
@@ -328,7 +334,7 @@ def _track(
     rows = np.nonzero(ok)[0]
     cur = _windows(pyr_dst[0], dst[rows], new_pts[rows])
     cur -= tmpl0[np.searchsorted(rows0, rows)]  # ok only loses rows after level 0 starts
-    ok[rows] = np.sqrt(np.mean(cur**2, axis=1)) <= _LK_MAX_RESIDUAL
+    ok[rows] = np.sqrt(np.mean(cur**2, axis=1, dtype=np.float64)) <= _LK_MAX_RESIDUAL
     return new_pts, ok
 
 
@@ -450,11 +456,11 @@ def _ransac_similarity(
 
 
 def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Edge-clamped float64 bilinear samples of the planes ``stack[frame]`` at
+    """Edge-clamped float32 bilinear samples of the planes ``stack[frame]`` at
     (x, y), frame broadcast to their shape.  Each sample's upper and lower
     pixel pairs are gathered, cast and lerped along x one row at a time, then
-    lerped along y: ``_lerp``'s arithmetic in its order, with one (m, 2)
-    gather live at a time."""
+    lerped along y, by offsets rounded to float32: ``_lerp``'s arithmetic in
+    its order, with one (m, 2) gather live at a time."""
     _, h, w = stack.shape
     x = np.clip(x, 0.0, w - 1.0)
     y = np.clip(y, 0.0, h - 1.0)
@@ -462,10 +468,10 @@ def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) 
     x0 = np.minimum(x.astype(np.intp), w - 2)
     y0 = np.minimum(y.astype(np.intp), h - 2)
     i = ((frame * h + y0) * w + x0).reshape(-1, 1)
-    fx = (x - x0).ravel()
+    fx = (x - x0).ravel().astype(np.float32)
 
     def row(k: int) -> np.ndarray:  # a + (b - a) * fx of the pair at i + k
-        pair = stack.ravel().take(i + [k, k + 1]).astype(np.float64, copy=False)
+        pair = stack.ravel().take(i + [k, k + 1]).astype(np.float32, copy=False)
         out = pair[:, 1] - pair[:, 0]
         out *= fx
         out += pair[:, 0]
@@ -474,7 +480,7 @@ def _sample(stack: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray) 
     top = row(0)
     win = row(w)
     win -= top
-    win *= (y - y0).ravel()
+    win *= (y - y0).ravel().astype(np.float32)
     win += top
     return win.reshape(x.shape)
 
@@ -765,7 +771,7 @@ def video_trajectory(seq, model_kind: str = "similarity",
 
     Runs of at most _TRAJ_RUN_PAIRS pairs each build one pyramid stack whose
     level 0 is the run's frames as stored, uint8 for a decoded video; only
-    the LK windows and warp samples gathered from it are cast to float64.  A
+    the LK windows and warp samples gathered from it are cast to float32.  A
     run's last frame carries over as the next run's first, so each frame's
     pyramid is made once.  A pair's result equals ``estimate_motion`` on its
     two frames."""

@@ -509,6 +509,23 @@ class TestTrain:
         assert (code, out, err) == (2, "", want)
         assert decoded == [] and not (tmp_path / "m.ckpt").exists()
 
+    def test_cache_of_other_dim_exits_2(self, capsys, workspace, tmp_path, monkeypatch):
+        # a hand-edited header whose row width is not the spec's, with the
+        # rows of the width it names: every other key matches
+        cache = tmp_path / "features.bin"
+        save_feature_cache(cache, np.ones((12, ClipSpec().dim)), ClipSpec(), 0)
+        line, _, _ = cache.read_bytes().partition(b"\n")
+        header = dict(json.loads(line), dim=289)
+        rows = np.ones((12, 289), dtype="<f4")
+        cache.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rows.tobytes())
+        decoded = []
+        monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        code, out, err = run(capsys, "train", str(workspace["manifest"]), "--out",
+                             str(tmp_path / "m.ckpt"), "--cache", str(cache))
+        want = "error: feature cache does not match the manifest/config: dim=289 (want 288)\n"
+        assert (code, out, err) == (2, "", want)
+        assert decoded == [] and not (tmp_path / "m.ckpt").exists()
+
     def test_cache_of_other_videos_exits_2(self, capsys, workspace, tmp_path, monkeypatch):
         # the same row count in another order: each label would meet another
         # video's features, so the header's digest of the paths must differ

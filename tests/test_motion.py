@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -128,21 +129,23 @@ def loop_ransac_homography(p0, p1, samples, inlier_px):
     return best_row, best_inl, h
 
 
-def oracle_pyramid(img, levels=3):
-    """Reference per-frame pyramid of the sampled-tap LK below."""
+def oracle_pyramid(img, levels=3, dtype=np.float64):
+    """Reference per-frame pyramid of the sampled-tap LK below; each blur of
+    a coarser level rounds to ``dtype``."""
     out = [img.astype(np.float64)]
     for _ in range(levels - 1):
         prev = out[-1]
         if min(prev.shape) // 2 < 2 * 7 + 3:
             break
-        blurred = ndimage.correlate1d(prev, motion._BINOMIAL5, axis=0, mode="nearest")
-        blurred = ndimage.correlate1d(blurred, motion._BINOMIAL5, axis=1, mode="nearest")
+        blurred = ndimage.correlate1d(prev, motion._BINOMIAL5, axis=0, mode="nearest", output=dtype)
+        blurred = ndimage.correlate1d(blurred, motion._BINOMIAL5, axis=1, mode="nearest", output=dtype)
         out.append(blurred[::2, ::2])
     return out
 
 
-def oracle_sample(img, xs, ys):
-    """Reference bilinear gather: every tap clipped, cast and gathered alone."""
+def oracle_sample(img, xs, ys, dtype=np.float64):
+    """Reference bilinear gather: every tap clipped, cast to ``dtype`` and
+    gathered alone, and lerped in ``dtype``."""
     h, w = img.shape
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -150,9 +153,9 @@ def oracle_sample(img, xs, ys):
     y0 = ys.astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    flat = img.ravel()
+    fx = (xs - x0).astype(dtype)
+    fy = (ys - y0).astype(dtype)
+    flat = img.ravel().astype(dtype)
     i00 = flat[y0 * w + x0]
     i01 = flat[y0 * w + x1]
     i10 = flat[y1 * w + x0]
@@ -167,13 +170,17 @@ WIN_X = np.tile(WIN_OFF, 15)
 WIN_Y = np.repeat(WIN_OFF, 15)
 
 
-def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_residual=25.0):
+def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_residual=25.0,
+                        dtype=np.float64):
     """Reference pyramidal LK of one frame pair, sampling all 225 taps of a
-    window independently; returns (new_pts, ok)."""
+    window independently; returns (new_pts, ok).  Pyramid levels and samples
+    are ``dtype``; sums, steps and positions are float64."""
     n = len(pts)
     h, w = prev.shape
-    pyr_p = oracle_pyramid(prev, levels)
-    pyr_n = oracle_pyramid(nxt, levels)
+    pyr_p = oracle_pyramid(prev, levels, dtype)
+    pyr_n = oracle_pyramid(nxt, levels, dtype)
+    sample = partial(oracle_sample, dtype=dtype)
+    dot = partial(np.sum, axis=1, dtype=np.float64)
 
     def win_inside(p):
         return (p[:, 0] - 7 >= 0) & (p[:, 0] + 7 <= w - 1) & (p[:, 1] - 7 >= 0) & (
@@ -189,13 +196,13 @@ def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_res
         d_lev = d / scale
         tx = p_lev[:, 0:1] + WIN_X[None, :]
         ty = p_lev[:, 1:2] + WIN_Y[None, :]
-        tmpl = oracle_sample(p_img, tx, ty)
+        tmpl = sample(p_img, tx, ty)
         # central differences of samples one tap away, each sampled alone
-        gxs = (oracle_sample(p_img, tx + 1.0, ty) - oracle_sample(p_img, tx - 1.0, ty)) / 2.0
-        gys = (oracle_sample(p_img, tx, ty + 1.0) - oracle_sample(p_img, tx, ty - 1.0)) / 2.0
-        gxx = np.sum(gxs * gxs, axis=1)
-        gxy = np.sum(gxs * gys, axis=1)
-        gyy = np.sum(gys * gys, axis=1)
+        gxs = (sample(p_img, tx + 1.0, ty) - sample(p_img, tx - 1.0, ty)) / 2.0
+        gys = (sample(p_img, tx, ty + 1.0) - sample(p_img, tx, ty - 1.0)) / 2.0
+        gxx = dot(gxs * gxs)
+        gxy = dot(gxs * gys)
+        gyy = dot(gys * gys)
         det = gxx * gyy - gxy * gxy
         trackable = det > 1e-9
         ok &= trackable
@@ -205,10 +212,10 @@ def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_res
         for _ in range(max_iter):
             if len(rows) == 0:
                 break
-            cur = oracle_sample(n_img, tx[rows] + d_lev[rows, 0:1], ty[rows] + d_lev[rows, 1:2])
+            cur = sample(n_img, tx[rows] + d_lev[rows, 0:1], ty[rows] + d_lev[rows, 1:2])
             err = cur - tmpl[rows]
-            bx = -np.sum(gxs[rows] * err, axis=1)
-            by = -np.sum(gys[rows] * err, axis=1)
+            bx = -dot(gxs[rows] * err)
+            by = -dot(gys[rows] * err)
             step_x = (gyy[rows] * bx - gxy[rows] * by) / det[rows]
             step_y = (gxx[rows] * by - gxy[rows] * bx) / det[rows]
             d_lev[rows, 0] += step_x
@@ -217,9 +224,9 @@ def oracle_track_points(prev, nxt, pts, levels=3, max_iter=30, eps=0.01, max_res
             converged[rows[done]] = True
             rows = rows[~done]
         d = d_lev * scale
-    cur = oracle_sample(pyr_n[0], pts[:, 0:1] + d[:, 0:1] + WIN_X, pts[:, 1:2] + d[:, 1:2] + WIN_Y)
-    tmpl0 = oracle_sample(pyr_p[0], pts[:, 0:1] + WIN_X, pts[:, 1:2] + WIN_Y)
-    resid = np.sqrt(np.mean((cur - tmpl0) ** 2, axis=1))
+    cur = sample(pyr_n[0], pts[:, 0:1] + d[:, 0:1] + WIN_X, pts[:, 1:2] + d[:, 1:2] + WIN_Y)
+    tmpl0 = sample(pyr_p[0], pts[:, 0:1] + WIN_X, pts[:, 1:2] + WIN_Y)
+    resid = np.sqrt(np.mean((cur - tmpl0) ** 2, axis=1, dtype=np.float64))
     new_pts = pts + d
     ok &= converged & win_inside(new_pts) & (resid <= max_residual)
     return new_pts, ok
@@ -569,9 +576,16 @@ class TestGridFlow:
 
 # The engine lerps one 16x16 gather per window (18x18 per template, whose
 # gradients are central differences of the lerped samples) with a single
-# fractional offset, where the oracle rounds each tap's position on its own;
-# the worst difference measured on these inputs is 1.3e-13 px.
+# fractional offset, where the oracle rounds each tap's position on its own.
+# Against the oracle in the engine's own precision the worst difference
+# measured on these inputs was 1.3e-13 px while both were float64, and is 0
+# with both in float32.
 LK_TOL_PX = 1e-9
+# The engine's pyramid levels and samples are float32, so the float64 oracle
+# differs by the rounding of the lerp offsets and of the samples, which LK
+# amplifies; the worst measured on these inputs is 1.5e-6 px (edge points,
+# seed 1).
+LK_F32_TOL_PX = 5e-6
 
 
 def shaky_lumas(seed, count=6, size=(128, 96)):
@@ -584,10 +598,11 @@ def engine_pair(prev, nxt, pts):
 
 
 def assert_matches_oracle(prev, nxt, pts):
-    want, ok = oracle_track_points(prev, nxt, pts)
     got, ok_got = engine_pair(prev, nxt, pts)
-    assert np.array_equal(ok_got, ok)
-    assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= LK_TOL_PX
+    for dtype, tol in ((np.float64, LK_F32_TOL_PX), (np.float32, LK_TOL_PX)):
+        want, ok = oracle_track_points(prev, nxt, pts, dtype=dtype)
+        assert np.array_equal(ok_got, ok)
+        assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= tol
     return ok
 
 
@@ -602,14 +617,17 @@ class TestUint8Pyramid:
         assert len(frames) % motion._PYR_RUN_FRAMES
         got = motion._pyramid(frames)
         want = motion._pyramid(frames.astype(np.float64))
-        per_frame = [oracle_pyramid(f) for f in frames]
+        per_frame = [oracle_pyramid(f, dtype=np.float32) for f in frames]
+        exact = [oracle_pyramid(f) for f in frames]
         assert got[0] is frames  # level 0 is the frames: not copied, not cast
         assert len(got) == len(want) == motion._LK_LEVELS
         for lev, (a, b) in enumerate(zip(got, want)):
             assert a.flags.c_contiguous and a.shape == b.shape
-            assert a.astype(np.float64).tobytes() == b.tobytes()
+            assert a.astype(b.dtype).tobytes() == b.tobytes()
             assert b.tobytes() == np.stack([p[lev] for p in per_frame]).tobytes()
-            assert lev == 0 or a.dtype == np.float64
+            assert lev == 0 or a.dtype == b.dtype == np.float32
+            # 8-bit levels are multiples of 2^-16 below 256: float32 rounds none
+            assert np.array_equal(a, np.stack([p[lev] for p in exact]))
 
     def test_uint8_gathers_equal_the_float_copy(self):
         frames = np.stack([textured_frame(4, 32, 24), textured_frame(5, 32, 24)])
@@ -617,7 +635,7 @@ class TestUint8Pyramid:
         frame = np.arange(len(xy)) % 2
         as_float = frames.astype(np.float64)
         got, want = motion._templates(frames, frame, xy), motion._templates(as_float, frame, xy)
-        assert all(a.dtype == np.float64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
         x, y = xy[:, 0] * 0.9 + 1.3, xy[:, 1] * 1.1 - 0.7
         assert motion._sample(frames, frame, x, y).tobytes() == motion._sample(as_float, frame, x, y).tobytes()
 
@@ -627,8 +645,8 @@ class TestLkEngine:
         plane = textured_plane(4, 32, 24)
         xy = np.array([(x, y) for x in EDGE_XS for y in EDGE_YS])
         got = motion._windows(plane[None], np.zeros(len(xy), dtype=np.intp), xy)
-        want = oracle_sample(plane, xy[:, 0:1] + WIN_X, xy[:, 1:2] + WIN_Y)
-        assert np.abs(got - want).max() <= 1e-9
+        want = oracle_sample(plane, xy[:, 0:1] + WIN_X, xy[:, 1:2] + WIN_Y, np.float32)
+        assert got.dtype == np.float32 and np.array_equal(got, want)
 
     def test_templates_are_windows_and_tap_differences(self):
         planes = np.stack([textured_plane(4, 32, 24), textured_plane(5, 32, 24)])
@@ -639,10 +657,10 @@ class TestLkEngine:
         assert np.array_equal(tmpl, motion._windows(planes, frame, xy))
         for k, plane in enumerate(planes):
             tx, ty = xy[frame == k, 0:1] + WIN_X, xy[frame == k, 1:2] + WIN_Y
-            want_x = (oracle_sample(plane, tx + 1.0, ty) - oracle_sample(plane, tx - 1.0, ty)) / 2.0
-            want_y = (oracle_sample(plane, tx, ty + 1.0) - oracle_sample(plane, tx, ty - 1.0)) / 2.0
-            assert np.abs(gx[frame == k] - want_x).max() <= 1e-9
-            assert np.abs(gy[frame == k] - want_y).max() <= 1e-9
+            sample = partial(oracle_sample, plane, dtype=np.float32)
+            want_x = (sample(tx + 1.0, ty) - sample(tx - 1.0, ty)) / 2.0
+            want_y = (sample(tx, ty + 1.0) - sample(tx, ty - 1.0)) / 2.0
+            assert np.array_equal(gx[frame == k], want_x) and np.array_equal(gy[frame == k], want_y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_corners_match_oracle(self, seed):
@@ -678,9 +696,10 @@ class TestLkEngine:
         lumas = shaky_lumas(30, count=6)
         pts, disp, ok = motion._grid_track(lumas, 8)
         for t in range(len(lumas) - 1):
-            want, ok_want = oracle_track_points(lumas[t], lumas[t + 1], pts)
-            assert np.array_equal(ok[t], ok_want)
-            assert np.abs(disp[t][ok_want] - (want - pts)[ok_want]).max() <= LK_TOL_PX
+            for dtype, tol in ((np.float64, LK_F32_TOL_PX), (np.float32, LK_TOL_PX)):
+                want, ok_want = oracle_track_points(lumas[t], lumas[t + 1], pts, dtype=dtype)
+                assert np.array_equal(ok[t], ok_want)
+                assert np.abs(disp[t][ok_want] - (want - pts)[ok_want]).max() <= tol
         assert ok.mean() > 0.5
 
     def test_sequence_is_independent_of_batch(self):
@@ -906,13 +925,14 @@ class TestVideoTrajectory:
     # translation: 99.9 / 48.5 / 48.5 MB when each 17-frame run was copied to
     # float64 and LK solved 2048 points at a time; 25.3 / 12.3 / 12.3 MB with
     # uint8 level-0 planes and 512-point solves; 20.0 MB for similarity once
-    # _sample lerps one pixel pair per row instead of gathering 2x2 blocks.
-    # A float64 copy of one run is 10.4 MB, so converting the runs again
-    # breaks every bound.  The similarity peak is the refinement's 512-point
-    # warp gathers, which do not grow with the frame size; its bound is that
-    # peak plus 2 MB, below the 25.3 MB of the block gathers.
+    # _sample lerps one pixel pair per row instead of gathering 2x2 blocks;
+    # 15.8 / 7.0 / 6.8 MB once the coarser pyramid levels and every gather
+    # are float32.  A float64 copy of one run is 10.4 MB, so converting the
+    # runs again breaks every bound.  The similarity peak is the refinement's
+    # 512-point warp gathers, which do not grow with the frame size.  Each
+    # bound is its peak plus 2 MB.
     @pytest.mark.parametrize("kind, bound_mb", [
-        ("similarity", 22.0), ("homography", 16.0), ("translation", 16.0),
+        ("similarity", 18.0), ("homography", 9.0), ("translation", 9.0),
     ])
     def test_traced_peak_stays_below_bound(self, video_320, kind, bound_mb):
         tracemalloc.start()
@@ -1006,6 +1026,59 @@ class TestLevelOneCorners:
         monkeypatch.setattr(motion, "detect_corners", lambda luma, **k: planes.append(luma) or detect(luma, **k))
         assert np.array_equal(motion._corners(pyr, 0), want)
         assert planes[-1].shape == frames.shape[1:]  # the corners came from level 0
+
+
+def refine_templates(lumas, pts, a, t, monkeypatch):
+    """The warped templates (tmpl, gx, gy) that ``_refine_track`` hands to
+    ``_track`` for corners pts of frame 0 under the model z -> a z + t, and
+    its (zw, z1, ok)."""
+    seen = []
+    track = motion._track
+    src = np.zeros(len(pts), dtype=np.intp)
+    with monkeypatch.context() as m:
+        m.setattr(motion, "_track", lambda *args: seen.append(args[5]) or track(*args))
+        out = motion._refine_track(lumas, src, pts[:, 0] + 1j * pts[:, 1],
+                                   np.full(len(pts), a, dtype=complex), np.full(len(pts), t, dtype=complex))
+    return seen[0], out
+
+
+class TestFloat32Engine:
+    # numpy 1.24 casts a float64 scalar against a float32 array by value and
+    # numpy 2 by type (NEP 50), so a stray up- or downcast shows on only one
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_engine_computes_in_float32(self, dtype, monkeypatch):
+        lumas = np.stack([textured_frame(7, 160, 120), textured_frame(8, 160, 120)]).astype(dtype)
+        pyr = motion._pyramid(lumas)
+        assert pyr[0].dtype == dtype and [lev.dtype for lev in pyr[1:]] == [np.float32] * 2
+        pts = motion._corners(pyr, 0)
+        frame = np.zeros(len(pts), dtype=np.intp)
+        assert motion._windows(lumas, frame, pts).dtype == np.float32
+        assert [g.dtype for g in motion._templates(pyr[1], frame, pts / 2)] == [np.float32] * 3
+        assert motion._sample(lumas, frame, pts[:, 0] + 0.3, pts[:, 1]).dtype == np.float32
+        warped, (zw, z1, _) = refine_templates(lumas, pts, 1.01 * np.exp(0.02j), 0.4 - 0.3j, monkeypatch)
+        assert [g.dtype for g in warped] == [np.float32] * 3
+        assert zw.dtype == z1.dtype == np.complex128
+        new_pts, ok = motion._track(pyr, pyr, pts, frame, frame + 1)
+        assert new_pts.dtype == np.float64 and ok.any()
+
+    @pytest.mark.parametrize("kind", ["translation", "similarity", "homography"])
+    def test_identical_frames_give_exactly_zero_motion(self, kind):
+        seq = FrameSequence(np.stack([textured_frame(7, 160, 120)] * 5))
+        _, params = video_trajectory(seq, kind)
+        for mp in params:
+            if kind == "homography":  # the DLT refit leaves rounding noise
+                assert max(abs(mp.dx), abs(mp.dy), abs(mp.theta), abs(mp.scale - 1.0)) <= 1e-9
+            else:
+                assert mp.dx == 0.0 and mp.dy == 0.0 and abs(mp.theta) <= 1e-15
+
+    def test_identity_warp_templates_are_windows(self, monkeypatch):
+        # the refinement lerps its templates as _windows lerps the frame, so
+        # an unmoved frame leaves every residual, and every LK step, exactly 0
+        lumas = np.stack([textured_frame(7, 160, 120)] * 2)
+        pts = motion._corners(motion._pyramid(lumas), 0)
+        warped, (zw, z1, ok) = refine_templates(lumas, pts, 1.0, 0.0, monkeypatch)
+        assert np.array_equal(warped[0], motion._windows(lumas, np.zeros(len(pts), dtype=np.intp), pts))
+        assert ok.all() and np.array_equal(z1, zw)
 
 
 class TestTrajectory:
