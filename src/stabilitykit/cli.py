@@ -3,7 +3,8 @@
 Subcommands: score, trajectory, train, eval, mos, synth.  Every command is
 deterministic for a fixed config and seed; report floats are serialized with
 6 significant digits so reruns are byte-identical.  The exit codes are
-listed in ``stabilitykit.errors``.
+listed in ``stabilitykit.errors``.  ``score`` takes its clip settings (n, tau,
+grid, tau_b) from the checkpoint, where ``train`` wrote them.
 
 Importing this module loads numpy, ``scipy.ndimage`` and every module the
 video path runs, but not ``scipy.optimize``: only ``eval``, and ``train``
@@ -18,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import model as model_mod
 from . import mos as mos_mod
 from . import synth as synth_mod
 from .classic import itf, stability_score
-from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingModel, ParseError, StabilityKitError
+from .errors import ConfigError, DimensionMismatch, EmptyInput, ParseError, StabilityKitError
 from .evaluation import evaluate
 from .media import clip_span, csv_rows, load_frame_dir, load_y4m, sample_clip
 from .motion import save_trajectory_csv, video_trajectory
@@ -120,7 +121,7 @@ _HEAD = model_mod.TrainConfig()
 # Each command's settings and their defaults, in the order they are checked.
 # Every key is a --config key; the ones with a flag are named alike.
 SETTINGS = {
-    "score": {"seed": 0, "model": "", "n_clips": 4, **_CLIP_DEFAULTS},
+    "score": {"seed": 0, "model": "", "n_clips": 4},
     "trajectory": {"seed": 0, "model_kind": "similarity"},
     "train": {"seed": 0, **_CLIP_DEFAULTS, "lambda": _HEAD.lambda_rank, "epochs": _HEAD.epochs,
               "batch_size": _HEAD.batch_size, "lr_head": _HEAD.lr_head, "val_frac": 0.2},
@@ -136,30 +137,19 @@ SETTINGS = {
 # ---------------------------------------------------------------------------
 
 
-def _score_model(model_path: str, spec: feat.ClipSpec) -> model_mod.ModelParams:
-    """The checkpoint of ``score --model``, checked against the clip spec,
-    before the video is decoded."""
-    if not Path(model_path).is_file():
-        raise MissingModel(f"model checkpoint not found: {model_path}")
-    params = model_mod.load_checkpoint(model_path)
-    if spec.dim != params.input_dim:
-        raise DimensionMismatch(f"the clip options give {spec.dim} features, the model takes {params.input_dim}")
-    return params
-
-
 def cmd_score(args) -> int:
     s = _settings(args, SETTINGS["score"])
     if s["n_clips"] < 1:
         raise ConfigError(f"n_clips must be a positive integer, got {s['n_clips']!r}")
     if s["n_clips"] > model_mod.MAX_N_CLIPS:  # its draws are allocated at once
         raise ConfigError(f"n_clips must be at most {model_mod.MAX_N_CLIPS}, got {s['n_clips']!r}")
-    # the clip spec comes before any decoding: a bad value would otherwise
-    # surface only after the first video is decoded, or the whole trajectory
-    spec = feat.ClipSpec(**{k: s[k] for k in _CLIP_DEFAULTS})
-    params = _score_model(s["model"], spec) if s["model"] else None
+    params = model_mod.load_checkpoint(s["model"]) if s["model"] else None
+    if params is not None and params.spec.dim != params.input_dim:  # before the video is decoded
+        raise DimensionMismatch(f"the checkpoint's clip spec {params.spec} gives {params.spec.dim} "
+                                f"features, the model takes {params.input_dim}")
     seq = _load_video(args.video)
     if params is not None:  # the clip span, before ITF and the trajectory
-        clip_span(spec.n, spec.tau, len(seq))
+        clip_span(params.spec.n, params.spec.tau, len(seq))
     itf_res = itf(seq)
     traj, _ = video_trajectory(seq, "similarity", s["seed"])
     stab = stability_score(traj)
@@ -168,8 +158,7 @@ def cmd_score(args) -> int:
         "stability": dict(stab.component_scores, score=stab.score),
     }
     if params is not None:
-        report["prediction"] = model_mod.predict_video(params, seq, spec, n_clips=s["n_clips"],
-                                                       seed=s["seed"])
+        report["prediction"] = model_mod.predict_video(params, seq, n_clips=s["n_clips"], seed=s["seed"])
     _emit(report, args.out)
     return 0
 
@@ -224,7 +213,7 @@ def cmd_train(args) -> int:
     val = (matrix[val_idx], y[val_idx]) if n_val else None
 
     params, logs = model_mod.train(matrix[train_idx], y[train_idx], tc, val)
-    model_mod.save_checkpoint(params, args.out, tc)
+    model_mod.save_checkpoint(replace(params, spec=spec), args.out, tc)
     if args.log:
         model_mod.save_training_log(logs, args.log)
 
@@ -308,12 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in SETTINGS[command]:
             p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
-    p = sub.add_parser("score", help="ITF, Stability Score, and optional model prediction")
+    # no abbreviations: train's --n would pass as --n-clips
+    p = sub.add_parser("score", help="ITF, Stability Score, and optional model prediction", allow_abbrev=False)
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
-    p.add_argument("--model", help="model checkpoint for the learned score")
+    p.add_argument("--model", help="model checkpoint for the learned score; it holds the clip settings")
     p.add_argument("--n-clips", dest="n_clips", type=int)
-    for name in _CLIP_DEFAULTS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
     p.add_argument("--out", help="also write the JSON report here")
     settings(p, "score")
     p.set_defaults(func=cmd_score)

@@ -56,7 +56,7 @@ class ClipSpec:
     def __post_init__(self):
         clip_span(self.n, self.tau)
         check_grid(self.grid)
-        blur_indices(self.n, self.tau_b)
+        _check_tau_b(self.n, self.tau_b)  # not blur_indices: a header's n may be huge
 
     @property
     def n_b(self) -> int:
@@ -163,9 +163,13 @@ def _blur_frame(luma: np.ndarray, grad_mean: float) -> np.ndarray:
     )
 
 
-def blur_indices(n: int, tau_b: int) -> list[int]:
+def _check_tau_b(n: int, tau_b: int) -> None:
     if tau_b < 1 or n % tau_b != 0:
         raise ConfigError(f"tau_b={tau_b} must divide the clip length n={n}")
+
+
+def blur_indices(n: int, tau_b: int) -> list[int]:
+    _check_tau_b(n, tau_b)
     return [k * tau_b - 1 for k in range(1, n // tau_b + 1)]
 
 

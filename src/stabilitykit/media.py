@@ -5,10 +5,10 @@ text decoding of CSV inputs.
 Frames are ``(H, W)`` uint8 luma planes throughout the toolkit: every
 stage (ITF, trajectories, flow, semantic and blur features) reads
 intensity only, and reads it as uint8 until it gathers: a motion
-pyramid's level 0 is the frames themselves, and each LK window, warp
-sample and resize gather casts only the block it reads to float64.  A Y4M
-stream gives its Y planes, with chroma checked for length and skipped; a
-PPM frame is converted by the Rec.601 luma rule.
+pyramid's level 0 is the frames themselves, each LK window and warp
+sample casts only its block to float32, and each resize gather to
+float64.  A Y4M stream gives its Y planes, with chroma checked for
+length and skipped; a PPM frame is converted by the Rec.601 luma rule.
 Only uncompressed sources are supported (YUV4MPEG2 streams and
 directories of binary PPM/PGM files); anything compressed is expected to
 be converted up front, e.g. with ffmpeg.

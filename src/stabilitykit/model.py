@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     InsufficientData,
+    MissingModel,
     ParseError,
     TruncatedError,
 )
@@ -53,6 +54,7 @@ class ModelParams:
     input_dim: int
     norm_mean: np.ndarray
     norm_std: np.ndarray
+    spec: feat.ClipSpec | None = None  # of its features; None when fitted on a bare matrix
 
 
 @dataclass
@@ -317,10 +319,9 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def predict_video(params: ModelParams, seq: FrameSequence, spec: feat.ClipSpec, n_clips: int,
-                  seed: int) -> float:
+def predict_video(params: ModelParams, seq: FrameSequence, n_clips: int, seed: int) -> float:
     """Mean prediction over ``n_clips`` clips sampled and featurized as
-    ``spec`` says, their starts drawn from ``seed``.
+    ``params.spec`` says, their starts drawn from ``seed``.
 
     Clips that start at the same frame are the same clip: each distinct
     start is copied, featurized and scored once, and its score enters the
@@ -328,12 +329,12 @@ def predict_video(params: ModelParams, seq: FrameSequence, spec: feat.ClipSpec, 
     if not 1 <= n_clips <= MAX_N_CLIPS:
         raise ConfigError(f"n_clips must be in [1, {MAX_N_CLIPS}], got {n_clips}")
     clip_seeds = np.random.default_rng(seed).integers(0, 2**31, size=n_clips)
-    starts = [clip_start(len(seq), spec.n, spec.tau, int(s)) for s in clip_seeds]
+    starts = [clip_start(len(seq), params.spec.n, params.spec.tau, int(s)) for s in clip_seeds]
     by_start = {}
     for start in starts:
         if start not in by_start:
-            clip = clip_at(seq, start, spec.n, spec.tau)
-            by_start[start] = mlp_forward(params, feat.clip_features(clip, spec))
+            clip = clip_at(seq, start, params.spec.n, params.spec.tau)
+            by_start[start] = mlp_forward(params, feat.clip_features(clip, params.spec))
     return float(np.mean([by_start[start] for start in starts]))
 
 
@@ -354,7 +355,7 @@ def config_hash(cfg: TrainConfig | dict | None) -> str:
 def save_checkpoint(
     params: ModelParams, path: str | Path, cfg: TrainConfig | dict | None = None
 ) -> None:
-    """JSON header line (dims, norm stats, config hash) + f32 weight blob."""
+    """JSON header line (dims, norm stats, config hash, any clip spec) + f32 weight blob."""
     header = {
         "format": _CKPT_FORMAT,
         "input_dim": params.input_dim,
@@ -362,11 +363,14 @@ def save_checkpoint(
         "norm_mean": [float(v) for v in params.norm_mean],
         "norm_std": [float(v) for v in params.norm_std],
         "config_hash": config_hash(cfg),
+        **({} if params.spec is None else asdict(params.spec)),
     }
     save_f32(path, header, _flat(params))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    if not Path(path).is_file():
+        raise MissingModel(f"model checkpoint not found: {path}")
     header, data = load_f32_header(path, "checkpoint")
     if header.get("format") != _CKPT_FORMAT:
         raise ParseError(f"unknown checkpoint format {header.get('format')!r}")
@@ -389,6 +393,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise ParseError("checkpoint norm stats hold non-finite values")
     if not (norm_std > 0).all():
         raise ParseError("checkpoint norm_std must be positive")
+    # the clip spec: four JSON ints in range, or none for the default older checkpoints assumed
+    keys = {k: header[k] for k in asdict(feat.ClipSpec()) if k in header}
+    if keys and (len(keys) < 4 or any(type(v) is not int for v in keys.values())):
+        raise ParseError(f"checkpoint clip spec must be four integers, got {keys}")
     need = hid * d + hid + hid + 1
     have = len(data) // 4
     if have < need:
@@ -397,12 +405,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     # checked before the cast: casting a signalling NaN to float64 warns
     if not np.isfinite(blob).all():
         raise ParseError("checkpoint weights hold non-finite values")
-    blob = blob.astype(np.float64)
-    w1 = blob[: hid * d].reshape(hid, d)
-    b1 = blob[hid * d : hid * d + hid]
-    w2 = blob[hid * d + hid : hid * d + 2 * hid]
-    b2 = float(blob[-1])
-    return ModelParams(w1, b1, w2, b2, d, norm_mean, norm_std)
+    params = ModelParams(np.empty((hid, d)), None, None, None, d, norm_mean, norm_std, feat.ClipSpec(**keys))
+    return replace(_on_flat(params, blob.astype(np.float64)), b2=float(blob[-1]))
 
 
 def save_training_log(logs: list[EpochLog], path: str | Path) -> None:

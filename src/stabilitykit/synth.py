@@ -240,6 +240,8 @@ def _random_spec(rng: np.random.Generator, amplitude: float, length: int) -> Sha
 
 DEFAULT_LADDER = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
 N_BASES = 13  # size of the shared base pool of a dataset
+MAX_SIDE = 1920  # px: the longer side of a 1080p frame
+MAX_LENGTH = 9000  # frames: five minutes at 30 fps
 
 
 def base_pool(
@@ -282,6 +284,8 @@ def iter_dataset(
     """
     if count < 10:
         raise ConfigError("a dataset needs at least 10 videos")
+    if max(frame_size) > MAX_SIDE or length > MAX_LENGTH:  # checked before any allocation
+        raise ConfigError(f"need sides <= {MAX_SIDE} px and length <= {MAX_LENGTH}, got {frame_size}, {length}")
     ladder = list(amplitude_ladder if amplitude_ladder is not None else DEFAULT_LADDER)
     if not ladder or not all(0 <= a <= min(frame_size) for a in ladder):
         raise ConfigError(

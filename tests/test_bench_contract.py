@@ -1,7 +1,7 @@
 """What the benchmark under ``bench/`` needs of the program: every name its
-tracer patches resolves, and the warm feature cache its generator writes
-loads with the default clip spec.  ``pytest bench`` checks more, but these
-checks run with the tier-1 tests."""
+tracer patches resolves, and the warm feature cache and the checkpoint its
+generator writes load with the default clip spec.  ``pytest bench`` checks
+more, but these checks run with the tier-1 tests."""
 
 import importlib.util
 from pathlib import Path
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stabilitykit import features as feat
+from stabilitykit import model
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,3 +48,11 @@ def test_warm_cache_loads_with_the_default_spec(tmp_path):
     assert gen.FEATURE_DIM == spec.dim
     matrix = feat.load_feature_cache(cache, spec, 0, 40)
     assert matrix.shape == (40, spec.dim) and np.isfinite(matrix).all()
+
+
+def test_checkpoint_loads_with_the_default_spec(tmp_path):
+    # its header has no spec keys, as every checkpoint written before them
+    ckpt = tmp_path / "model.ckpt"
+    bench_module("gen").write_checkpoint(ckpt)
+    params = model.load_checkpoint(ckpt)
+    assert params.spec == feat.ClipSpec() and params.input_dim == params.spec.dim

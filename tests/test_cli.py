@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import csv_bytes, shaky_video
 from stabilitykit import cli, errors
+from stabilitykit import features as feat
 from stabilitykit import model as model_mod
 from stabilitykit.evaluation import evaluate
 from stabilitykit.features import ClipSpec, save_feature_cache
-from stabilitykit.media import FrameSequence, save_y4m
+from stabilitykit.media import FrameSequence, load_y4m, save_y4m
 from stabilitykit.synth import iter_dataset, write_dataset
 
 
@@ -52,6 +54,18 @@ def fresh_cli(*argv):
     loaded = out.stderr.splitlines()[-1] if out.stderr else ""
     assert loaded in ("True", "False"), out.stderr
     return out.returncode, out.stdout, loaded == "True"
+
+
+def spec_checkpoint(path, dim=288, drop=(), **raw):
+    """A checkpoint of an untrained ``dim``-input head whose header holds the
+    default clip spec's keys, with the JSON text in ``raw`` in place of their
+    values and those in ``drop`` left out, as a hand edit would leave them."""
+    model_mod.save_checkpoint(model_mod.init_params(dim, seed=0), path)
+    line, blob = path.read_bytes().split(b"\n", 1)
+    keys = {k: str(v) for k, v in asdict(ClipSpec()).items()} | raw
+    text = "".join(f', "{k}": {v}' for k, v in keys.items() if k not in drop)
+    path.write_bytes(line[:-1] + text.encode() + b"}\n" + blob)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -110,47 +124,94 @@ class TestScore:
         code, _, err = run(capsys, "score", str(path))
         assert code == 4 and "no texture: flat corner response" in err
 
-    @pytest.mark.parametrize("argv, name", [
-        pytest.param(["--n-clips", "0"], "n_clips", id="0"),
-        pytest.param(["--n-clips", "-2"], "n_clips", id="-2"),
-        pytest.param(["--n", "1"], "n >= 2", id="n-1"),
-        pytest.param(["--tau", "0"], "tau >= 1", id="tau-0"),
-        pytest.param(["--grid", "3"], "grid", id="grid-3"),
-        pytest.param(["--grid", "33"], "grid", id="grid-33"),
-        pytest.param(["--tau-b", "3"], "tau_b", id="tau-b-3"),
-        pytest.param(["--n", "16"], "the model takes 288", id="dim-of-n-16"),
-        pytest.param(["--n-clips", "0", "--grid", "3"], "n_clips", id="n-clips-before-grid"),
+    @pytest.mark.parametrize("argv, raw, message", [
+        pytest.param(["--n-clips", "0"], {}, "n_clips must be a positive integer, got 0", id="0"),
+        pytest.param(["--n-clips", "-2"], {}, "n_clips must be a positive integer, got -2", id="-2"),
+        # the header's spec: ClipSpec's own range checks
+        pytest.param([], {"n": "1"}, "need n >= 2 and tau >= 1, got n=1, tau=2", id="n-1"),
+        pytest.param([], {"tau": "0"}, "need n >= 2 and tau >= 1, got n=32, tau=0", id="tau-0"),
+        pytest.param([], {"grid": "3"}, "grid must be in [4, 32], got 3", id="grid-3"),
+        pytest.param([], {"grid": "33"}, "grid must be in [4, 32], got 33", id="grid-33"),
+        pytest.param([], {"tau_b": "3"}, "tau_b=3 must divide the clip length n=32", id="tau-b-3"),
+        # a 288-d head whose header says n 16: both figures and the spec named
+        pytest.param([], {"n": "16"}, "the checkpoint's clip spec ClipSpec(n=16, tau=2, grid=8, "
+                     "tau_b=8) gives 152 features, the model takes 288", id="dim-of-n-16"),
+        pytest.param([], {"n": "1000000000000", "tau_b": "1"},
+                     "the checkpoint's clip spec ClipSpec(n=1000000000000, tau=2, grid=8, tau_b=1) "
+                     "gives 12000000000016 features, the model takes 288", id="dim-of-n-1e12"),
+        pytest.param(["--n-clips", "0"], {"grid": "3"}, "n_clips must be a positive integer, got 0",
+                     id="n-clips-before-grid"),
     ])
     def test_no_clips_exits_2_before_decoding(self, capsys, workspace, tmp_path,
-                                              monkeypatch, argv, name):
-        ckpt = tmp_path / "model.ckpt"
-        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), ckpt)
+                                              monkeypatch, argv, raw, message):
+        ckpt = spec_checkpoint(tmp_path / "model.ckpt", **raw)
         decoded = []
         monkeypatch.setattr(cli, "load_y4m", decoded.append)
+        monkeypatch.setattr(feat, "blur_indices", None)  # no check may list a huge n's blur frames
         code, out, err = run(
             capsys, "score", str(workspace["static"]), "--model", str(ckpt), *argv,
         )
-        assert code == 2 and name in err
-        assert out == ""
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert decoded == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["--n", "1"], "need n >= 2 and tau >= 1, got n=1, tau=2"),
-        (["--tau", "0"], "need n >= 2 and tau >= 1, got n=32, tau=0"),
-        (["--grid", "3"], "grid must be in [4, 32], got 3"),
-        (["--tau-b", "3"], "tau_b=3 must divide the clip length n=32"),
         (["--n-clips", "0"], "n_clips must be a positive integer, got 0"),
-        (["--n-clips", "0", "--grid", "3"], "n_clips must be a positive integer, got 0"),
         (["--n-clips", "100000000000"], "n_clips must be at most 100000, got 100000000000"),
-    ], ids=["n-1", "tau-0", "grid-3", "tau-b-3", "n-clips-0", "n-clips-before-grid", "n-clips-1e11"])
+    ], ids=["n-clips-0", "n-clips-1e11"])
     def test_bad_clip_option_exits_2_without_model(self, capsys, workspace, monkeypatch,
                                                    argv, message):
-        # the clip options are checked before anything else, with or without --model
+        # n_clips is checked before anything else, with or without --model
         decoded = []
         monkeypatch.setattr(cli, "load_y4m", decoded.append)
         code, out, err = run(capsys, "score", str(workspace["static"]), *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert decoded == []
+
+    @pytest.mark.parametrize("argv", [["--n", "8"], ["--tau", "1"], ["--grid", "6"], ["--tau-b", "4"]])
+    def test_clip_flags_are_gone(self, capsys, workspace, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["score", str(workspace["static"]), *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "tau", "grid", "tau_b"])
+    def test_clip_config_keys_are_gone(self, capsys, workspace, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 8}))
+        code, out, err = run(capsys, "score", str(workspace["static"]), "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: unknown config keys: [{key!r}]\n")
+
+    def test_model_scores_with_its_own_spec(self, capsys, workspace, tmp_path):
+        # trained off the default spec, scored with no clip option
+        ckpt = tmp_path / "model.ckpt"
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 2}))
+        code, _, err = run(capsys, "train", str(workspace["manifest"]), "--out", str(ckpt),
+                           "--config", str(cfg), "--n", "8", "--tau-b", "4", "--grid", "6")
+        assert code == 0, err
+        spec = ClipSpec(n=8, tau_b=4, grid=6)
+        params = model_mod.load_checkpoint(ckpt)
+        assert params.spec == spec
+        code, out, err = run(capsys, "score", str(workspace["shaky"]), "--model", str(ckpt))
+        assert code == 0, err
+        want = model_mod.predict_video(replace(params, spec=spec), load_y4m(workspace["shaky"]),
+                                       n_clips=4, seed=0)
+        assert json.loads(out)["prediction"] == cli._roundtrip(want)
+
+    def test_header_without_spec_scores_as_the_default_spec(self, capsys, tmp_path):
+        # no checkpoint written before the spec keys has them, the bench's
+        # fixed one included: it scores exactly as with the default spec's
+        keyless = tmp_path / "keyless.ckpt"
+        model_mod.save_checkpoint(model_mod.init_params(288, seed=0), keyless)
+        keyed = spec_checkpoint(tmp_path / "keyed.ckpt")
+        video = tmp_path / "long.y4m"
+        save_y4m(shaky_video(5, count=64, size=(64, 64))[0], video)
+        reports = [run(capsys, "score", str(video), "--model", str(ckpt)) for ckpt in (keyless, keyed)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+        params = model_mod.load_checkpoint(keyless)
+        assert params.spec == ClipSpec()
+        want = model_mod.predict_video(params, load_y4m(video), n_clips=4, seed=0)
+        assert json.loads(reports[0][1])["prediction"] == cli._roundtrip(want)
 
     def test_short_video_exits_5_before_trajectory(self, capsys, workspace, tmp_path,
                                                    monkeypatch):
@@ -170,10 +231,9 @@ class TestScore:
     def test_n_clips_flag_overrides_config(self, capsys, workspace, tmp_path, monkeypatch,
                                            flag, want):
         # n = 8 spans 15 of the 18 frames; the model takes its 84 features
-        ckpt = tmp_path / "model.ckpt"
-        model_mod.save_checkpoint(model_mod.init_params(ClipSpec(n=8).dim, seed=0), ckpt)
+        ckpt = spec_checkpoint(tmp_path / "model.ckpt", ClipSpec(n=8).dim, n=8)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_clips": 1, "n": 8}))
+        cfg.write_text(json.dumps({"n_clips": 1}))
         seen = []
         monkeypatch.setattr(model_mod, "predict_video",
                             lambda *args, n_clips, **kwargs: seen.append(n_clips) or 0.0)
@@ -186,12 +246,9 @@ class TestScore:
         # 10^11 clip draws once reached predict_video, whose seed array numpy
         # could not allocate: a traceback and exit 1.  The bound is checked
         # before anything is allocated, so no machine's memory decides this.
-        ckpt = tmp_path / "model.ckpt"
-        model_mod.save_checkpoint(model_mod.init_params(ClipSpec(n=8).dim, seed=0), ckpt)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 8}))
+        ckpt = spec_checkpoint(tmp_path / "model.ckpt", ClipSpec(n=8).dim, n=8)
         code, out, err = run(capsys, "score", str(workspace["static"]), "--model", str(ckpt),
-                             "--config", str(cfg), "--n-clips", "100000000000")
+                             "--n-clips", "100000000000")
         assert (code, out, err) == (2, "", "error: n_clips must be at most 100000, got 100000000000\n")
 
     def test_truncated_checkpoint_exits_2(self, capsys, workspace, tmp_path):
@@ -799,7 +856,12 @@ class TestSynth:
         ({"fps": 0}, "fps must be positive"),
         ({"width": 8}, "output size must be at least 16x16"),
         ({"length": 10}, "trajectory length must be at least 16"),
-    ], ids=["empty-ladder", "count-9", "count-0", "count-null", "fps-0", "width-8", "length-10"])
+        # bounded before anything is allocated: numpy once raised MemoryError
+        ({"width": 10**9, "height": 10**9, "count": 10},
+         "need sides <= 1920 px and length <= 9000, got (1000000000, 1000000000), 72"),
+        ({"length": 10**12}, "need sides <= 1920 px and length <= 9000, got (128, 96), 1000000000000"),
+    ], ids=["empty-ladder", "count-9", "count-0", "count-null", "fps-0", "width-8", "length-10",
+            "sides-1e9", "length-1e12"])
     def test_bad_config_leaves_no_files(self, capsys, tmp_path, config, message):
         # the first video is drawn before the output directory is made
         cfg = tmp_path / "synth.json"
@@ -836,8 +898,7 @@ class TestSeedResolution:
 
 # Every config key of every command and the JSON type its value must have.
 CONFIG_TYPES = {
-    "score": {"seed": "int", "model": "str", "n_clips": "int", "n": "int", "tau": "int",
-              "grid": "int", "tau_b": "int"},
+    "score": {"seed": "int", "model": "str", "n_clips": "int"},
     "trajectory": {"seed": "int", "model_kind": "str"},
     "train": {"seed": "int", "n": "int", "tau": "int", "grid": "int", "tau_b": "int",
               "lambda": "float", "epochs": "int", "batch_size": "int", "lr_head": "float",
@@ -858,10 +919,10 @@ WRONG_TYPE = {"int": "x", "float": "x", "str": 1, "list": "abc"}
 
 
 class TestSettings:
-    def test_thirty_config_keys(self):
+    def test_twenty_six_config_keys(self):
         assert {c: list(t) for c, t in cli.SETTINGS.items()} == {
             c: list(t) for c, t in CONFIG_TYPES.items()}
-        assert sum(map(len, CONFIG_TYPES.values())) == 30
+        assert sum(map(len, CONFIG_TYPES.values())) == 26
 
     @pytest.mark.parametrize("command, key, kind", [
         (c, k, t) for c, table in CONFIG_TYPES.items() for k, t in table.items()])
@@ -899,13 +960,28 @@ class TestSettings:
 # Bad options and config values: each of these once ended in a traceback and
 # exit 1 (a NaN lambda in a NaN on stdout), and must be an input error.
 _TRAIN = ["train", "{manifest}", "--out", "{tmp}/m.ckpt"]
-_SCORE = ["score", "{shaky}", "--model", "{ckpt}"]
+_SCORE = ["score", "{shaky}", "--model"]
 _MOS = ["mos", "{ratings}", "--out", "{tmp}/mos.csv"]
 _SYNTH = ["synth", "--out", "{tmp}/ds"]
 _SMALL_CLIPS = {"n": 8, "tau_b": 4}
+# hand-edited checkpoint clip specs: spec_checkpoint's arguments
+SPEC_EDITS = {
+    "n_1": {"n": "1"},
+    "tau_0": {"tau": "0"},
+    "n_string": {"n": '"x"'},
+    "n_bool": {"n": "true"},
+    "grid_float": {"grid": "8.0"},
+    "tau_1e400": {"tau": "1e400"},
+    "no_tau_b": {"drop": ("tau_b",)},
+}
 EXIT_1_LEAKS = {
-    "score-n-1": (_SCORE + ["--n", "1"], None),
-    "score-tau-0": (_SCORE + ["--tau", "0"], None),
+    "score-n-1": (_SCORE + ["{spec_n_1}"], None),
+    "score-tau-0": (_SCORE + ["{spec_tau_0}"], None),
+    "score-model-n-string": (_SCORE + ["{spec_n_string}"], None),
+    "score-model-n-bool": (_SCORE + ["{spec_n_bool}"], None),
+    "score-model-grid-float": (_SCORE + ["{spec_grid_float}"], None),
+    "score-model-tau-1e400": (_SCORE + ["{spec_tau_1e400}"], None),
+    "score-model-three-spec-keys": (_SCORE + ["{spec_no_tau_b}"], None),
     "train-n-1": (_TRAIN + ["--n", "1"], None),
     "train-tau-b-0": (_TRAIN + ["--tau-b", "0"], None),
     "train-epochs-string": (_TRAIN, dict(_SMALL_CLIPS, epochs="abc")),
@@ -917,7 +993,6 @@ EXIT_1_LEAKS = {
     "score-seed-string": (["score", "{shaky}"], {"seed": "abc"}),
     "score-seed-negative": (["score", "{shaky}", "--seed", "-1"], None),
     "synth-seed-negative": (_SYNTH, {"seed": -3}),
-    "score-model-n-string": (_SCORE, {"n": "x"}),
     "mos-sigma-string": (_MOS, {"outlier_sigma": "x"}),
     "mos-denominator": (_MOS, {"denominator": "x"}),
     "synth-count-3": (_SYNTH, {"count": 3}),
@@ -954,7 +1029,9 @@ class TestExitCodes:
         negative_pgm.mkdir()
         for name in ("a.pgm", "b.pgm"):
             (negative_pgm / name).write_bytes(b"P5 -32 32 255\n" + bytes(32 * 32))
-        return {"manifest": workspace["manifest"], "shaky": workspace["shaky"], "ckpt": ckpt,
+        specs = {f"spec_{name}": spec_checkpoint(tmp_path / f"{name}.ckpt", **edit)
+                 for name, edit in SPEC_EDITS.items()}
+        return {**specs, "manifest": workspace["manifest"], "shaky": workspace["shaky"], "ckpt": ckpt,
                 "ratings": ratings, "latin1": latin1, "preds": preds, "big_field": big_field,
                 "huge_dim_ckpt": huge_dim_ckpt,
                 "negative_pgm": negative_pgm, "tmp": tmp_path}

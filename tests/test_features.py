@@ -346,6 +346,13 @@ class TestClipSpec:
         with pytest.raises(AttributeError):
             feat.ClipSpec().grid = 3
 
+    def test_huge_n_is_checked_without_listing_blur_frames(self, monkeypatch):
+        # a checkpoint header may name any n: listing its n // tau_b blur
+        # frames would exhaust memory before the dim check could reject it
+        monkeypatch.setattr(feat, "blur_indices", None)
+        spec = feat.ClipSpec(n=10**12, tau_b=1)
+        assert spec.dim == 16 + 12 * 10**12
+
 
 SPEC8 = feat.ClipSpec(n=8, tau_b=4)  # 16 + 8*8 + 2*4 = 88 values
 SPEC2 = feat.ClipSpec(n=2, tau=1, grid=4, tau_b=2)  # 16 + 2*8 + 1*4 = 36 values

@@ -19,6 +19,7 @@ from stabilitykit.errors import (
     DimensionMismatch,
     InsufficientData,
     InsufficientFrames,
+    MissingModel,
     ParseError,
     StabilityKitError,
     TruncatedError,
@@ -518,11 +519,18 @@ def video():
 SPEC8 = ClipSpec(n=8, tau=2, grid=6, tau_b=4)  # 16 + 8*8 + 2*4 values
 
 
+def spec8_params():
+    """An untrained head on SPEC8 features that records SPEC8."""
+    params = m.init_params(SPEC8.dim, seed=0)
+    params.spec = SPEC8
+    return params
+
+
 class TestPredictVideo:
 
     def test_single_clip_equivalence(self, video):
-        params = m.init_params(SPEC8.dim, seed=0)
-        one = m.predict_video(params, video.seq, SPEC8, n_clips=1, seed=3)
+        params = spec8_params()
+        one = m.predict_video(params, video.seq, n_clips=1, seed=3)
         from stabilitykit.features import clip_features
         from stabilitykit.media import sample_clip
 
@@ -535,7 +543,7 @@ class TestPredictVideo:
         from stabilitykit import features
         from stabilitykit.media import sample_clip
 
-        params = m.init_params(SPEC8.dim, seed=0)
+        params = spec8_params()
         # a 20-frame video has 6 clip starts, so 12 draws repeat some clips
         seeds = np.random.default_rng(4).integers(0, 2**31, size=12)
         clips = [sample_clip(video.seq, n=8, tau=2, seed=int(s)) for s in seeds]
@@ -549,7 +557,7 @@ class TestPredictVideo:
         clip_features = features.clip_features
         monkeypatch.setattr(features, "clip_features",
                             lambda clip, spec: calls.append(clip.source_indices[0]) or clip_features(clip, spec))
-        got = m.predict_video(params, video.seq, SPEC8, n_clips=12, seed=4)
+        got = m.predict_video(params, video.seq, n_clips=12, seed=4)
         assert sorted(calls) == sorted(starts)
         assert got == want
 
@@ -557,7 +565,7 @@ class TestPredictVideo:
         from stabilitykit import features
         from stabilitykit.media import sample_clip
 
-        params = m.init_params(SPEC8.dim, seed=0)
+        params = spec8_params()
         # the per-draw loop: a clip copied for every draw, each distinct
         # clip featurized once
         by_clip, scores = {}, []
@@ -571,21 +579,21 @@ class TestPredictVideo:
         copies = []
         clip_at = m.clip_at
         monkeypatch.setattr(m, "clip_at", lambda seq, start, n, tau: copies.append(start) or clip_at(seq, start, n, tau))
-        got = m.predict_video(params, video.seq, SPEC8, n_clips=1000, seed=5)
+        got = m.predict_video(params, video.seq, n_clips=1000, seed=5)
         assert sorted(copies) == sorted({key[0] for key in by_clip})
         assert got == want
 
     def test_too_short_video(self, video):
         params = m.init_params(288, seed=0)
+        params.spec = ClipSpec()
         with pytest.raises(InsufficientFrames):
-            m.predict_video(params, video.seq, ClipSpec(), n_clips=1, seed=0)
+            m.predict_video(params, video.seq, n_clips=1, seed=0)
 
     # above MAX_N_CLIPS before any draw: 10**11 seeds once raised MemoryError
     @pytest.mark.parametrize("n_clips", [0, -1, m.MAX_N_CLIPS + 1, 10**11])
     def test_no_clips_rejected(self, video, n_clips):
-        params = m.init_params(SPEC8.dim, seed=0)
         with pytest.raises(ConfigError):
-            m.predict_video(params, video.seq, SPEC8, n_clips=n_clips, seed=0)
+            m.predict_video(spec8_params(), video.seq, n_clips=n_clips, seed=0)
 
 
 class TestCheckpoint:
@@ -601,6 +609,27 @@ class TestCheckpoint:
         assert np.allclose(q.w2, p.w2, atol=1e-6)
         assert np.allclose(q.norm_mean, p.norm_mean, atol=1e-12)
         assert q.b2 == pytest.approx(p.b2, abs=1e-6)
+
+    def test_spec_roundtrip(self, tmp_path):
+        p = toy_params(d=SPEC8.dim, hidden=5)
+        p.spec = SPEC8
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(p, path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert {k: header[k] for k in ("n", "tau", "grid", "tau_b")} == {
+            "n": 8, "tau": 2, "grid": 6, "tau_b": 4}
+        assert m.load_checkpoint(path).spec == SPEC8
+
+    def test_header_without_spec_keys_loads_the_default_spec(self, tmp_path):
+        # every checkpoint written before the keys: score assumed ClipSpec()
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(toy_params(d=7, hidden=5), path)
+        assert b'"n"' not in path.read_bytes().split(b"\n", 1)[0]
+        assert m.load_checkpoint(path).spec == ClipSpec()
+
+    def test_missing_file_is_a_missing_model(self, tmp_path):
+        with pytest.raises(MissingModel):
+            m.load_checkpoint(tmp_path / "none.ckpt")
 
     def test_truncated_weights(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -639,7 +668,7 @@ class TestCheckpoint:
     # model; the small integer draws keep every allocation small
     @settings(max_examples=200, deadline=None)
     @given(st.fixed_dictionaries({}, optional=dict.fromkeys(
-        ["input_dim", "hidden", "norm_mean", "norm_std"],
+        ["input_dim", "hidden", "norm_mean", "norm_std", "n", "tau", "grid", "tau_b"],
         st.recursive(
             st.none() | st.booleans() | st.integers(-8, 8) | st.text(max_size=3)
             | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
