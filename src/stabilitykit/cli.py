@@ -11,6 +11,14 @@ video path runs, but not ``scipy.optimize``: only ``eval``, and ``train``
 when it holds rows out for validation, load that least-squares solver, at
 their first logistic fit (``evaluation.logistic_fit``).  ``score``,
 ``trajectory``, ``mos`` and ``synth`` processes never load it.
+
+``train`` extracts its feature rows on up to one worker process per CPU
+that this process may use (its affinity mask).  The workers are forked, so
+they start with these modules loaded; on one CPU, or where ``fork`` is
+missing, the rows are extracted in-process.  Each worker holds one decoded
+video at a time, so the extraction's memory peak grows with the CPU count.
+Rows and errors come back in manifest order, so a failing run reports the
+first failing video's error.  Only that pool loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -115,6 +123,15 @@ def _load_video(path: str):
     return load_frame_dir(p) if p.is_dir() else load_y4m(p)
 
 
+def _feature_row(path, spec: feat.ClipSpec, seed: int, index: int) -> np.ndarray:
+    """The clip features of manifest row ``index``: its clip seed is spawned
+    from the index alone, so rows can be extracted in any order."""
+    seq = _load_video(str(path))
+    clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+    clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
+    return feat.clip_features(clip, spec)
+
+
 _CLIP_DEFAULTS = asdict(feat.ClipSpec())  # n, tau, grid, tau_b
 _HEAD = model_mod.TrainConfig()
 
@@ -191,12 +208,33 @@ def cmd_train(args) -> int:
     if cache_path and cache_path.is_file():
         matrix = feat.load_feature_cache(cache_path, spec, seed, len(rows), videos)
     else:
-        vecs = []
-        for i, path in enumerate(videos):
-            seq = _load_video(str(path))
-            clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-            clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
-            vecs.append(feat.clip_features(clip, spec))
+        jobs = (videos, [spec] * len(videos), [seed] * len(videos), range(len(videos)))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(len(videos), cpus)
+        if workers > 1:
+            import multiprocessing  # here only: no other command loads it
+            if "fork" not in multiprocessing.get_all_start_methods():
+                workers = 1
+        if workers == 1:
+            vecs = list(map(_feature_row, *jobs))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            # fork, so the workers start with numpy and scipy loaded; the
+            # executor forks them all at its first submit, before it starts
+            # its own thread
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            vecs = []
+            try:
+                # results in manifest order; the first error cancels the rest
+                for vec in pool.map(_feature_row, *jobs, chunksize=1):
+                    vecs.append(vec)
+            except BrokenProcessPool:
+                raise StabilityKitError(f"a feature worker process ended abruptly: {videos[len(vecs)]} "
+                                        "and the videos after it were not extracted") from None
+            finally:
+                pool.shutdown(cancel_futures=True)
         # train on the f32-rounded values the cache holds
         matrix = np.stack(vecs).astype("<f4").astype(np.float64)
         if cache_path:
@@ -297,8 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in SETTINGS[command]:
             p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
-    # no abbreviations: train's --n would pass as --n-clips
-    p = sub.add_parser("score", help="ITF, Stability Score, and optional model prediction", allow_abbrev=False)
+    def command(name, help, **kwargs):
+        # no abbreviations: a removed or mistyped flag must not pass as
+        # another (score --n as --n-clips, trajectory --model as --model-kind)
+        return sub.add_parser(name, help=help, allow_abbrev=False, **kwargs)
+
+    p = command("score", "ITF, Stability Score, and optional model prediction")
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
     p.add_argument("--model", help="model checkpoint for the learned score; it holds the clip settings")
     p.add_argument("--n-clips", dest="n_clips", type=int)
@@ -306,14 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     settings(p, "score")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("trajectory", help="estimate and export the camera path CSV")
+    p = command("trajectory", "estimate and export the camera path CSV")
     p.add_argument("video")
     p.add_argument("out", help="output CSV (frame,x,y,theta)")
     p.add_argument("--model-kind", choices=["translation", "similarity", "homography"])
     settings(p, "trajectory")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("train", help="train the regression head on a manifest")
+    p = command("train", "train the regression head on a manifest", description=(
+        "Train the regression head on a manifest.  The videos' feature rows are extracted on up "
+        "to one worker process per available CPU.  Each worker holds one decoded video at a "
+        "time, so the extraction's memory peak grows with the CPU count."))
     p.add_argument("manifest", help="CSV: video_id,path,gt_score")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="per-epoch CSV log")
@@ -324,19 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
     settings(p, "train")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="SROCC/PLCC/KRCC/RMSE for prediction CSVs")
+    p = command("eval", "SROCC/PLCC/KRCC/RMSE for prediction CSVs")
     p.add_argument("pred_csv", help="two-column pred,mos CSV (or predictions only)")
     p.add_argument("mos_csv", nargs="?", help="optional separate MOS CSV")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("mos", help="MOS aggregation with outlier-subject rejection")
+    p = command("mos", "MOS aggregation with outlier-subject rejection")
     p.add_argument("ratings", help="CSV: subject_id,video_id,score[,session]")
     p.add_argument("--out", required=True, help="MOS CSV output path")
     settings(p, "mos")
     p.set_defaults(func=cmd_mos)
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic shaky-video dataset")
+    p = command("synth", "generate a labeled synthetic shaky-video dataset")
     p.add_argument("--out", required=True, help="output directory")
     settings(p, "synth")
     p.set_defaults(func=cmd_synth)

@@ -1,10 +1,15 @@
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import pickle
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -639,6 +644,117 @@ class TestTrain:
         assert code == 2 and "unknown config keys" in err
 
 
+def set_cpus(monkeypatch, count):
+    """Make ``count`` CPUs the set this process may run on, as train reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _exit_at_once(*args):
+    # module level, so that the pool can send it to a forked worker by name
+    os._exit(1)
+
+
+def _row_1_fails_last(path, spec, seed, index):
+    # rows 1 and 2 fail, row 1 half a second after row 2 has
+    if index == 1:
+        time.sleep(0.5)
+    if index in (1, 2):
+        raise errors.ParseError(f"planted failure in row {index}")
+    return np.zeros(spec.dim)
+
+
+class TestTrainWorkers:
+    CONFIG = {"epochs": 2, "n": 8, "tau_b": 4}
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools train builds."""
+        built = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        return built
+
+    def _train(self, capsys, tmp_path, manifest, *argv, config=CONFIG):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(config))
+        result = run(capsys, "train", str(manifest), "--out", str(tmp_path / "m.ckpt"),
+                     "--config", str(cfg), *argv)
+        assert multiprocessing.active_children() == []  # the pool is shut down
+        return result
+
+    def test_pooled_rows_are_the_serial_rows(self, capsys, monkeypatch, workspace, tmp_path, pools):
+        # the 12 videos of a synth manifest, on one CPU and on two: the same
+        # cache, checkpoint and report, byte for byte
+        cache, ckpt = tmp_path / "features.bin", tmp_path / "m.ckpt"
+        outputs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            code, out, err = self._train(capsys, tmp_path, workspace["manifest"], "--cache", str(cache))
+            assert code == 0, err
+            outputs.append((out, cache.read_bytes(), ckpt.read_bytes()))
+            cache.unlink()
+            ckpt.unlink()
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
+
+    def test_warm_cache_builds_no_pool(self, capsys, monkeypatch, tmp_path):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm cache needs no workers")
+
+        manifest, cache, _, _ = TestTrain._warm_cache(tmp_path, 30)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, err = self._train(capsys, tmp_path, manifest, "--cache", str(cache),
+                                     config={"epochs": 2})
+        assert code == 0, err
+        assert json.loads(out)["validation"]["n"] == 6
+
+    def test_first_bad_video_in_manifest_order_is_reported(self, capsys, monkeypatch, workspace,
+                                                           tmp_path, pools):
+        # rows 3 and 7 name missing videos: a pool reports row 3's error, as
+        # the in-process loop does
+        header, *rows = workspace["manifest"].read_text().splitlines()
+        for i in (3, 7):
+            rows[i] = rows[i].replace(".y4m", "-missing.y4m")
+        bad = workspace["manifest"].parent / "two-missing.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        results = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            results.append(self._train(capsys, tmp_path, bad))
+        assert pools == [2]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        first = (bad.parent / rows[3].split(",")[1]).resolve()
+        assert (code, out, err) == (2, "", f"error: no such input: {first}\n")
+
+    def test_first_error_in_manifest_order_even_when_it_comes_last(self, capsys, monkeypatch,
+                                                                    workspace, tmp_path, pools):
+        monkeypatch.setattr(cli, "_feature_row", _row_1_fails_last)
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            result = self._train(capsys, tmp_path, workspace["manifest"])
+            assert result == (2, "", "error: planted failure in row 1\n")
+        assert pools == [2]
+
+    def test_dead_worker_exits_2(self, capsys, monkeypatch, workspace, tmp_path, pools):
+        # a worker that ends without a result, as one the kernel kills would:
+        # the fork inherits the patched row function
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_feature_row", _exit_at_once)
+        code, out, err = self._train(capsys, tmp_path, workspace["manifest"])
+        assert pools == [2]
+        assert (code, out) == (2, "")
+        first = (workspace["manifest"].parent / "synth_0000.y4m").resolve()
+        assert err.startswith(f"error: a feature worker process ended abruptly: {first} and ")
+        assert err.count("\n") == 1 and not (tmp_path / "m.ckpt").exists()
+
+
 class TestEval:
     def test_two_column_csv(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -956,6 +1072,22 @@ class TestSettings:
         keys = line.split("with keys ", 1)[1].split(";", 1)[0].split(", ")
         assert keys == list(cli.SETTINGS[command])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["score", "v.y4m", "--n-clip", "2"], "--n-clip"),
+        (["trajectory", "v.y4m", "t.csv", "--model", "similarity"], "--model"),
+        (["train", "m.csv", "--out", "m.ckpt", "--cach", "c.bin"], "--cach"),
+        (["eval", "p.csv", "--ou", "e.json"], "--ou"),
+        (["mos", "r.csv", "--out", "mos.csv", "--conf", "c.json"], "--conf"),
+        (["synth", "--out", "ds", "--se", "3"], "--se"),
+    ], ids=["score", "trajectory", "train", "eval", "mos", "synth"])
+    def test_abbreviated_flag_exits_2(self, capsys, argv, flag):
+        # a prefix of a flag is not that flag: a removed or mistyped one
+        # must not run as another
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
 
 # Bad options and config values: each of these once ended in a traceback and
 # exit 1 (a NaN lambda in a NaN on stdout), and must be an input error.
@@ -1137,6 +1269,17 @@ class TestExitCodeTable:
         code, out, err = run(capsys, "eval", "pairs.csv")
         assert cls.exit_code == code == DOCUMENTED_EXIT_CODES[cls.__name__]
         assert err == "error: planted failure\n" and out == ""
+
+    @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+    def test_survives_pickle(self, cls):
+        # train's workers send their errors back pickled
+        back = pickle.loads(pickle.dumps(cls("planted failure")))
+        assert type(back) is cls and str(back) == "planted failure"
+        assert back.exit_code == DOCUMENTED_EXIT_CODES[cls.__name__]
+
+    def test_required_frames_survive_pickle(self):
+        back = pickle.loads(pickle.dumps(errors.InsufficientFrames("too short", required=15)))
+        assert (str(back), back.required) == ("too short", 15)
 
     def test_os_error_exits_2(self, capsys, monkeypatch):
         def fail(args):
