@@ -2,9 +2,11 @@
 
 Subcommands: score, trajectory, train, eval, mos, synth.  Every command is
 deterministic for a fixed config and seed; report floats are serialized with
-6 significant digits so reruns are byte-identical.  The exit codes are
-listed in ``stabilitykit.errors``.  ``score`` takes its clip settings (n, tau,
-grid, tau_b) from the checkpoint, where ``train`` wrote them.
+6 significant digits so reruns are byte-identical.  Each setting is read
+from its flag, else its ``--config`` key, else its default, and never from
+the environment.  The exit codes are listed in ``stabilitykit.errors``.
+``score`` takes its clip settings (n, tau, grid, tau_b) from the checkpoint,
+where ``train`` wrote them.
 
 Importing this module loads numpy, ``scipy.ndimage`` and every module the
 video path runs, but not ``scipy.optimize``: only ``eval``, and ``train``
@@ -42,8 +44,6 @@ from .evaluation import evaluate
 from .media import clip_span, csv_rows, load_frame_dir, load_y4m, sample_clip
 from .motion import save_trajectory_csv, video_trajectory
 
-SEED_ENV_VAR = "STABILITYKIT_SEED"
-
 
 def _roundtrip(obj):
     if isinstance(obj, float):
@@ -64,11 +64,9 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _settings(args, table: dict) -> dict:
     """Each setting of ``table`` ({key: default}): its flag when given, else
-    its ``--config`` value, else (for ``seed``) ``$STABILITYKIT_SEED``, else
-    its default.  A config value must have the default's JSON type (an int is
-    also a float, a float is finite, and a list holds numbers), and a float
-    setting comes back as a float.  A default that is a type stands for a
-    value the command derives: when nothing sets the key, it is left out."""
+    its ``--config`` value, else its default.  A config value must have the
+    default's JSON type (an int is also a float, a float is finite, and a
+    list holds numbers), and a float setting comes back as a float."""
     cfg = {}
     if args.config:
         try:
@@ -82,7 +80,7 @@ def _settings(args, table: dict) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     out = {}
     for key, default in table.items():
-        kind = default if isinstance(default, type) else type(default)
+        kind = type(default)
         flag = getattr(args, key, None)
         if flag is not None:
             val = flag
@@ -90,14 +88,6 @@ def _settings(args, table: dict) -> dict:
             val = cfg[key]
             if not _same_type(val, kind):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {val!r}")
-        elif key == "seed" and SEED_ENV_VAR in os.environ:
-            env = os.environ[SEED_ENV_VAR]
-            try:
-                val = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-        elif kind is default:  # the command derives it
-            continue
         else:
             val = default
         if key == "seed" and val < 0:  # numpy seeds are non-negative
@@ -125,11 +115,17 @@ def _load_video(path: str):
 
 def _feature_row(path, spec: feat.ClipSpec, seed: int, index: int) -> np.ndarray:
     """The clip features of manifest row ``index``: its clip seed is spawned
-    from the index alone, so rows can be extracted in any order."""
-    seq = _load_video(str(path))
-    clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
-    clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
-    return feat.clip_features(clip, spec)
+    from the index alone, so rows can be extracted in any order.  A toolkit
+    error is re-raised, type and attributes unchanged, with ``path``
+    prefixed to its message."""
+    try:
+        seq = _load_video(str(path))
+        clip_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+        clip = sample_clip(seq, n=spec.n, tau=spec.tau, seed=clip_seed)
+        return feat.clip_features(clip, spec)
+    except StabilityKitError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 _CLIP_DEFAULTS = asdict(feat.ClipSpec())  # n, tau, grid, tau_b
@@ -142,10 +138,9 @@ SETTINGS = {
     "trajectory": {"seed": 0, "model_kind": "similarity"},
     "train": {"seed": 0, **_CLIP_DEFAULTS, "lambda": _HEAD.lambda_rank, "epochs": _HEAD.epochs,
               "batch_size": _HEAD.batch_size, "lr_head": _HEAD.lr_head, "val_frac": 0.2},
-    "mos": {"outlier_sigma": 2.0, "max_outlier_frac": 0.05, "denominator": "rated"},
-    # count: videos_per_level times the ladder's length when unset
+    "mos": {"outlier_sigma": 2.0, "max_outlier_frac": 0.05},
     "synth": {"seed": 0, "ladder": list(synth_mod.DEFAULT_LADDER), "videos_per_level": 2,
-              "count": int, "length": 72, "width": 128, "height": 96, "fps": 30.0},
+              "length": 72, "width": 128, "height": 96, "fps": 30.0},
 }
 
 
@@ -193,12 +188,10 @@ def cmd_train(args) -> int:
     s = _settings(args, SETTINGS["train"])
     seed, val_frac = s["seed"], s["val_frac"]
     spec = feat.ClipSpec(**{k: s[k] for k in _CLIP_DEFAULTS})
-    tc = model_mod.TrainConfig(lambda_rank=s["lambda"], epochs=s["epochs"],
-                               batch_size=s["batch_size"], lr_head=s["lr_head"], seed=seed)
     if not 0.0 <= val_frac < 1.0:
         raise ConfigError(f"val_frac must be in [0, 1), got {val_frac!r}")
-    if tc.epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {tc.epochs}")
+    tc = model_mod.TrainConfig(lambda_rank=s["lambda"], epochs=s["epochs"],
+                               batch_size=s["batch_size"], lr_head=s["lr_head"], seed=seed)
     rows = synth_mod.load_manifest(args.manifest)
     if not rows:
         raise EmptyInput("manifest has no rows")
@@ -308,7 +301,7 @@ def cmd_mos(args) -> int:
 
 def cmd_synth(args) -> int:
     s = _settings(args, SETTINGS["synth"])
-    count = s.get("count", s["videos_per_level"] * len(s["ladder"]))
+    count = s["videos_per_level"] * len(s["ladder"])
     videos = synth_mod.iter_dataset(count, amplitude_ladder=s["ladder"], seed=s["seed"],
                                     length=s["length"], frame_size=(s["width"], s["height"]),
                                     fps=s["fps"])
@@ -333,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         keys = ", ".join(SETTINGS[command])
         p.add_argument("--config", help=f"JSON config file with keys {keys}; flags override its values")
         if "seed" in SETTINGS[command]:
-            p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
+            p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
     def command(name, help, **kwargs):
         # no abbreviations: a removed or mistyped flag must not pass as

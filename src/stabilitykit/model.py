@@ -57,13 +57,27 @@ class ModelParams:
     spec: feat.ClipSpec | None = None  # of its features; None when fitted on a bare matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The head's training settings.  Raises ConfigError on a value no run
+    can train with: the pairwise losses need two rows per batch, and a
+    negative (or NaN) rank weight or step size trains away from the scores."""
+
     lambda_rank: float = 0.3
     epochs: int = 30
     batch_size: int = 4
     lr_head: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.lambda_rank >= 0:
+            raise ConfigError(f"lambda must be non-negative, got {self.lambda_rank!r}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ConfigError(f"pairwise losses need batch_size >= 2, got {self.batch_size}")
+        if not self.lr_head >= 0:
+            raise ConfigError(f"lr_head must be non-negative, got {self.lr_head!r}")
 
 
 @dataclass
@@ -255,8 +269,6 @@ def train(
         )
     if float(np.ptp(y)) <= 0:
         raise InsufficientData("all target scores are equal")
-    if cfg.batch_size < 2:
-        raise InsufficientData("pairwise losses need batch_size >= 2")
 
     rng = np.random.default_rng(cfg.seed)
     mean, std = fit_norm_stats(x)

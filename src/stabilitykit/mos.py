@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAfterCleaning, EmptyInput, InsufficientRatings, ParseError
+from .errors import EmptyAfterCleaning, EmptyInput, InsufficientRatings, ParseError
 from .media import csv_rows
 
 
@@ -114,27 +114,17 @@ def reject_outlier_subjects(
     table: RatingsTable,
     outlier_sigma: float = 2.0,
     max_outlier_frac: float = 0.05,
-    denominator: str = "rated",
 ) -> MosResult:
     """Single-pass cleaning: flag ratings beyond ``outlier_sigma`` population
-    stds of the per-video mean, reject subjects whose outlier share strictly
-    exceeds ``max_outlier_frac``, then recompute MOS without them.
-
-    ``denominator`` chooses whether the share is over videos the subject
-    rated (default) or over all videos in the table ("all").
-    """
+    stds of the per-video mean, reject subjects whose outlier share (over
+    the videos that subject rated) strictly exceeds ``max_outlier_frac``,
+    then recompute MOS without them."""
     scores = table.scores
     means, stds, _ = _column_stats(scores)
     present = ~np.isnan(scores)
     dev = np.abs(np.where(present, scores, means[None, :]) - means[None, :])
     outliers = present & (dev > outlier_sigma * stds[None, :])
-    if denominator == "rated":
-        denom = np.maximum(present.sum(axis=1), 1)
-    elif denominator == "all":
-        denom = np.full(len(table.subjects), len(table.videos))
-    else:
-        raise ConfigError("denominator must be 'rated' or 'all'")
-    frac = outliers.sum(axis=1) / denom
+    frac = outliers.sum(axis=1) / np.maximum(present.sum(axis=1), 1)
     rejected_mask = frac > max_outlier_frac
     rated_any = present.any(axis=1)
     if np.all(rejected_mask[rated_any]):

@@ -282,16 +282,16 @@ def iter_dataset(
     in [0, min(frame_size)] pixels: the bases grow with the largest one.
     The arguments are checked here, before the first video is drawn.
     """
-    if count < 10:
-        raise ConfigError("a dataset needs at least 10 videos")
-    if max(frame_size) > MAX_SIDE or length > MAX_LENGTH:  # checked before any allocation
-        raise ConfigError(f"need sides <= {MAX_SIDE} px and length <= {MAX_LENGTH}, got {frame_size}, {length}")
     ladder = list(amplitude_ladder if amplitude_ladder is not None else DEFAULT_LADDER)
     if not ladder or not all(0 <= a <= min(frame_size) for a in ladder):
         raise ConfigError(
             f"the amplitude ladder {ladder} must hold amplitudes in "
             f"[0, {min(frame_size)}] px (the frame's shorter side)"
         )
+    if count < 10:
+        raise ConfigError("a dataset needs at least 10 videos")
+    if max(frame_size) > MAX_SIDE or length > MAX_LENGTH:  # checked before any allocation
+        raise ConfigError(f"need sides <= {MAX_SIDE} px and length <= {MAX_LENGTH}, got {frame_size}, {length}")
     return _videos(count, ladder, seed, length, frame_size, fps)
 
 

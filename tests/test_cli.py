@@ -384,9 +384,18 @@ class TestTrain:
         pytest.param(["--grid", "3"], "grid", id="grid-3"),
         pytest.param(["--grid", "33"], "grid", id="grid-33"),
         pytest.param(["--tau", "0"], "tau >= 1", id="tau-0"),
+        # the head's settings are checked before any video is decoded too
+        pytest.param({"batch_size": 1}, "batch_size >= 2, got 1", id="batch-size-1"),
+        pytest.param({"epochs": 0}, "epochs must be at least 1, got 0", id="epochs-0"),
+        pytest.param({"lr_head": -0.5}, "lr_head must be non-negative, got -0.5", id="lr-head-negative"),
+        pytest.param({"lambda": -3.0}, "lambda must be non-negative, got -3.0", id="lambda-negative"),
     ])
     def test_bad_clip_option_exits_2_before_decoding(self, capsys, workspace, tmp_path,
                                                      monkeypatch, argv, name):
+        if isinstance(argv, dict):  # a --config
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps(argv))
+            argv = ["--config", str(cfg)]
         decoded = []
         monkeypatch.setattr(cli, "load_y4m", decoded.append)
         code, out, err = run(
@@ -714,14 +723,21 @@ class TestTrainWorkers:
         assert code == 0, err
         assert json.loads(out)["validation"]["n"] == 6
 
+    @pytest.mark.parametrize("row_3", ["missing", "corrupt-header"])
     def test_first_bad_video_in_manifest_order_is_reported(self, capsys, monkeypatch, workspace,
-                                                           tmp_path, pools):
-        # rows 3 and 7 name missing videos: a pool reports row 3's error, as
-        # the in-process loop does
+                                                           tmp_path, pools, row_3):
+        # row 3 names a missing video or one whose Y4M header has no size,
+        # and row 7 a missing one: a pool reports row 3's error, as the
+        # in-process loop does, and the error names row 3's video
         header, *rows = workspace["manifest"].read_text().splitlines()
         for i in (3, 7):
             rows[i] = rows[i].replace(".y4m", "-missing.y4m")
-        bad = workspace["manifest"].parent / "two-missing.csv"
+        if row_3 == "corrupt-header":
+            corrupt = tmp_path / "corrupt.y4m"
+            corrupt.write_bytes(b"YUV4MPEG2 F30:1 C444\nFRAME\n")
+            video_id, _, score = rows[3].split(",")
+            rows[3] = f"{video_id},{corrupt},{score}"
+        bad = workspace["manifest"].parent / f"two-bad-{row_3}.csv"
         bad.write_text("\n".join([header, *rows]) + "\n")
         results = []
         for count in (1, 2):
@@ -731,7 +747,17 @@ class TestTrainWorkers:
         assert results[0] == results[1]
         code, out, err = results[0]
         first = (bad.parent / rows[3].split(",")[1]).resolve()
-        assert (code, out, err) == (2, "", f"error: no such input: {first}\n")
+        want = {"missing": f"no such input: {first}",
+                "corrupt-header": f"{first}: Y4M header missing W or H"}[row_3]
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+
+    def test_row_error_names_its_video_and_keeps_its_type(self, tmp_path):
+        short = tmp_path / "short.y4m"
+        save_y4m(FrameSequence(frames=np.zeros((10, 32, 32), dtype=np.uint8)), short)
+        with pytest.raises(errors.InsufficientFrames) as exc:
+            cli._feature_row(short, ClipSpec(), 0, 0)
+        assert (exc.value.required, exc.value.exit_code) == (63, 5)
+        assert str(exc.value) == f"{short}: need 63 frames for n=32, tau=2, have 10"
 
     def test_first_error_in_manifest_order_even_when_it_comes_last(self, capsys, monkeypatch,
                                                                     workspace, tmp_path, pools):
@@ -958,26 +984,27 @@ class TestSynth:
                              ids=["empty", "negative", "1e9", "over-the-shorter-side"])
     def test_bad_ladder_exits_2(self, capsys, tmp_path, ladder):
         cfg = tmp_path / "synth.json"
-        cfg.write_text(json.dumps({"ladder": ladder, "count": 10}))
+        cfg.write_text(json.dumps({"ladder": ladder}))
         code, out, err = run(capsys, "synth", "--out", str(tmp_path / "ds"), "--config", str(cfg))
         assert code == 2 and f"ladder {ladder}" in err
         assert out == ""
 
     @pytest.mark.parametrize("config, message", [
-        ({"ladder": [], "count": 10}, "the amplitude ladder [] must hold amplitudes in [0, 96] px "
-                                      "(the frame's shorter side)"),
-        ({"ladder": [1.0], "count": 9}, "a dataset needs at least 10 videos"),
-        ({"count": 0}, "a dataset needs at least 10 videos"),
-        ({"count": None}, "config key 'count' must be of type int, got None"),
+        # the ladder is checked before the count it gives (here 0 videos)
+        ({"ladder": []}, "the amplitude ladder [] must hold amplitudes in [0, 96] px "
+                         "(the frame's shorter side)"),
+        ({"ladder": [1.0], "videos_per_level": 9}, "a dataset needs at least 10 videos"),
+        ({"videos_per_level": 0}, "a dataset needs at least 10 videos"),
+        ({"videos_per_level": None}, "config key 'videos_per_level' must be of type int, got None"),
         ({"fps": 0}, "fps must be positive"),
         ({"width": 8}, "output size must be at least 16x16"),
         ({"length": 10}, "trajectory length must be at least 16"),
         # bounded before anything is allocated: numpy once raised MemoryError
-        ({"width": 10**9, "height": 10**9, "count": 10},
+        ({"width": 10**9, "height": 10**9},
          "need sides <= 1920 px and length <= 9000, got (1000000000, 1000000000), 72"),
         ({"length": 10**12}, "need sides <= 1920 px and length <= 9000, got (128, 96), 1000000000000"),
-    ], ids=["empty-ladder", "count-9", "count-0", "count-null", "fps-0", "width-8", "length-10",
-            "sides-1e9", "length-1e12"])
+    ], ids=["empty-ladder", "per-level-9", "per-level-0", "per-level-null", "fps-0", "width-8",
+            "length-10", "sides-1e9", "length-1e12"])
     def test_bad_config_leaves_no_files(self, capsys, tmp_path, config, message):
         # the first video is drawn before the output directory is made
         cfg = tmp_path / "synth.json"
@@ -989,23 +1016,21 @@ class TestSynth:
 
 
 class TestSeedResolution:
-    def test_env_fallback(self, capsys, workspace, monkeypatch, tmp_path):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
-        code, out1, _ = run(capsys, "score", str(workspace["shaky"]))
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "notanint")
-        code2, _, err = run(capsys, "score", str(workspace["shaky"]))
-        assert code == 0
-        assert code2 == 2 and "must be an integer" in err
+    def test_environment_sets_no_seed(self, capsys, workspace, monkeypatch, tmp_path):
+        # the seed once fell back to this variable; it is read no more.  The
+        # prediction's clip draws follow the seed
+        spec = ClipSpec(n=8, tau_b=4)
+        ckpt = spec_checkpoint(tmp_path / "m.ckpt", dim=spec.dim, n="8", tau_b="4")
+        argv = ["score", str(workspace["shaky"]), "--model", str(ckpt)]
+        _, plain, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--seed", "5")[1] != plain
+        monkeypatch.setenv("STABILITYKIT_SEED", "5")
+        assert run(capsys, *argv) == (0, plain, "")
 
-    @pytest.mark.parametrize("flag, cfg, env, want", [
-        (5, {"seed": 6}, "7", 5), (None, {"seed": 6}, "notanint", 6), (None, {}, "7", 7),
-        (None, {}, None, 0),
+    @pytest.mark.parametrize("flag, cfg, want", [
+        (5, {"seed": 6}, 5), (None, {"seed": 6}, 6), (None, {}, 0),
     ])
-    def test_flag_then_config_then_env(self, monkeypatch, tmp_path, flag, cfg, env, want):
-        if env is None:
-            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    def test_flag_then_config_then_default(self, tmp_path, flag, cfg, want):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cfg))
         args = argparse.Namespace(seed=flag, config=str(config))
@@ -1019,8 +1044,8 @@ CONFIG_TYPES = {
     "train": {"seed": "int", "n": "int", "tau": "int", "grid": "int", "tau_b": "int",
               "lambda": "float", "epochs": "int", "batch_size": "int", "lr_head": "float",
               "val_frac": "float"},
-    "mos": {"outlier_sigma": "float", "max_outlier_frac": "float", "denominator": "str"},
-    "synth": {"seed": "int", "ladder": "list", "videos_per_level": "int", "count": "int",
+    "mos": {"outlier_sigma": "float", "max_outlier_frac": "float"},
+    "synth": {"seed": "int", "ladder": "list", "videos_per_level": "int",
               "length": "int", "width": "int", "height": "int", "fps": "float"},
 }
 # argv that reaches the settings; no path needs to exist, the settings come first
@@ -1035,15 +1060,26 @@ WRONG_TYPE = {"int": "x", "float": "x", "str": 1, "list": "abc"}
 
 
 class TestSettings:
-    def test_twenty_six_config_keys(self):
+    def test_twenty_four_config_keys(self):
         assert {c: list(t) for c, t in cli.SETTINGS.items()} == {
             c: list(t) for c, t in CONFIG_TYPES.items()}
-        assert sum(map(len, CONFIG_TYPES.values())) == 26
+        assert sum(map(len, CONFIG_TYPES.values())) == 24
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth", "count", 10), ("mos", "denominator", "rated")])
+    def test_removed_key_exits_2(self, capsys, tmp_path, command, key, value):
+        # synth's count is videos_per_level times the ladder's length, and
+        # the outlier share is always over the videos the subject rated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [a.format(tmp=tmp_path) for a in COMMAND_ARGV[command]]
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: unknown config keys: [{key!r}]\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("command, key, kind", [
         (c, k, t) for c, table in CONFIG_TYPES.items() for k, t in table.items()])
-    def test_wrong_type_exits_2(self, capsys, monkeypatch, tmp_path, command, key, kind):
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    def test_wrong_type_exits_2(self, capsys, tmp_path, command, key, kind):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: WRONG_TYPE[kind]}))
         argv = [a.format(tmp=tmp_path) for a in COMMAND_ARGV[command]]
@@ -1054,8 +1090,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("command, key", [
         (c, k) for c, table in CONFIG_TYPES.items() for k, t in table.items() if t == "float"])
-    def test_int_is_a_float(self, monkeypatch, tmp_path, command, key):
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    def test_int_is_a_float(self, tmp_path, command, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         got = cli._settings(argparse.Namespace(config=str(cfg)), cli.SETTINGS[command])[key]
@@ -1126,8 +1161,7 @@ EXIT_1_LEAKS = {
     "score-seed-negative": (["score", "{shaky}", "--seed", "-1"], None),
     "synth-seed-negative": (_SYNTH, {"seed": -3}),
     "mos-sigma-string": (_MOS, {"outlier_sigma": "x"}),
-    "mos-denominator": (_MOS, {"denominator": "x"}),
-    "synth-count-3": (_SYNTH, {"count": 3}),
+    "synth-per-level-1": (_SYNTH, {"videos_per_level": 1}),
     "synth-width-8": (_SYNTH, {"width": 8}),
     "synth-fps-int-over-float-range": (_SYNTH, {"fps": 10**400}),
     "synth-ladder-string": (_SYNTH, {"ladder": "abc"}),
