@@ -14,13 +14,18 @@ when it holds rows out for validation, load that least-squares solver, at
 their first logistic fit (``evaluation.logistic_fit``).  ``score``,
 ``trajectory``, ``mos`` and ``synth`` processes never load it.
 
-``train`` extracts its feature rows on up to one worker process per CPU
-that this process may use (its affinity mask).  The workers are forked, so
-they start with these modules loaded; on one CPU, or where ``fork`` is
-missing, the rows are extracted in-process.  Each worker holds one decoded
-video at a time, so the extraction's memory peak grows with the CPU count.
-Rows and errors come back in manifest order, so a failing run reports the
-first failing video's error.  Only that pool loads ``multiprocessing``.
+``train`` extracts its feature rows, ``trajectory`` and ``score`` map
+their trajectory runs, and ``score`` its distinct clips, with one helper
+(``fork_map``) on up to one worker process per CPU that this process may use
+(its affinity mask).  The workers are forked, so they start with these
+modules, the decoded video and the mapped function loaded, and only item
+indices and results cross between processes; on one CPU, or where ``fork``
+is missing, the items run in-process.  Each worker holds its own item's
+work: one decoded video in ``train``, one run's pyramid or one clip's
+features in ``score`` and ``trajectory``, so the memory peak over all
+processes grows with the CPU count.  Results and errors come back in item
+order, so a failing run reports the first failing item's error.  Only that
+helper loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -113,6 +118,59 @@ def _load_video(path: str):
     return load_frame_dir(p) if p.is_dir() else load_y4m(p)
 
 
+_JOB = None  # in a fork_map worker: the (fn, items) it maps
+
+
+def _set_job(fn, items) -> None:
+    global _JOB
+    _JOB = fn, items
+
+
+def _run_item(index: int):
+    fn, items = _JOB
+    return fn(*items[index])
+
+
+def fork_map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` on up to one forked worker per CPU of
+    this process's affinity mask.  The workers inherit ``fn`` and the items
+    through the fork and receive only item indices, so no array they hold is
+    pickled; only the results are.  Results come back in item order, and the
+    first item's error in that order is raised, as ``map`` would raise it.  A
+    worker that ends without a result is a ``StabilityKitError`` naming the
+    first item left without one.  On one CPU, or where ``fork`` is missing,
+    the items run in-process."""
+    items = list(zip(*iterables))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(items), cpus)
+    if workers > 1:
+        import multiprocessing  # here only: nothing else loads it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return [fn(*item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, so the workers start with numpy, scipy and the job loaded (the
+    # initializer's arguments are inherited, not pickled); the executor forks
+    # them all at its first submit, before it starts its own thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_job, initargs=(fn, items))
+    out = []
+    try:
+        # results in item order; the first error cancels the rest
+        for result in pool.map(_run_item, range(len(items)), chunksize=1):
+            out.append(result)
+    except BrokenProcessPool:
+        args = ", ".join(map(str, items[len(out)]))
+        raise StabilityKitError(f"a worker process ended abruptly: item {len(out)} ({args}) and "
+                                "the items after it have no result") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return out
+
+
 def _feature_row(path, spec: feat.ClipSpec, seed: int, index: int) -> np.ndarray:
     """The clip features of manifest row ``index``: its clip seed is spawned
     from the index alone, so rows can be extracted in any order.  A toolkit
@@ -163,14 +221,15 @@ def cmd_score(args) -> int:
     if params is not None:  # the clip span, before ITF and the trajectory
         clip_span(params.spec.n, params.spec.tau, len(seq))
     itf_res = itf(seq)
-    traj, _ = video_trajectory(seq, "similarity", s["seed"])
+    traj, _ = video_trajectory(seq, "similarity", s["seed"], map_fn=fork_map)
     stab = stability_score(traj)
     report = {
         "itf_db": itf_res.score_db,
         "stability": dict(stab.component_scores, score=stab.score),
     }
     if params is not None:
-        report["prediction"] = model_mod.predict_video(params, seq, n_clips=s["n_clips"], seed=s["seed"])
+        report["prediction"] = model_mod.predict_video(params, seq, n_clips=s["n_clips"], seed=s["seed"],
+                                                       map_fn=fork_map)
     _emit(report, args.out)
     return 0
 
@@ -178,7 +237,7 @@ def cmd_score(args) -> int:
 def cmd_trajectory(args) -> int:
     s = _settings(args, SETTINGS["trajectory"])
     seq = _load_video(args.video)
-    traj, _ = video_trajectory(seq, s["model_kind"], s["seed"])
+    traj, _ = video_trajectory(seq, s["model_kind"], s["seed"], map_fn=fork_map)
     save_trajectory_csv(traj, args.out)
     _emit({"frames": traj.length, "out": str(args.out)}, None)
     return 0
@@ -201,33 +260,8 @@ def cmd_train(args) -> int:
     if cache_path and cache_path.is_file():
         matrix = feat.load_feature_cache(cache_path, spec, seed, len(rows), videos)
     else:
-        jobs = (videos, [spec] * len(videos), [seed] * len(videos), range(len(videos)))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(len(videos), cpus)
-        if workers > 1:
-            import multiprocessing  # here only: no other command loads it
-            if "fork" not in multiprocessing.get_all_start_methods():
-                workers = 1
-        if workers == 1:
-            vecs = list(map(_feature_row, *jobs))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            # fork, so the workers start with numpy and scipy loaded; the
-            # executor forks them all at its first submit, before it starts
-            # its own thread
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            vecs = []
-            try:
-                # results in manifest order; the first error cancels the rest
-                for vec in pool.map(_feature_row, *jobs, chunksize=1):
-                    vecs.append(vec)
-            except BrokenProcessPool:
-                raise StabilityKitError(f"a feature worker process ended abruptly: {videos[len(vecs)]} "
-                                        "and the videos after it were not extracted") from None
-            finally:
-                pool.shutdown(cancel_futures=True)
+        vecs = fork_map(lambda path, index: _feature_row(path, spec, seed, index),
+                        videos, range(len(videos)))
         # train on the f32-rounded values the cache holds
         matrix = np.stack(vecs).astype("<f4").astype(np.float64)
         if cache_path:
@@ -285,6 +319,7 @@ def cmd_eval(args) -> int:
 
 def cmd_mos(args) -> int:
     s = _settings(args, SETTINGS["mos"])
+    mos_mod.check_settings(**s)  # before the ratings are read
     table = mos_mod.RatingsTable.from_csv(args.ratings)
     result = mos_mod.reject_outlier_subjects(table, **s)
     mos_mod.write_mos_csv(result, args.out)
@@ -333,7 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
         # another (score --n as --n-clips, trajectory --model as --model-kind)
         return sub.add_parser(name, help=help, allow_abbrev=False, **kwargs)
 
-    p = command("score", "ITF, Stability Score, and optional model prediction")
+    p = command("score", "ITF, Stability Score, and optional model prediction", description=(
+        "ITF, Stability Score, and optional model prediction.  The trajectory's runs of frame "
+        "pairs, and then the model's distinct clips, are mapped on up to one worker process per "
+        "available CPU.  Each worker holds one run's pyramid or one clip's features at a time, so "
+        "the memory peak grows with the CPU count."))
     p.add_argument("video", help="Y4M file or PPM/PGM directory")
     p.add_argument("--model", help="model checkpoint for the learned score; it holds the clip settings")
     p.add_argument("--n-clips", dest="n_clips", type=int)
@@ -341,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     settings(p, "score")
     p.set_defaults(func=cmd_score)
 
-    p = command("trajectory", "estimate and export the camera path CSV")
+    p = command("trajectory", "estimate and export the camera path CSV", description=(
+        "Estimate and export the camera path CSV.  The trajectory's runs of frame pairs are "
+        "mapped on up to one worker process per available CPU.  Each worker holds one run's "
+        "pyramid at a time, so the memory peak grows with the CPU count."))
     p.add_argument("video")
     p.add_argument("out", help="output CSV (frame,x,y,theta)")
     p.add_argument("--model-kind", choices=["translation", "similarity", "homography"])

@@ -331,22 +331,28 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def predict_video(params: ModelParams, seq: FrameSequence, n_clips: int, seed: int) -> float:
+def predict_video(params: ModelParams, seq: FrameSequence, n_clips: int, seed: int,
+                  map_fn=map) -> float:
     """Mean prediction over ``n_clips`` clips sampled and featurized as
     ``params.spec`` says, their starts drawn from ``seed``.
 
     Clips that start at the same frame are the same clip: each distinct
     start is copied, featurized and scored once, and its score enters the
-    mean once per draw, so the mean is that of all ``n_clips`` scores."""
+    mean once per draw, so the mean is that of all ``n_clips`` scores.
+    ``map_fn`` (``map``, or the CLI's ``fork_map``) maps one function over
+    the distinct starts and must give the results, and raise the first
+    error, in their order."""
     if not 1 <= n_clips <= MAX_N_CLIPS:
         raise ConfigError(f"n_clips must be in [1, {MAX_N_CLIPS}], got {n_clips}")
     clip_seeds = np.random.default_rng(seed).integers(0, 2**31, size=n_clips)
     starts = [clip_start(len(seq), params.spec.n, params.spec.tau, int(s)) for s in clip_seeds]
-    by_start = {}
-    for start in starts:
-        if start not in by_start:
-            clip = clip_at(seq, start, params.spec.n, params.spec.tau)
-            by_start[start] = mlp_forward(params, feat.clip_features(clip, params.spec))
+    distinct = list(dict.fromkeys(starts))
+
+    def score(start: int) -> float:
+        clip = clip_at(seq, start, params.spec.n, params.spec.tau)
+        return mlp_forward(params, feat.clip_features(clip, params.spec))
+
+    by_start = dict(zip(distinct, map_fn(score, distinct)))
     return float(np.mean([by_start[start] for start in starts]))
 
 

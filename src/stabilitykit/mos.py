@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyAfterCleaning, EmptyInput, InsufficientRatings, ParseError
+from .errors import ConfigError, EmptyAfterCleaning, EmptyInput, InsufficientRatings, ParseError
 from .media import csv_rows
 
 
@@ -110,6 +110,16 @@ def compute_mos(table: RatingsTable) -> MosResult:
     return MosResult(videos=list(table.videos), mos=means, std=stds, n=counts)
 
 
+def check_settings(outlier_sigma: float, max_outlier_frac: float) -> None:
+    """ConfigError unless ``outlier_sigma`` > 0 and ``max_outlier_frac`` is
+    in [0, 1]: a sigma of 0 or less flags every rating that is off its mean,
+    and a share above 1 rejects no one."""
+    if not outlier_sigma > 0:
+        raise ConfigError(f"outlier_sigma must be positive, got {outlier_sigma!r}")
+    if not 0 <= max_outlier_frac <= 1:
+        raise ConfigError(f"max_outlier_frac must be in [0, 1], got {max_outlier_frac!r}")
+
+
 def reject_outlier_subjects(
     table: RatingsTable,
     outlier_sigma: float = 2.0,
@@ -118,7 +128,9 @@ def reject_outlier_subjects(
     """Single-pass cleaning: flag ratings beyond ``outlier_sigma`` population
     stds of the per-video mean, reject subjects whose outlier share (over
     the videos that subject rated) strictly exceeds ``max_outlier_frac``,
-    then recompute MOS without them."""
+    then recompute MOS without them.  The settings are checked first
+    (``check_settings``)."""
+    check_settings(outlier_sigma, max_outlier_frac)
     scores = table.scores
     means, stds, _ = _column_stats(scores)
     present = ~np.isnan(scores)

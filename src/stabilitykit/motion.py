@@ -765,25 +765,26 @@ def accumulate_trajectory(params: list[MotionParams]) -> Trajectory:
 _TRAJ_RUN_PAIRS = 16  # most frame pairs per pyramid stack in video_trajectory
 
 
-def video_trajectory(seq, model_kind: str = "similarity",
-                     seed: int = 0) -> tuple[Trajectory, list[MotionParams]]:
+def video_trajectory(seq, model_kind: str = "similarity", seed: int = 0,
+                     map_fn=map) -> tuple[Trajectory, list[MotionParams]]:
     """Per-pair motion over a FrameSequence, accumulated into a Trajectory.
 
     Runs of at most _TRAJ_RUN_PAIRS pairs each build one pyramid stack whose
     level 0 is the run's frames as stored, uint8 for a decoded video; only
     the LK windows and warp samples gathered from it are cast to float32.  A
-    run's last frame carries over as the next run's first, so each frame's
-    pyramid is made once.  A pair's result equals ``estimate_motion`` on its
-    two frames."""
-    params, head = [], None  # head: pyramid levels of the previous run's last frame
+    run's first frame is the previous run's last, and each run builds that
+    frame's pyramid again, so the runs are independent: ``map_fn`` (``map``,
+    or the CLI's ``fork_map``, which runs them on one worker per CPU) maps
+    one function over the runs' first frames and must give the results, and
+    raise the first error, in run order.  A pair's result equals
+    ``estimate_motion`` on its two frames."""
     last = len(seq.frames) - 1
-    for start in range(0, last, _TRAJ_RUN_PAIRS):
+
+    def run(start: int) -> list[MotionParams]:
         stop = min(start + _TRAJ_RUN_PAIRS, last)
-        pyr = _pyramid(seq.frames[start if head is None else start + 1 : stop + 1])
-        if head is not None:
-            pyr = [np.concatenate([first[None], lev]) for first, lev in zip(head, pyr)]
-        params += _pair_motions(pyr, model_kind, seed)
-        head = [lev[-1].copy() for lev in pyr]
+        return _pair_motions(_pyramid(seq.frames[start : stop + 1]), model_kind, seed)
+
+    params = [mp for run_params in map_fn(run, range(0, last, _TRAJ_RUN_PAIRS)) for mp in run_params]
     return accumulate_trajectory(params), params
 
 

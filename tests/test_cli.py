@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_bytes, shaky_video
-from stabilitykit import cli, errors
+from stabilitykit import cli, errors, motion
 from stabilitykit import features as feat
 from stabilitykit import model as model_mod
 from stabilitykit.evaluation import evaluate
 from stabilitykit.features import ClipSpec, save_feature_cache
-from stabilitykit.media import FrameSequence, load_y4m, save_y4m
+from stabilitykit.media import FrameSequence, clip_start, load_y4m, save_y4m
 from stabilitykit.synth import iter_dataset, write_dataset
 
 
@@ -658,8 +658,21 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools the commands build."""
+    built = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return built
+
+
 def _exit_at_once(*args):
-    # module level, so that the pool can send it to a forked worker by name
     os._exit(1)
 
 
@@ -674,19 +687,6 @@ def _row_1_fails_last(path, spec, seed, index):
 
 class TestTrainWorkers:
     CONFIG = {"epochs": 2, "n": 8, "tau_b": 4}
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the pools train builds."""
-        built = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        return built
 
     def _train(self, capsys, tmp_path, manifest, *argv, config=CONFIG):
         cfg = tmp_path / "train.json"
@@ -777,8 +777,96 @@ class TestTrainWorkers:
         assert pools == [2]
         assert (code, out) == (2, "")
         first = (workspace["manifest"].parent / "synth_0000.y4m").resolve()
-        assert err.startswith(f"error: a feature worker process ended abruptly: {first} and ")
-        assert err.count("\n") == 1 and not (tmp_path / "m.ckpt").exists()
+        assert err == f"error: a worker process ended abruptly: item 0 ({first}, 0) and the items after it have no result\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestScoreAndTrajectoryWorkers:
+    """score and trajectory map their trajectory runs (16 pairs each) and
+    score its distinct clips on one worker per CPU: the same output, and the
+    same first error, as in-process."""
+
+    @pytest.fixture(scope="class")
+    def video(self, tmp_path_factory):
+        # 50 frames: runs start at frames 0, 16, 32 and 48
+        path = tmp_path_factory.mktemp("workers") / "shaky.y4m"
+        save_y4m(shaky_video(91, count=50, size=(64, 64))[0], path)
+        return path
+
+    @staticmethod
+    def _run(capsys, *argv):
+        result = run(capsys, *argv)
+        assert multiprocessing.active_children() == []  # the pools are shut down
+        return result
+
+    def test_score_with_a_model_is_the_serial_report(self, capsys, monkeypatch, tmp_path, video, pools):
+        ckpt = spec_checkpoint(tmp_path / "m.ckpt", ClipSpec(n=8).dim, n=8)
+        outputs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            code, out, err = self._run(capsys, "score", str(video), "--model", str(ckpt))
+            assert code == 0, err
+            outputs.append(out)
+        assert pools == [2, 2]  # the runs, then the clips
+        assert "prediction" in json.loads(outputs[0])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["translation", "similarity", "homography"])
+    def test_trajectory_is_the_serial_csv(self, capsys, monkeypatch, tmp_path, video, pools, kind):
+        outputs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            out_csv = tmp_path / f"t{count}.csv"
+            code, out, err = self._run(capsys, "trajectory", str(video), str(out_csv), "--model-kind", kind)
+            assert code == 0, err
+            assert json.loads(out)["frames"] == 50
+            outputs.append(out_csv.read_bytes())
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["score", "trajectory"])
+    def test_first_failing_run_is_reported(self, capsys, monkeypatch, tmp_path, video, pools, command):
+        # runs 1 and 3 fail, run 1 half a second after run 3 has
+        frames = load_y4m(video).frames
+        pair_motions = motion._pair_motions
+
+        def planted(pyr, kind, seed):
+            run_index = next(r for r in range(4) if np.array_equal(pyr[0][0], frames[16 * r]))
+            if run_index == 1:
+                time.sleep(0.5)
+            if run_index in (1, 3):
+                raise errors.DegenerateScene(f"planted failure in run {run_index}")
+            return pair_motions(pyr, kind, seed)
+
+        monkeypatch.setattr(motion, "_pair_motions", planted)
+        argv = [command, str(video)] + ([str(tmp_path / "t.csv")] if command == "trajectory" else [])
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            assert self._run(capsys, *argv) == (4, "", "error: planted failure in run 1\n")
+        assert pools == [2]
+
+    @pytest.mark.parametrize("command, name, first", [
+        ("trajectory", "_pair_motions", 0),
+        ("score", "_pair_motions", 0),
+        ("score", "clip_features", None),  # the first clip's start
+    ])
+    def test_dead_worker_exits_2(self, capsys, monkeypatch, tmp_path, video, pools, command, name, first):
+        # a worker that ends without a result, as one the kernel kills would:
+        # the fork inherits the patched function
+        ckpt = spec_checkpoint(tmp_path / "m.ckpt", ClipSpec(n=8).dim, n=8)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(motion if name == "_pair_motions" else feat, name, _exit_at_once)
+        argv = {"trajectory": ["trajectory", str(video), str(tmp_path / "t.csv")],
+                "score": ["score", str(video), "--model", str(ckpt)]}[command]
+        code, out, err = self._run(capsys, *argv)
+        assert (code, out) == (2, "")
+        if first is None:
+            params = model_mod.load_checkpoint(ckpt)
+            seed = int(np.random.default_rng(0).integers(0, 2**31))
+            first = clip_start(50, params.spec.n, params.spec.tau, seed)
+        assert err == f"error: a worker process ended abruptly: item 0 ({first}) and the items after it have no result\n"
+        assert pools == ([2] if name == "_pair_motions" else [2, 2])
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestEval:
@@ -941,6 +1029,32 @@ class TestMos:
         code, out, err = run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"))
         assert (code, out, err) == (2, "", f"error: {ratings}:3: rating {shown} outside [0, 100]\n")
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"outlier_sigma": -1.0}, "outlier_sigma must be positive, got -1.0"),
+        ({"outlier_sigma": 0}, "outlier_sigma must be positive, got 0.0"),
+        ({"max_outlier_frac": 2.0}, "max_outlier_frac must be in [0, 1], got 2.0"),
+        ({"max_outlier_frac": -0.01}, "max_outlier_frac must be in [0, 1], got -0.01"),
+    ], ids=["sigma-negative", "sigma-0", "frac-2", "frac-negative"])
+    def test_bad_setting_exits_2_before_reading(self, capsys, tmp_path, config, message):
+        # the ratings file is missing: the setting is reported, not the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "mos", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.csv"),
+                             "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("frac, rejected", [(0, ["bad"]), (1, [])])
+    def test_share_bounds_are_accepted(self, capsys, tmp_path, frac, rejected):
+        # at share 1 no subject can be rejected
+        ratings = tmp_path / "ratings.csv"
+        self._write_ratings(ratings, planted=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_outlier_frac": frac}))
+        code, out, err = run(capsys, "mos", str(ratings), "--out", str(tmp_path / "m.csv"), "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads(out)["rejected_subjects"] == rejected
 
     def test_no_seed_option(self, capsys, tmp_path):
         # mos draws no random numbers, so it takes no seed

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import csv_bytes
 from stabilitykit import mos
-from stabilitykit.errors import EmptyAfterCleaning, InsufficientRatings, ParseError, StabilityKitError
+from stabilitykit.errors import ConfigError, EmptyAfterCleaning, InsufficientRatings, ParseError, StabilityKitError
 
 
 def table_from_matrix(matrix, subjects=None, videos=None):
@@ -81,6 +81,14 @@ class TestRejectOutliers:
     def test_planted_subject_rejected(self):
         result = mos.reject_outlier_subjects(planted_outlier_table())
         assert result.rejected_subjects == ["planted"]
+
+    @pytest.mark.parametrize("bad", [
+        {"outlier_sigma": -1.0}, {"outlier_sigma": 0.0}, {"outlier_sigma": float("nan")},
+        {"max_outlier_frac": 1.5}, {"max_outlier_frac": -0.1}, {"max_outlier_frac": float("nan")},
+    ], ids=["sigma-negative", "sigma-0", "sigma-nan", "frac-1.5", "frac-negative", "frac-nan"])
+    def test_bad_settings_raise_config_error(self, bad):
+        with pytest.raises(ConfigError):
+            mos.reject_outlier_subjects(planted_outlier_table(), **bad)
 
     def test_identical_ratings_keep_everyone(self):
         table = table_from_matrix(np.full((6, 4), 42.0))

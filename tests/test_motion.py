@@ -912,14 +912,37 @@ class TestVideoTrajectory:
         assert sorted(states) == together
 
     @pytest.mark.parametrize("kind", ["similarity", "homography"])
-    def test_each_frame_pyramid_built_once(self, kind, monkeypatch):
+    def test_each_run_builds_its_own_pyramid(self, kind, monkeypatch):
+        # a run's first frame is the previous run's last, and its pyramid is
+        # built again, so that the runs are independent; they still equal
+        # their pairs alone, bit for bit
         seq, _ = shaky_video(86, count=20, size=(112, 96))
         frames = []
         pyramid = motion._pyramid
         monkeypatch.setattr(motion, "_pyramid", lambda s: frames.append(len(s)) or pyramid(s))
-        video_trajectory(seq, kind)
-        assert sum(frames) == len(seq)
-        assert len(frames) == 2  # runs of 16 and 3 pairs
+        _, got = video_trajectory(seq, kind)
+        assert frames == [17, 4]  # runs of 16 and 3 pairs
+        assert sum(frames) == len(seq) + len(frames) - 1
+        monkeypatch.setattr(motion, "_pyramid", pyramid)
+        for k, mp in enumerate(got):
+            alone = estimate_motion(seq.frames[k], seq.frames[k + 1], kind)
+            assert fields(mp) == fields(alone)
+            assert mp.h is None and alone.h is None or mp.h.tobytes() == alone.h.tobytes()
+
+    def test_runs_are_independent_of_their_order(self):
+        # map_fn gets the runs' first frames; a map that computes the runs
+        # last to first gives the same pairs, so no run depends on another
+        seq, _ = shaky_video(87, count=40, size=(64, 64))
+        seen = []
+
+        def spy(fn, starts):
+            starts = list(starts)
+            seen.append(starts)
+            return reversed([fn(s) for s in reversed(starts)])
+
+        assert [fields(mp) for mp in video_trajectory(seq, map_fn=spy)[1]] == \
+            [fields(mp) for mp in video_trajectory(seq)[1]]
+        assert seen == [[0, 16, 32]]
 
     # Traced peaks on this 20-frame 320x240 video, similarity / homography /
     # translation: 99.9 / 48.5 / 48.5 MB when each 17-frame run was copied to
